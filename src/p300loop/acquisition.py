@@ -1,7 +1,11 @@
 """Wire protocol and persistence for records and trained models.
 
 Frames are laid out as: 4-byte magic "EEGS", 1-byte kind, 4-byte little-endian
-payload length, payload.  A stream is header, then markers and sample blocks in
+payload length, payload.  A payload holds at most MAX_PAYLOAD bytes (16 MiB,
+enough for a header with the largest channel table the 16-bit channel count
+allows); a longer frame is never written, and a prefix declaring one is a
+ProtocolError as soon as it is read, so a corrupt length cannot make a reader
+buffer without bound.  A stream is header, then markers and sample blocks in
 sample order (each marker precedes the sample frame containing its index),
 then end.  Sample values travel as 32-bit little-endian floats; markers and
 indices are exact integers, so a round trip loses nothing but float precision.
@@ -31,6 +35,8 @@ KIND_END = 4
 _PREFIX = struct.Struct("<4sBI")
 _MARKER = struct.Struct("<QBIIB")
 _TARGET_UNKNOWN = 255
+
+MAX_PAYLOAD = 1 << 24
 
 MODEL_FORMAT_VERSION = 1
 DEFAULT_CHUNK = 128
@@ -126,26 +132,34 @@ def encode_frame(frame: WireFrame) -> bytes:
         kind = KIND_END
     else:
         raise TypeError(f"not a wire frame: {type(frame).__name__}")
+    if len(payload) > MAX_PAYLOAD:
+        raise ValueError(f"payload of {len(payload)} bytes exceeds "
+                         f"MAX_PAYLOAD ({MAX_PAYLOAD})")
     return _PREFIX.pack(MAGIC, kind, len(payload)) + payload
 
 
-def decode_frame(buffer) -> tuple[WireFrame, int]:
-    """Decode one frame from the start of buffer; returns (frame, bytes used).
+def decode_frame(buffer, offset: int = 0) -> tuple[WireFrame, int]:
+    """Decode the frame at buffer[offset:]; returns (frame, bytes used).
 
-    Raises IncompleteFrame when the buffer holds only part of a frame (nothing
-    is consumed); raises ProtocolError on bad magic, unknown kind, or a
-    malformed payload.
+    The prefix is read in place and only the frame's payload is copied, so
+    decoding the frames of a buffer one after another, at increasing offsets,
+    costs time linear in its length.  Raises IncompleteFrame when the buffer
+    holds only part of a frame (nothing is consumed); raises ProtocolError on
+    bad magic, a declared payload over MAX_PAYLOAD (as soon as the prefix is
+    complete), unknown kind, or a malformed payload.
     """
-    buffer = bytes(buffer)
-    if len(buffer) < _PREFIX.size:
+    if len(buffer) - offset < _PREFIX.size:
         raise IncompleteFrame("frame prefix incomplete")
-    magic, kind, length = _PREFIX.unpack_from(buffer)
+    magic, kind, length = _PREFIX.unpack_from(buffer, offset)
     if magic != MAGIC:
         raise ProtocolError(f"bad magic {magic!r}")
+    if length > MAX_PAYLOAD:
+        raise ProtocolError(f"declared payload of {length} bytes exceeds "
+                            f"MAX_PAYLOAD ({MAX_PAYLOAD})")
     total = _PREFIX.size + length
-    if len(buffer) < total:
+    if len(buffer) - offset < total:
         raise IncompleteFrame("payload incomplete")
-    payload = buffer[_PREFIX.size:total]
+    payload = bytes(buffer[offset + _PREFIX.size:offset + total])
 
     if kind == KIND_HEADER:
         if len(payload) < 12:
@@ -197,7 +211,18 @@ def decode_frame(buffer) -> tuple[WireFrame, int]:
 
 
 class FrameReader:
-    """Incremental decoder tolerant of arbitrary chunk boundaries."""
+    """Incremental decoder tolerant of arbitrary chunk boundaries.
+
+    Each feed decodes the pending bytes in place, frame after frame at
+    increasing offsets, and drops the consumed prefix once at the end, so a
+    feed costs time linear in the bytes it holds however many frames they
+    carry.  What stays pending is at most one incomplete frame; once its
+    prefix is complete it has passed the magic and MAX_PAYLOAD checks, so the
+    pending bytes stay below MAX_PAYLOAD plus one prefix.  A ProtocolError
+    propagates from feed: the frames decoded before it in that call are
+    dropped with their bytes, and pending_bytes then counts from the
+    offending frame.
+    """
 
     def __init__(self) -> None:
         self._buffer = bytearray()
@@ -206,13 +231,16 @@ class FrameReader:
         """Absorb bytes, return every frame completed by them."""
         self._buffer.extend(data)
         frames = []
-        while True:
-            try:
-                frame, used = decode_frame(self._buffer)
-            except IncompleteFrame:
-                break
-            del self._buffer[:used]
-            frames.append(frame)
+        pos = 0
+        try:
+            while True:
+                frame, used = decode_frame(self._buffer, pos)
+                frames.append(frame)
+                pos += used
+        except IncompleteFrame:
+            pass
+        finally:
+            del self._buffer[:pos]
         return frames
 
     @property
@@ -338,6 +366,14 @@ class ModelFile:
                 f"{len(self.channels)} channels x {self.window.length} samples")
         if mins.shape != weights.shape or maxes.shape != weights.shape:
             raise FormatError("scaling vectors must match the weight length")
+        finite = {"weights": weights, "bias": self.bias, "mins": mins,
+                  "maxes": maxes}
+        if self.ica is not None:
+            finite.update({f"ICA {name}": getattr(self.ica, name)
+                           for name in ("mean", "whitening", "unmixing")})
+        for name, values in finite.items():
+            if not np.isfinite(np.asarray(values, dtype=np.float64)).all():
+                raise FormatError(f"model {name} must be finite")
         for arr in (weights, mins, maxes):
             arr.flags.writeable = False
         object.__setattr__(self, "weights", weights)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import acquisition, dsp, ica, lda, session
+from . import acquisition, ica, lda, session
 from .acquisition import (
     FormatError,
     FrameReader,
@@ -242,12 +242,10 @@ def cmd_train(config: RunConfig) -> int:
         use_ica=pipeline.use_ica, ica_rng=rng,
         ica_kurtosis_threshold=pipeline.ica_kurtosis_threshold,
         ica_frontal_fraction=pipeline.ica_frontal_fraction)
-    model = session.train_on_dataset(dataset, pipeline)
+    model, scaled = session.train_with_features(dataset, pipeline)
     save_model(model, args.model)
-    scores = score_vectors(model, dataset.vectors)
+    scores = scaled @ model.weights + model.bias
     lda_view = lda.LdaModel(w=model.weights, b=model.bias)
-    scaling = dsp.ScalingParams(mins=model.mins, maxes=model.maxes)
-    scaled = dsp.minmax_apply(scaling, dataset.vectors)
     j_value = lda.fisher_criterion(lda_view, scaled, dataset.labels)
     auc = session.cross_validated_auc(dataset, pipeline)
     print(f"trained on {dataset.n_epochs} epochs "

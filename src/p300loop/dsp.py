@@ -136,6 +136,13 @@ class ScalingParams:
     def n_features(self) -> int:
         return self.mins.shape[0]
 
+    @property
+    def factors(self) -> np.ndarray:
+        """Diagonal of D in minmax_apply's map D (x - mins) before clipping:
+        1 / (max - min) per feature, 0 for constant features."""
+        span = self.maxes - self.mins
+        return np.divide(1.0, span, out=np.zeros_like(span), where=span > 0)
+
 
 def minmax_fit(vectors) -> ScalingParams:
     """Elementwise min and max over a set of training feature vectors."""

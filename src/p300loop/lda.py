@@ -5,6 +5,11 @@ scatter matrix is near-singular, so it is blended toward a scaled identity:
 S_lambda = (1 - lambda) S_w + lambda (trace(S_w)/d) I.  The weight vector is the
 solve S_lambda w = m1 - m2 (class 1 = target), normalized to unit length, with
 the bias placing the decision boundary at the midpoint of the class means.
+
+A fit is two steps: the class statistics (counts, means, pooled centred
+scatter) and the shrinkage solve on them.  Statistics can be downdated and
+rescaled exactly, so cross-validation derives each fold's statistics from the
+whole sample's instead of refitting from the fold's rows.
 """
 from __future__ import annotations
 
@@ -52,35 +57,99 @@ def _as_arrays(data, labels):
     return vectors, labels
 
 
+@dataclass(frozen=True)
+class ClassStatistics:
+    """Per-class count and mean plus the pooled centred scatter of a sample.
+
+    Class 1 (target) comes first.  The scatter is sum over both classes of
+    (x - class mean)(x - class mean)^T, not yet divided by n - 2.  An empty
+    class has mean zero and adds nothing to the scatter.
+    """
+
+    counts: tuple[int, int]
+    means: np.ndarray  # [2 x d]: target mean, non-target mean
+    scatter: np.ndarray  # [d x d]
+
+    @classmethod
+    def of(cls, vectors: np.ndarray, labels: np.ndarray) -> ClassStatistics:
+        """Statistics of finite [n x d] vectors with one boolean label each."""
+        if not np.isfinite(vectors).all():
+            raise ValueError("training features must be finite")
+        counts, means, centred = [], [], []
+        for rows in (vectors[labels], vectors[~labels]):
+            mean = (rows.mean(axis=0) if len(rows)
+                    else np.zeros(vectors.shape[1]))
+            counts.append(len(rows))
+            means.append(mean)
+            centred.append(rows - mean)
+        scatter = centred[0].T @ centred[0] + centred[1].T @ centred[1]
+        return cls(counts=tuple(counts), means=np.array(means),
+                   scatter=scatter)
+
+    def without(self, part: ClassStatistics) -> ClassStatistics:
+        """Statistics of this sample once the rows summarised by `part` leave.
+
+        Per class, the exact pooled-scatter downdate of Chan, Golub & LeVeque
+        (1979): with n rows in all, k leaving and r = n - k staying,
+        scatter_rest = scatter_all - scatter_part - (r k / n) g g^T, where g
+        is the mean of the leaving rows minus the mean of the staying ones.
+        """
+        counts, means = [], []
+        scatter = self.scatter - part.scatter
+        for n, k, mean_all, mean_part in zip(self.counts, part.counts,
+                                             self.means, part.means):
+            rest = n - k
+            if k == 0:
+                mean = mean_all
+            elif rest == 0:
+                mean = np.zeros_like(mean_all)
+            else:
+                mean = (n * mean_all - k * mean_part) / rest
+                gap = mean_part - mean
+                scatter -= (rest * k / n) * np.outer(gap, gap)
+            counts.append(rest)
+            means.append(mean)
+        return ClassStatistics(counts=tuple(counts), means=np.array(means),
+                               scatter=scatter)
+
+    def scaled(self, shift: np.ndarray,
+               factor: np.ndarray) -> ClassStatistics:
+        """Statistics of the rows mapped elementwise by (x - shift) * factor.
+
+        With D = diag(factor), the means map to D (m - shift) and the scatter
+        to D S D.
+        """
+        return ClassStatistics(
+            counts=self.counts, means=(self.means - shift) * factor,
+            scatter=factor[:, None] * self.scatter * factor[None, :])
+
+    def solve(self, shrinkage: float = DEFAULT_SHRINKAGE) -> LdaModel:
+        """The shrinkage discriminant of these statistics."""
+        if not 0 <= shrinkage <= 1:
+            raise ValueError("shrinkage must lie in [0, 1]")
+        if min(self.counts) == 0:
+            raise ValueError("both classes must be present")
+        n = sum(self.counts)
+        d = self.scatter.shape[0]
+        m1, m2 = self.means
+        scatter = self.scatter / max(n - 2, 1)
+        target = np.trace(scatter) / d
+        regularized = (1.0 - shrinkage) * scatter
+        regularized[np.diag_indices(d)] += shrinkage * target
+        w = cho_solve(cho_factor(regularized), m1 - m2)
+        norm = np.linalg.norm(w)
+        if norm == 0:
+            raise ValueError("degenerate training set: identical class means")
+        w = w / norm
+        b = -float(w @ (m1 + m2)) / 2.0
+        return LdaModel(w=w, b=b, mu1=float(w @ m1), mu2=float(w @ m2),
+                        shrinkage=shrinkage)
+
+
 def train(data, labels=None, shrinkage: float = DEFAULT_SHRINKAGE) -> LdaModel:
     """Fit the discriminant; class 1 (True labels) is the target class."""
     vectors, labels_ = _as_arrays(data, labels)
-    if not np.isfinite(vectors).all():
-        raise ValueError("training features must be finite")
-    if not 0 <= shrinkage <= 1:
-        raise ValueError("shrinkage must lie in [0, 1]")
-    pos = vectors[labels_]
-    neg = vectors[~labels_]
-    if len(pos) == 0 or len(neg) == 0:
-        raise ValueError("both classes must be present")
-    n, d = vectors.shape
-    m1 = pos.mean(axis=0)
-    m2 = neg.mean(axis=0)
-    pos_c = pos - m1
-    neg_c = neg - m2
-    denom = max(n - 2, 1)
-    scatter = (pos_c.T @ pos_c + neg_c.T @ neg_c) / denom
-    target = np.trace(scatter) / d
-    regularized = (1.0 - shrinkage) * scatter
-    regularized[np.diag_indices(d)] += shrinkage * target
-    w = cho_solve(cho_factor(regularized), m1 - m2)
-    norm = np.linalg.norm(w)
-    if norm == 0:
-        raise ValueError("degenerate training set: identical class means")
-    w = w / norm
-    b = -float(w @ (m1 + m2)) / 2.0
-    return LdaModel(w=w, b=b, mu1=float(w @ m1), mu2=float(w @ m2),
-                    shrinkage=shrinkage)
+    return ClassStatistics.of(vectors, labels_).solve(shrinkage)
 
 
 def score(model: LdaModel, v) -> float | np.ndarray:

@@ -157,10 +157,16 @@ def _bundle(model: lda.LdaModel, scaling: dsp.ScalingParams,
 def train_on_dataset(dataset: LabeledDataset,
                      pipeline: PipelineConfig) -> ModelFile:
     """Fit scaling on the training vectors, then the discriminant."""
+    return train_with_features(dataset, pipeline)[0]
+
+
+def train_with_features(dataset: LabeledDataset, pipeline: PipelineConfig,
+                        ) -> tuple[ModelFile, np.ndarray]:
+    """`train_on_dataset`, plus the scaled training vectors it was fit on."""
     scaling = dsp.minmax_fit(dataset.vectors)
     scaled = dsp.minmax_apply(scaling, dataset.vectors)
     model = lda.train(scaled, dataset.labels, shrinkage=pipeline.shrinkage)
-    return _bundle(model, scaling, dataset.channels, dataset.window)
+    return _bundle(model, scaling, dataset.channels, dataset.window), scaled
 
 
 def score_vectors(model: ModelFile, vectors: np.ndarray) -> np.ndarray:
@@ -289,22 +295,54 @@ def retrain_from_online(logged_records, pipeline: PipelineConfig = PipelineConfi
 
 def cross_validated_auc(dataset: LabeledDataset,
                         pipeline: PipelineConfig = PipelineConfig()) -> float:
-    """Leave-one-session-out AUC of the discriminant scores."""
-    sessions = sorted({sess for _run, sess, _img in dataset.provenance})
+    """Leave-one-session-out AUC of the discriminant scores.
+
+    Each fold's model is, up to rounding, the one `train_on_dataset` would
+    fit on the other sessions: min-max scaling fit on them, then shrinkage
+    LDA.  It is derived from statistics shared by all folds rather than
+    refit from the fold's rows; see `_cross_validated_scores`.  The held-out
+    rows are scaled with `dsp.minmax_apply` (clipping included) and scored.
+    Raises ValueError for fewer than two sessions, or when a fold's training
+    part lacks a class.
+    """
+    return _auc(_cross_validated_scores(dataset, pipeline.shrinkage),
+                dataset.labels)
+
+
+def _cross_validated_scores(dataset: LabeledDataset,
+                            shrinkage: float) -> np.ndarray:
+    """Held-out discriminant score of every epoch, one fold per session.
+
+    The class statistics of the whole dataset are computed once.  A fold
+    removes its session's statistics from them exactly (the pooled-scatter
+    downdate in `lda.ClassStatistics.without`), then applies its min-max
+    scaling as the diagonal map D, giving the scatter D S D.  Training rows
+    lie within their own min and max, so the clip of `minmax_apply` does
+    nothing to them and this is the same algebra as scaling the rows and
+    refitting; the fold's min and max come from per-session ones.
+    """
+    session_of = np.array([sess for _run, sess, _img in dataset.provenance])
+    sessions = np.unique(session_of)
     if len(sessions) < 2:
         raise ValueError("need at least two sessions for cross-validation")
-    session_of = np.array([sess for _run, sess, _img in dataset.provenance])
+    vectors, labels = dataset.vectors, dataset.labels
+    whole = lda.ClassStatistics.of(vectors, labels)
+    held_rows = [session_of == sess for sess in sessions]
+    session_mins = np.array([vectors[held].min(axis=0) for held in held_rows])
+    session_maxes = np.array([vectors[held].max(axis=0) for held in held_rows])
     scores = np.empty(dataset.n_epochs)
-    for sess in sessions:
-        held = session_of == sess
-        train_vectors = dataset.vectors[~held]
-        train_labels = dataset.labels[~held]
-        scaling = dsp.minmax_fit(train_vectors)
-        model = lda.train(dsp.minmax_apply(scaling, train_vectors), train_labels,
-                          shrinkage=pipeline.shrinkage)
-        scores[held] = (dsp.minmax_apply(scaling, dataset.vectors[held])
+    for i, held in enumerate(held_rows):
+        others = np.arange(len(sessions)) != i
+        scaling = dsp.ScalingParams(mins=session_mins[others].min(axis=0),
+                                    maxes=session_maxes[others].max(axis=0))
+        # One expression, so each intermediate d x d statistic is freed as
+        # soon as the next is made; this keeps the peak memory down.
+        model = whole.without(
+            lda.ClassStatistics.of(vectors[held], labels[held])
+        ).scaled(scaling.mins, scaling.factors).solve(shrinkage)
+        scores[held] = (dsp.minmax_apply(scaling, vectors[held])
                         @ model.w + model.b)
-    return _auc(scores, dataset.labels)
+    return scores
 
 
 def _auc(scores: np.ndarray, labels: np.ndarray) -> float:

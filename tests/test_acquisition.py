@@ -51,6 +51,16 @@ class TestFrameRoundTrip:
         # re-encoding reproduces the exact same bytes
         assert acq.encode_frame(decoded) == wire
 
+    def test_encode_refuses_payload_over_the_cap(self):
+        rows = (acq.MAX_PAYLOAD - 12) // 16 + 1
+        frame = acq.SamplesFrame(first_sample_index=0,
+                                 samples=np.zeros((rows, 4), np.float32))
+        with pytest.raises(ValueError):
+            acq.encode_frame(frame)
+        fits = acq.SamplesFrame(first_sample_index=0,
+                                samples=np.zeros((rows - 1, 4), np.float32))
+        assert len(acq.encode_frame(fits)) == 9 + 12 + 16 * (rows - 1)
+
     def test_decode_reports_consumption_with_trailing_data(self):
         frame = acq.EndFrame()
         wire = acq.encode_frame(frame) + b"extra"
@@ -187,6 +197,61 @@ class TestFrameReader:
         reader = acq.FrameReader()
         assert reader.feed(b"EEGS") == []
         assert reader.pending_bytes == 4
+
+    def test_oversized_payload_rejected_at_the_prefix(self):
+        reader = acq.FrameReader()
+        prefix = (b"EEGS" + bytes([acq.KIND_SAMPLES])
+                  + (0xFFFFFFF0).to_bytes(4, "little"))
+        with pytest.raises(acq.ProtocolError):
+            reader.feed(prefix)
+        assert reader.pending_bytes <= len(prefix)
+        with pytest.raises(acq.ProtocolError):
+            acq.decode_frame(prefix)
+
+    def test_largest_allowed_payload_still_pending(self):
+        reader = acq.FrameReader()
+        prefix = (b"EEGS" + bytes([acq.KIND_SAMPLES])
+                  + acq.MAX_PAYLOAD.to_bytes(4, "little"))
+        assert reader.feed(prefix + bytes(100)) == []
+        assert reader.pending_bytes == len(prefix) + 100
+
+    def test_whole_record_in_one_feed_matches_random_chunks(self):
+        wire = b"".join(acq.encode_frame(f) for f in
+                        acq.stream_record(_sample_record(n=3000), chunk=7))
+        wire += acq.encode_frame(acq.HeaderFrame(
+            channel_count=1, rate=128.0, labels=("Cz",)))[:-2]
+        whole = acq.FrameReader()
+        want = whole.feed(wire)
+        rng = np.random.default_rng(5)
+        chunked = acq.FrameReader()
+        got = []
+        pos = 0
+        while pos < len(wire):
+            step = int(rng.integers(1, 4097))
+            got.extend(chunked.feed(wire[pos:pos + step]))
+            pos += step
+        assert len(want) > 400
+        assert got == want
+        assert chunked.pending_bytes == whole.pending_bytes > 0
+
+    def test_bad_magic_after_a_complete_frame_in_one_feed(self):
+        reader = acq.FrameReader()
+        end = acq.encode_frame(acq.EndFrame())
+        with pytest.raises(acq.ProtocolError):
+            reader.feed(end + b"XXXX" + bytes(16))
+        assert reader.pending_bytes == 20
+
+    def test_decode_at_an_offset(self):
+        frames = _all_frame_kinds()
+        wire = b"".join(acq.encode_frame(f) for f in frames)
+        got, pos = [], 0
+        while pos < len(wire):
+            frame, used = acq.decode_frame(wire, pos)
+            got.append(frame)
+            pos += used
+        assert got == frames
+        with pytest.raises(acq.IncompleteFrame):
+            acq.decode_frame(wire, pos - 1)
 
 
 class TestStreamRecord:
@@ -402,6 +467,29 @@ class TestModelFile:
         path.write_text("[1, 2, 3]")
         with pytest.raises(acq.FormatError):
             acq.load_model(path)
+
+    @pytest.mark.parametrize("field", ["weights", "bias", "mins", "maxes"])
+    def test_non_finite_model_rejected_on_load(self, tmp_path, field):
+        path = tmp_path / "model.json"
+        acq.save_model(_model(), path)
+        doc = json.loads(path.read_text())
+        if field == "bias":
+            doc["bias"] = float("nan")
+        else:
+            doc[field][1] = float("inf")
+        path.write_text(json.dumps(doc))
+        with pytest.raises(acq.FormatError):
+            acq.load_model(path)
+
+    @pytest.mark.parametrize("field", ["mean", "whitening", "unmixing"])
+    def test_non_finite_ica_section_rejected(self, field):
+        arrays = {"mean": np.array([0.5, -0.5]), "whitening": np.eye(2),
+                  "unmixing": np.eye(2)}
+        arrays[field] = arrays[field].copy()
+        arrays[field].flat[0] = np.nan
+        ica = acq.IcaSection(mask=np.array([True, False]), **arrays)
+        with pytest.raises(acq.FormatError):
+            _model(ica=ica)
 
     def test_nan_weights_cannot_be_saved(self, tmp_path):
         model = _model()

@@ -208,6 +208,15 @@ class TestExitCodes:
         bad.write_text("{broken")
         assert _run(["inspect", "--model", str(bad)]) == 2
 
+    def test_nan_weight_model_is_a_data_error(self, workspace, tmp_path,
+                                              capsys):
+        doc = json.loads(workspace["model"].read_text())
+        doc["weights"][0] = float("nan")
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(doc))
+        assert _run(["inspect", "--model", str(bad)]) == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_bad_magic_is_a_protocol_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.eegs"
         bad.write_bytes(b"XXXX" + bytes(32))

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from p300loop import lda
 
@@ -140,6 +141,70 @@ class TestTrain:
             lda.train(np.array([[1.0, 0.0], [-1.0, 0.0],
                                 [1.0, 0.0], [-1.0, 0.0]]),
                       np.array([True, True, False, False]))
+
+
+def _one_piece_train(vectors, labels, shrinkage):
+    """Reference: the discriminant written out in one piece, in the same
+    order of operations as `lda.train`, so the results are bitwise equal."""
+    pos, neg = vectors[labels], vectors[~labels]
+    n, d = vectors.shape
+    m1, m2 = pos.mean(axis=0), neg.mean(axis=0)
+    pos_c, neg_c = pos - m1, neg - m2
+    scatter = (pos_c.T @ pos_c + neg_c.T @ neg_c) / max(n - 2, 1)
+    target = np.trace(scatter) / d
+    regularized = (1.0 - shrinkage) * scatter
+    regularized[np.diag_indices(d)] += shrinkage * target
+    w = cho_solve(cho_factor(regularized), m1 - m2)
+    w = w / np.linalg.norm(w)
+    return w, -float(w @ (m1 + m2)) / 2.0
+
+
+class TestClassStatistics:
+    @staticmethod
+    def _data(seed=4, n=60, d=7):
+        rng = np.random.default_rng(seed)
+        vectors = rng.normal(size=(n, d)) + 3.0
+        labels = rng.random(n) < 0.3
+        vectors[labels] += 0.8
+        return vectors, labels
+
+    def test_train_is_bitwise_the_one_piece_solve(self):
+        vectors, labels = self._data(n=300, d=40)
+        model = lda.train(vectors, labels, shrinkage=0.01)
+        w, b = _one_piece_train(vectors, labels, 0.01)
+        assert model.w.tobytes() == w.tobytes()
+        assert model.b == b
+
+    @pytest.mark.parametrize("leave", ["mixed", "no targets", "all targets"])
+    def test_downdate_matches_statistics_of_the_rest(self, leave):
+        vectors, labels = self._data()
+        leaving = np.zeros(len(labels), dtype=bool)
+        leaving[:20] = True
+        if leave == "no targets":
+            leaving &= ~labels
+        elif leave == "all targets":
+            leaving |= labels
+        whole = lda.ClassStatistics.of(vectors, labels)
+        rest = whole.without(
+            lda.ClassStatistics.of(vectors[leaving], labels[leaving]))
+        want = lda.ClassStatistics.of(vectors[~leaving], labels[~leaving])
+        assert rest.counts == want.counts
+        np.testing.assert_allclose(rest.scatter, want.scatter, atol=1e-10)
+        if leave == "all targets":
+            assert rest.counts[0] == 0
+            with pytest.raises(ValueError, match="both classes"):
+                rest.solve()
+        else:
+            np.testing.assert_allclose(rest.means, want.means, atol=1e-12)
+
+    def test_scaled_statistics_match_scaled_rows(self):
+        vectors, labels = self._data()
+        shift = vectors.min(axis=0)
+        factor = np.linspace(0.0, 2.0, vectors.shape[1])
+        got = lda.ClassStatistics.of(vectors, labels).scaled(shift, factor)
+        want = lda.ClassStatistics.of((vectors - shift) * factor, labels)
+        np.testing.assert_allclose(got.means, want.means, atol=1e-12)
+        np.testing.assert_allclose(got.scatter, want.scatter, atol=1e-10)
 
 
 class TestScore:

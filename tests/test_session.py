@@ -285,6 +285,57 @@ class TestAuc:
             session.cross_validated_auc(one)
 
 
+def _per_fold_refit_scores(dataset, shrinkage=lda.DEFAULT_SHRINKAGE):
+    """Reference: scale the rows and refit the discriminant for each fold."""
+    session_of = np.array([sess for _run, sess, _img in dataset.provenance])
+    scores = np.empty(dataset.n_epochs)
+    for sess in sorted(set(session_of)):
+        held = session_of == sess
+        train_vectors = dataset.vectors[~held]
+        scaling = dsp.minmax_fit(train_vectors)
+        model = lda.train(dsp.minmax_apply(scaling, train_vectors),
+                          dataset.labels[~held], shrinkage=shrinkage)
+        scores[held] = (dsp.minmax_apply(scaling, dataset.vectors[held])
+                        @ model.w + model.b)
+    return scores
+
+
+def _relabelled(dataset, labels, vectors=None):
+    return features.LabeledDataset(
+        vectors=dataset.vectors if vectors is None else vectors,
+        labels=labels, provenance=dataset.provenance)
+
+
+def _session_of(dataset):
+    return np.array([sess for _run, sess, _img in dataset.provenance])
+
+
+class TestCrossValidationFolds:
+    def test_scores_match_per_fold_refit(self, training_dataset):
+        got = session._cross_validated_scores(training_dataset,
+                                              lda.DEFAULT_SHRINKAGE)
+        want = _per_fold_refit_scores(training_dataset)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+    def test_held_out_session_without_targets(self, training_dataset):
+        labels = training_dataset.labels & (_session_of(training_dataset) != 2)
+        # a constant feature exercises the zero scale factor as well
+        vectors = training_dataset.vectors.copy()
+        vectors[:, 5] = 0.25
+        dataset = _relabelled(training_dataset, labels, vectors)
+        got = session._cross_validated_scores(dataset, 0.05)
+        want = _per_fold_refit_scores(dataset, shrinkage=0.05)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+    def test_fold_without_a_class_raises(self, training_dataset):
+        labels = training_dataset.labels & (_session_of(training_dataset) == 0)
+        dataset = _relabelled(training_dataset, labels)
+        with pytest.raises(ValueError):
+            _per_fold_refit_scores(dataset)
+        with pytest.raises(ValueError):
+            session.cross_validated_auc(dataset)
+
+
 class TestPhaseSequences:
     def test_cyclic_replay_walks_training_runs(self, noiseless_training):
         _, _, schedule = noiseless_training
