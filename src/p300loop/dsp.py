@@ -9,6 +9,7 @@ absorbs the group delay through retraining.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,8 +66,10 @@ class FilterCoefficients:
         return out
 
 
+@functools.lru_cache(maxsize=32)
 def design_bandpass(spec: FilterSpec) -> FilterCoefficients:
-    """Design the Butterworth band-pass as second-order sections plus gain."""
+    """Design the Butterworth band-pass as second-order sections plus gain,
+    cached per spec: equal specs share one read-only coefficients object."""
     zeros, poles, gain = signal.butter(
         spec.order, [spec.low_cut, spec.high_cut], btype="bandpass",
         fs=spec.rate, output="zpk")
@@ -88,12 +91,17 @@ def frequency_response(coeffs: FilterCoefficients, freqs_hz,
 
 
 def _filter_rows(coeffs: FilterCoefficients, rows: np.ndarray) -> np.ndarray:
-    """Causal cascade per row, zero initial state; NaN rows pass untouched."""
-    out = np.array(rows, dtype=np.float64, copy=True)
-    for i in range(out.shape[0]):
-        if np.isnan(out[i]).any():
-            continue  # channel awaits pruning/interpolation; leave as-is
-        out[i] = coeffs.gain * signal.sosfilt(coeffs.sos, out[i])
+    """Causal cascade along each row, zero initial state, all rows in one
+    call; rows holding NaN (channels awaiting pruning) pass untouched."""
+    rows = np.asarray(rows, dtype=np.float64)
+    finite = ~np.isnan(rows).any(axis=1)
+    if finite.all():  # as after pruning: filter without copying rows first
+        out = signal.sosfilt(coeffs.sos, rows, axis=-1)
+        out *= coeffs.gain
+        return out
+    out = rows.copy()
+    out[finite] = coeffs.gain * signal.sosfilt(coeffs.sos, rows[finite],
+                                               axis=-1)
     return out
 
 

@@ -46,9 +46,12 @@ class IcaModel:
         w = np.asarray(self.unmixing)
         if w.shape != (self.k, self.k):
             raise ValueError("unmixing must be k x k")
-        gram = w @ w.T
-        if not np.allclose(gram, np.eye(self.k), atol=1e-6):
+        if not _orthonormal(w):
             raise ValueError("unmixing rows must be orthonormal within 1e-6")
+
+
+def _orthonormal(w: np.ndarray) -> bool:
+    return np.allclose(w @ w.T, np.eye(w.shape[0]), atol=1e-6)
 
 
 def whiten(data: np.ndarray, k: int | None = None):
@@ -81,12 +84,16 @@ def whiten(data: np.ndarray, k: int | None = None):
 
 
 def _symmetric_orthonormalize(w: np.ndarray) -> np.ndarray:
-    """W <- (W W^T)^(-1/2) W, keeping all rows on equal footing."""
+    """W <- (W W^T)^(-1/2) W, all rows on equal footing, or LinAlgError when
+    W W^T is too near singular for rows orthonormal within 1e-6."""
     evals, evecs = np.linalg.eigh(w @ w.T)
     if evals[0] <= 0:
         raise np.linalg.LinAlgError("degenerate unmixing iterate")
     inv_sqrt = evecs @ np.diag(1.0 / np.sqrt(evals)) @ evecs.T
-    return inv_sqrt @ w
+    w = inv_sqrt @ w
+    if not _orthonormal(w):
+        raise np.linalg.LinAlgError("unmixing iterate not orthonormal")
+    return w
 
 
 def fastica(whitened: np.ndarray, k: int | None = None,
@@ -98,7 +105,8 @@ def fastica(whitened: np.ndarray, k: int | None = None,
     Returns (W, sources); sources are unit-variance rows of W @ whitened with
     each row's sign fixed so its largest-magnitude loading is positive.
     Raises ConvergenceError (carrying the last iterate) after max_iter steps
-    without the maximum row-angle change dropping below tol.
+    without the maximum row-angle change dropping below tol, or on a step
+    that cannot be orthonormalized (carrying the last iterate that was).
     """
     if nonlinearity != "tanh":
         raise ValueError(f"unsupported nonlinearity {nonlinearity!r}")
@@ -119,7 +127,11 @@ def fastica(whitened: np.ndarray, k: int | None = None,
         g = np.tanh(proj)
         g_prime_mean = (1.0 - g ** 2).mean(axis=1)
         w_new = g @ z.T / n_samples - g_prime_mean[:, None] * w
-        w_new = _symmetric_orthonormalize(w_new)
+        try:
+            w_new = _symmetric_orthonormalize(w_new)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"{exc} at iteration {iteration}",
+                                   w, iteration - 1) from exc
         # angle change per row, invariant to the sign flips of the iteration
         change = 1.0 - np.abs(np.sum(w_new * w, axis=1))
         w = w_new

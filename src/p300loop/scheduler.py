@@ -7,6 +7,7 @@ once to sample indices, so no rounding drift accumulates over a scenario.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -44,11 +45,24 @@ class TimingConfig:
     @property
     def isi(self) -> float:
         """Interstimulus interval: flash plus gap, onset to onset."""
-        return float(_fr(self.d_flash) + _fr(self.d_no_flash))
+        return float(_exact_durations(self)[0])
 
     @property
     def d_run(self) -> float:
-        return float((_fr(self.d_flash) + _fr(self.d_no_flash)) * self.images)
+        return float(_exact_durations(self)[1])
+
+
+def _exact_durations(timing: TimingConfig) -> tuple[Fraction, ...]:
+    """(isi, d_run, d_session, d_scenario) as exact rational seconds."""
+    isi = _fr(timing.d_flash) + _fr(timing.d_no_flash)
+    d_run = isi * timing.images
+    d_session = (
+        _fr(timing.d_inf)
+        + timing.runs_per_session * d_run
+        + (timing.runs_per_session - 1) * _fr(timing.d_run_interval)
+    )
+    d_scenario = _fr(timing.d_adapt) + timing.sessions_per_scenario * d_session
+    return isi, d_run, d_session, d_scenario
 
 
 def durations(timing: TimingConfig) -> tuple[float, float, float]:
@@ -58,14 +72,7 @@ def durations(timing: TimingConfig) -> tuple[float, float, float]:
     d_session = d_inf + runs * d_run + (runs - 1) * d_run_interval
     d_scenario = d_adapt + sessions * d_session
     """
-    isi = _fr(timing.d_flash) + _fr(timing.d_no_flash)
-    d_run = isi * timing.images
-    d_session = (
-        _fr(timing.d_inf)
-        + timing.runs_per_session * d_run
-        + (timing.runs_per_session - 1) * _fr(timing.d_run_interval)
-    )
-    d_scenario = _fr(timing.d_adapt) + timing.sessions_per_scenario * d_session
+    _, d_run, d_session, d_scenario = _exact_durations(timing)
     return float(d_run), float(d_session), float(d_scenario)
 
 
@@ -134,13 +141,7 @@ def build_scenario_schedule(timing: TimingConfig,
     if rng is None:
         rng = np.random.default_rng()
 
-    isi = _fr(timing.d_flash) + _fr(timing.d_no_flash)
-    d_run = isi * timing.images
-    d_session = (
-        _fr(timing.d_inf)
-        + timing.runs_per_session * d_run
-        + (timing.runs_per_session - 1) * _fr(timing.d_run_interval)
-    )
+    isi, d_run, d_session, d_scenario = _exact_durations(timing)
     rate_fr = _fr(rate)
 
     events: list[StimulusEvent] = []
@@ -161,10 +162,9 @@ def build_scenario_schedule(timing: TimingConfig,
                     is_target=(img == target),
                     onset_s=float(onset),
                 ))
-    _, _, d_scenario = durations(timing)
     return ScenarioSchedule(timing=timing, events=tuple(events),
                             session_targets=tuple(session_targets),
-                            span_s=d_scenario)
+                            span_s=float(d_scenario))
 
 
 def build_online_trial_schedule(timing: TimingConfig,
@@ -192,32 +192,44 @@ def build_online_trial_schedule(timing: TimingConfig,
     if rng is None and sequences is None:
         rng = np.random.default_rng()
 
-    isi = _fr(timing.d_flash) + _fr(timing.d_no_flash)
-    d_run = isi * timing.images
-    rate_fr = _fr(rate)
-
+    grid, span_s = online_grid(timing, n_trials, rate)
     events: list[StimulusEvent] = []
     prev_last = previous_last
-    for trial in range(n_trials):
-        run_base = trial * (d_run + _fr(timing.d_run_interval))
+    for trial, slots in enumerate(grid):
         if sequences is not None:
             seq = sequences[trial]
         else:
             seq = generate_run_sequence(rng, prev_last)
         prev_last = seq[-1]
-        for j, img in enumerate(seq):
-            onset = run_base + j * isi
-            events.append(StimulusEvent(
-                image_id=img,
-                onset_sample=time_to_sample(onset, rate_fr),
-                run_index=trial,
-                session_index=0,
-                is_target=None,
-                onset_s=float(onset),
-            ))
-    span = n_trials * d_run + (n_trials - 1) * _fr(timing.d_run_interval)
+        events.extend(StimulusEvent(image_id=img, onset_sample=sample,
+                                    run_index=trial, session_index=0,
+                                    onset_s=onset_s)
+                      for img, (sample, onset_s) in zip(seq, slots))
     return ScenarioSchedule(timing=timing, events=tuple(events),
-                            session_targets=(), span_s=float(span))
+                            session_targets=(), span_s=span_s)
+
+
+@functools.lru_cache(maxsize=32)
+def online_grid(timing: TimingConfig, n_trials: int,
+                rate: float = DEFAULT_RATE):
+    """(grid, span_s) of `n_trials` back-to-back online runs, computed exactly.
+
+    grid[trial][j] is the (onset_sample, onset_s) of the trial's j-th flash,
+    with room for a replayed (images ids) or a random (N_IMAGES ids) order.
+    span_s is n_trials * d_run + (n_trials - 1) * d_run_interval: the
+    simulated latency of one selection.
+    """
+    isi, d_run, _, _ = _exact_durations(timing)
+    rate_fr = _fr(rate)
+    slots = range(max(timing.images, N_IMAGES))
+    grid = []
+    for trial in range(n_trials):
+        run_base = trial * (d_run + _fr(timing.d_run_interval))
+        onsets = [run_base + j * isi for j in slots]
+        grid.append(tuple((time_to_sample(t, rate_fr), float(t))
+                          for t in onsets))
+    span = n_trials * d_run + (n_trials - 1) * _fr(timing.d_run_interval)
+    return tuple(grid), float(span)
 
 
 def event_table(schedule: ScenarioSchedule) -> str:

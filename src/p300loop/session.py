@@ -1,19 +1,16 @@
 """The closed loop: offline training, streamed online selection, two-phase
 retraining, and the 120-selection evaluation.
 
-Online selections run the acquisition protocol end to end: a producer thread
-serializes the simulated amplifier output into byte chunks while the consumer
-decodes frames incrementally, reassembles the record, and classifies each
-trial.  A selection is the majority vote over per-trial argmax winners; its
-simulated latency is the flashing time of the trials themselves.
+Online selections run the acquisition protocol end to end: the simulated
+amplifier output is serialized into frames and fed, in byte chunks of random
+sizes, to an incremental decoder; the record is reassembled and each trial
+classified.  A selection is the majority vote over per-trial argmax winners;
+its simulated latency is the flashing time of the trials themselves.
 """
 from __future__ import annotations
 
-import queue
-import threading
 import time
-from dataclasses import dataclass, replace
-from fractions import Fraction
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -27,6 +24,7 @@ from .scheduler import (
     build_online_trial_schedule,
     build_scenario_schedule,
     durations,
+    online_grid,
 )
 from .subject import SubjectParams, simulate_subject, with_targets
 
@@ -194,33 +192,20 @@ def run_offline_training(params: SubjectParams, timing: TimingConfig,
 
 def _stream_roundtrip(record: EegRecord, chunk: int,
                       rng: np.random.Generator) -> EegRecord:
-    """Producer thread -> byte chunks -> incremental consumer -> record.
+    """Frames -> byte chunks -> incremental decoder -> record.
 
-    The producer serializes frames and pushes byte slices of random sizes; the
-    consumer decodes as bytes arrive, tolerating arbitrary chunk boundaries.
+    The frames' bytes are fed to a `FrameReader` in slices of random sizes
+    (1 to 2047 bytes, drawn from `rng`): decoding must not depend on them.
     """
-    chunk_queue: queue.Queue[bytes | None] = queue.Queue(maxsize=64)
-
-    def produce() -> None:
-        payload = b"".join(acquisition.encode_frame(f)
-                           for f in acquisition.stream_record(record, chunk))
-        pos = 0
-        while pos < len(payload):
-            size = int(rng.integers(1, 2048))
-            chunk_queue.put(payload[pos:pos + size])
-            pos += size
-        chunk_queue.put(None)
-
-    producer = threading.Thread(target=produce, name="amplifier-producer")
-    producer.start()
+    payload = b"".join(acquisition.encode_frame(f)
+                       for f in acquisition.stream_record(record, chunk))
     reader = acquisition.FrameReader()
     frames: list[acquisition.WireFrame] = []
-    while True:
-        data = chunk_queue.get()
-        if data is None:
-            break
-        frames.extend(reader.feed(data))
-    producer.join()
+    pos = 0
+    while pos < len(payload):
+        size = int(rng.integers(1, 2048))
+        frames.extend(reader.feed(payload[pos:pos + size]))
+        pos += size
     if reader.pending_bytes:
         raise acquisition.ProtocolError("stream ended mid-frame")
     return acquisition.reassemble(frames)
@@ -262,11 +247,8 @@ def run_online_selection(model: ModelFile, params: SubjectParams,
     winners = tuple(trial_winner(per_image[t]) for t in range(n_trials))
     selected = majority_vote(winners, per_image)
 
-    isi = Fraction(str(timing.d_flash)) + Fraction(str(timing.d_no_flash))
-    latency = float(n_trials * isi * timing.images
-                    + (n_trials - 1) * Fraction(str(timing.d_run_interval)))
     result = SelectionResult(trial_winners=winners, per_image_scores=per_image,
-                             selected=selected, latency_s=latency,
+                             selected=selected, latency_s=blind.span_s,
                              message=catalog.message(selected))
     return result, logged
 
@@ -482,14 +464,11 @@ def run_full_evaluation(params: SubjectParams,
         mismatch, phase2_seq, training_schedule=None, collect_logs=False)
 
     d_run, d_session, d_scenario = durations(timing)
-    isi = Fraction(str(timing.d_flash)) + Fraction(str(timing.d_no_flash))
-    latency = float(n_trials * isi * timing.images
-                    + (n_trials - 1) * Fraction(str(timing.d_run_interval)))
     report = {
         "phase1": _phase_dict(phase1, catalog),
         "phase2": _phase_dict(phase2, catalog),
         "latency": {
-            "per_selection_s": latency,
+            "per_selection_s": online_grid(timing, n_trials)[1],
             "n_trials": n_trials,
         },
         "timing": {
@@ -502,7 +481,7 @@ def run_full_evaluation(params: SubjectParams,
             "mismatch_s": mismatch,
             "reps_per_object": reps_per_object,
             "subject": _subject_dict(params),
-            "timing": _timing_dict(timing),
+            "timing": asdict(timing),
             "pipeline": _pipeline_dict(pipeline),
         },
         "wall_clock_seconds": time.perf_counter() - started,
@@ -538,19 +517,6 @@ def _subject_dict(params: SubjectParams) -> dict:
         "latency_jitter_sd": params.latency_jitter_sd,
         "p300_topography": (None if params.p300_topography is None
                             else list(params.p300_topography)),
-    }
-
-
-def _timing_dict(timing: TimingConfig) -> dict:
-    return {
-        "d_flash": timing.d_flash,
-        "d_no_flash": timing.d_no_flash,
-        "d_run_interval": timing.d_run_interval,
-        "d_inf": timing.d_inf,
-        "d_adapt": timing.d_adapt,
-        "runs_per_session": timing.runs_per_session,
-        "sessions_per_scenario": timing.sessions_per_scenario,
-        "images": timing.images,
     }
 
 

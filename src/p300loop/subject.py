@@ -94,35 +94,35 @@ def stage_generators(seed) -> tuple[np.random.Generator, ...]:
     return tuple(np.random.default_rng(child) for child in ss.spawn(4))
 
 
-def _pink_noise(n: int, rng: np.random.Generator, rms: float) -> np.ndarray:
-    """1/f-shaped noise with exact target RMS (DC removed)."""
-    white = rng.standard_normal(n)
-    spectrum = np.fft.rfft(white)
-    freq = np.fft.rfftfreq(n)
-    shape = np.zeros_like(freq)
-    shape[1:] = 1.0 / np.sqrt(freq[1:])
-    x = np.fft.irfft(spectrum * shape, n)
-    scale = np.sqrt(np.mean(x * x))
-    if scale > 0 and rms > 0:
-        return x * (rms / scale)
-    return np.zeros(n)
-
-
 def generate_background(duration: float, channels: ChannelSet,
                         params: SubjectParams, rng: np.random.Generator,
                         rate: float = DEFAULT_RATE) -> EegRecord:
-    """Markerless background record: pink noise plus random-phase alpha."""
+    """Markerless background record: pink noise plus random-phase alpha.
+
+    Each row draws its white noise, then its alpha phase; the 1/f shaping
+    (DC removed, exact target RMS) and the alpha run over all rows at once.
+    """
     if duration <= 0:
         raise ValueError("duration must be positive")
     n = int(round(duration * rate))
-    t = np.arange(n) / rate
-    samples = np.empty((len(channels), n))
+    white = np.empty((len(channels), n))
+    phases = np.empty((len(channels), 1))
     for i in range(len(channels)):
-        row = _pink_noise(n, rng, params.background_rms)
+        rng.standard_normal(out=white[i])
         if params.alpha_amp > 0:
-            phase = rng.uniform(0.0, 2.0 * np.pi)
-            row = row + params.alpha_amp * np.sin(2.0 * np.pi * 10.0 * t + phase)
-        samples[i] = row
+            phases[i] = rng.uniform(0.0, 2.0 * np.pi)
+    freq = np.fft.rfftfreq(n)
+    shape = np.zeros_like(freq)
+    shape[1:] = 1.0 / np.sqrt(freq[1:])
+    x = np.fft.irfft(np.fft.rfft(white) * shape, n)
+    scale = np.sqrt(np.mean(x * x, axis=1, keepdims=True))
+    ok = (scale > 0) & (params.background_rms > 0)
+    gain = params.background_rms / np.where(ok, scale, 1.0)
+    samples = np.where(ok, x * gain, 0.0)
+    if params.alpha_amp > 0:
+        t = np.arange(n) / rate
+        samples = samples + params.alpha_amp * np.sin(
+            2.0 * np.pi * 10.0 * t + phases)
     return EegRecord(channels, rate, samples)
 
 

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy import signal
 
 from p300loop import core, dsp
 
@@ -200,6 +201,72 @@ class TestFilterApply:
         y = dsp.filter_apply(coeffs, x)
         np.testing.assert_array_equal(y[:100], 0.0)
         assert y[100] != 0.0
+
+
+def reference_design(spec: dsp.FilterSpec) -> dsp.FilterCoefficients:
+    """The uncached design, as it was before designs were cached."""
+    zeros, poles, gain = signal.butter(
+        spec.order, [spec.low_cut, spec.high_cut], btype="bandpass",
+        fs=spec.rate, output="zpk")
+    sos = signal.zpk2sos(zeros, poles, 1.0)
+    return dsp.FilterCoefficients(sections=sos[:, [0, 1, 2, 4, 5]],
+                                  gain=float(gain))
+
+
+def reference_filter_rows(coeffs, rows):
+    """The row-at-a-time filter loop that the batched filter replaced."""
+    out = np.array(rows, dtype=np.float64, copy=True)
+    for i in range(out.shape[0]):
+        if np.isnan(out[i]).any():
+            continue
+        out[i] = coeffs.gain * signal.sosfilt(coeffs.sos, out[i])
+    return out
+
+
+class TestFastPathsMatchReference:
+    """The cached design and the batched filter are bitwise the old code."""
+
+    @pytest.mark.parametrize("spec", [
+        dsp.FilterSpec(),
+        dsp.FilterSpec(order=2, low_cut=1.0, high_cut=30.0, rate=256.0),
+    ])
+    def test_design_is_cached_and_read_only(self, spec):
+        coeffs = dsp.design_bandpass(spec)
+        assert dsp.design_bandpass(spec) is coeffs
+        assert dsp.design_bandpass(dsp.FilterSpec(**vars(spec))) is coeffs
+        assert not coeffs.sections.flags.writeable
+        with pytest.raises(ValueError):
+            coeffs.sections[0, 0] = 0.0
+        want = reference_design(spec)
+        assert np.array_equal(coeffs.sections, want.sections)
+        assert coeffs.gain == want.gain
+
+    @pytest.mark.parametrize("nan_rows", [(), (3, 9)])
+    def test_matrix(self, coeffs, nan_rows):
+        rng = np.random.default_rng(11)
+        data = rng.normal(size=(14, 1434)) * 10.0
+        for row in nan_rows:
+            data[row, 17 * row:] = np.nan
+        kept = data.copy()
+        got = dsp.filter_apply(coeffs, data)
+        want = reference_filter_rows(coeffs, data)
+        assert got.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(data, kept)  # input left as it was
+        assert not np.shares_memory(got, data)
+
+    def test_series(self, coeffs):
+        x = np.random.default_rng(12).normal(size=1000)
+        got = dsp.filter_apply(coeffs, x)
+        assert got.shape == x.shape
+        want = reference_filter_rows(coeffs, x[None])[0]
+        assert got.tobytes() == want.tobytes()
+
+    def test_all_nan_matrix(self, coeffs):
+        data = np.full((3, 50), np.nan)
+        got = dsp.filter_apply(coeffs, data)
+        assert np.array_equal(got, reference_filter_rows(coeffs, data),
+                              equal_nan=True)
+        assert got is not data
 
 
 class TestMinMax:

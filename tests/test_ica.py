@@ -152,6 +152,62 @@ class TestFit:
         assert srcs.shape == (4, 3000)
 
 
+def _collapse_on_call(monkeypatch, call):
+    """Make the fixed-point step feed a rank-one matrix to the
+    orthonormalization on its `call`-th use (the first use orthonormalizes
+    the random start); return the list of orthonormalized iterates."""
+    original = ica._symmetric_orthonormalize
+    outputs = []
+
+    def orthonormalize(w):
+        if len(outputs) + 1 == call:
+            w = np.tile(w[0], (w.shape[0], 1))
+        outputs.append(original(w))
+        return outputs[-1]
+
+    monkeypatch.setattr(ica, "_symmetric_orthonormalize", orthonormalize)
+    return outputs
+
+
+class TestDegenerateIterate:
+    """A step whose iterate cannot be orthonormalized stops the iteration
+    with ConvergenceError carrying the last orthonormal iterate."""
+
+    @pytest.mark.parametrize("rows", [
+        "singular",       # W W^T has a zero eigenvalue
+        "near singular",  # rounding leaves the rows off orthonormal
+    ])
+    def test_orthonormalize_rejects(self, rows):
+        w = np.random.default_rng(0).standard_normal((4, 4))
+        w[1] = w[0] + (1e-7 * w[2] if rows == "near singular" else 0.0)
+        with pytest.raises(np.linalg.LinAlgError):
+            ica._symmetric_orthonormalize(w)
+
+    def test_fastica_carries_last_orthonormal_iterate(self, monkeypatch):
+        _, _, mixed = three_source_mixture(3)
+        _, _, z = ica.whiten(mixed)
+        outputs = _collapse_on_call(monkeypatch, 4)
+        with pytest.raises(ica.ConvergenceError) as excinfo:
+            ica.fastica(z, rng=np.random.default_rng(103))
+        err = excinfo.value
+        assert err.iterations == 2
+        assert err.last_w is outputs[2]
+        np.testing.assert_allclose(err.last_w @ err.last_w.T, np.eye(3),
+                                   atol=1e-6)
+
+    def test_relaxed_fit_accepts_last_orthonormal_iterate(self, monkeypatch):
+        _, _, mixed = three_source_mixture(3)
+        outputs = _collapse_on_call(monkeypatch, 4)
+        with pytest.raises(ica.ConvergenceError):
+            ica.fit(mixed, rng=np.random.default_rng(103))
+        outputs.clear()
+        with pytest.warns(RuntimeWarning, match="degenerate"):
+            model, sources = ica.fit(mixed, rng=np.random.default_rng(103),
+                                     strict=False)
+        assert model.k == 3
+        assert sources.shape == mixed.shape
+
+
 class TestIcaModel:
     def test_orthonormality_enforced(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,9 @@
 """Stimulus scheduling: protocol durations, block randomization, time grid."""
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from p300loop import core, scheduler
 
@@ -223,6 +226,80 @@ class TestOnlineTrialSchedule:
         with pytest.raises(ValueError):
             scheduler.build_online_trial_schedule(scheduler.TimingConfig(),
                                                   n_trials=0)
+
+
+def reference_online_schedule(timing, n_trials, rng, rate, sequences=None):
+    """The per-call Fraction builder that the cached online grid replaced."""
+    fr = lambda x: Fraction(str(x))
+    isi = fr(timing.d_flash) + fr(timing.d_no_flash)
+    d_run = isi * timing.images
+    rate_fr = fr(rate)
+    events = []
+    prev_last = None
+    for trial in range(n_trials):
+        run_base = trial * (d_run + fr(timing.d_run_interval))
+        if sequences is not None:
+            seq = sequences[trial]
+        else:
+            seq = scheduler.generate_run_sequence(rng, prev_last)
+        prev_last = seq[-1]
+        for j, img in enumerate(seq):
+            onset = run_base + j * isi
+            events.append(core.StimulusEvent(
+                image_id=img, onset_sample=core.time_to_sample(onset, rate_fr),
+                run_index=trial, session_index=0, is_target=None,
+                onset_s=float(onset)))
+    span = n_trials * d_run + (n_trials - 1) * fr(timing.d_run_interval)
+    return scheduler.ScenarioSchedule(timing=timing, events=tuple(events),
+                                      session_targets=(), span_s=float(span))
+
+
+_CENTI_SECONDS = st.integers(min_value=1, max_value=250).map(lambda k: k / 100)
+
+
+class TestCachedOnlineGrid:
+    """The cached grid gives bitwise the schedules of the Fraction builder."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(d_flash=_CENTI_SECONDS, d_no_flash=_CENTI_SECONDS,
+           d_run_interval=_CENTI_SECONDS,
+           images=st.sampled_from([12, 14]),
+           n_trials=st.integers(min_value=1, max_value=6),
+           rate=st.sampled_from([128.0, 100.0, 256.0, 500.0]),
+           seed=st.integers(min_value=0, max_value=2**16),
+           replay=st.booleans())
+    def test_matches_fraction_builder(self, d_flash, d_no_flash,
+                                      d_run_interval, images, n_trials, rate,
+                                      seed, replay):
+        timing = scheduler.TimingConfig(d_flash=d_flash, d_no_flash=d_no_flash,
+                                        d_run_interval=d_run_interval,
+                                        images=images)
+        sequences = None
+        if replay and images == core.N_IMAGES:  # replays need valid image ids
+            perm = np.random.default_rng(seed).permutation
+            sequences = [[int(i) for i in perm(images)]
+                         for _ in range(n_trials)]
+        got_rng = np.random.default_rng(seed)
+        want_rng = np.random.default_rng(seed)
+        got = scheduler.build_online_trial_schedule(
+            timing, n_trials, got_rng, rate=rate, sequences=sequences)
+        want = reference_online_schedule(timing, n_trials, want_rng, rate,
+                                         sequences)
+        assert got.events == want.events
+        assert ([ev.onset_s for ev in got.events]
+                == [ev.onset_s for ev in want.events])
+        assert got.span_s == want.span_s
+        assert scheduler.online_grid(timing, n_trials, rate)[1] == want.span_s
+        assert (got_rng.bit_generator.state
+                == want_rng.bit_generator.state)
+
+    def test_grid_is_computed_once_per_key(self):
+        timing = scheduler.TimingConfig(d_flash=0.15)
+        first = scheduler.online_grid(timing, 3, 128.0)
+        assert scheduler.online_grid(
+            scheduler.TimingConfig(d_flash=0.15), 3, 128.0) is first
+        assert first[1] == float(3 * Fraction("0.25") * 12
+                                 + 2 * Fraction("0.2"))
 
 
 class TestEventTable:

@@ -1,8 +1,13 @@
 """Closed-loop machinery: voting, online selection, retraining, evaluation."""
+import queue
+import threading
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from p300loop import dsp, features, lda, scheduler, session, subject
+from p300loop import (acquisition, dsp, features, lda, scheduler, session,
+                      subject)
 
 
 def _noiseless_params(**overrides):
@@ -222,6 +227,95 @@ class TestOnlineSelection:
         for ev in logged.markers:
             got.setdefault(ev.run_index, []).append(ev.image_id)
         assert [got[t] for t in range(3)] == seqs
+
+
+def reference_threaded_roundtrip(record, chunk, rng):
+    """The producer thread and queue that the inline round trip replaced."""
+    chunk_queue = queue.Queue(maxsize=64)
+
+    def produce():
+        payload = b"".join(acquisition.encode_frame(f)
+                           for f in acquisition.stream_record(record, chunk))
+        pos = 0
+        while pos < len(payload):
+            size = int(rng.integers(1, 2048))
+            chunk_queue.put(payload[pos:pos + size])
+            pos += size
+        chunk_queue.put(None)
+
+    producer = threading.Thread(target=produce)
+    producer.start()
+    reader = acquisition.FrameReader()
+    frames = []
+    while True:
+        data = chunk_queue.get()
+        if data is None:
+            break
+        frames.extend(reader.feed(data))
+    producer.join()
+    assert reader.pending_bytes == 0
+    return acquisition.reassemble(frames)
+
+
+class TestInlineStreamRoundTrip:
+    @pytest.mark.parametrize("chunk", [session.PipelineConfig().stream_chunk,
+                                       7])
+    def test_same_record_and_rng_state_as_threaded(self, chunk):
+        timing = scheduler.TimingConfig()
+        blind = scheduler.build_online_trial_schedule(
+            timing, 3, np.random.default_rng(1))
+        record = subject.simulate_subject(subject.with_targets(blind, 2),
+                                          subject.SubjectParams(seed=3))
+        got_rng, want_rng = np.random.default_rng(4), np.random.default_rng(4)
+        got = session._stream_roundtrip(record, chunk, got_rng)
+        want = reference_threaded_roundtrip(record, chunk, want_rng)
+        assert got.samples.tobytes() == want.samples.tobytes()
+        assert got.markers == want.markers
+        assert got.channels == want.channels and got.rate == want.rate
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def _replayed_selection_record(seed, index):
+    """(logged record, rng) of online selection `index` (0-239) of
+    `run_full_evaluation(SubjectParams(), seed=seed)`, rebuilt from the
+    evaluation's seeds up to the point where its dataset is built."""
+    timing = scheduler.TimingConfig()
+    train_seq, phase1_seq, phase2_seq = np.random.SeedSequence(seed).spawn(3)
+    schedule_seq, _ = train_seq.spawn(2)
+    phase_seq, i = (phase1_seq, index) if index < 120 else (phase2_seq,
+                                                             index - 120)
+    subject_seed, stream_seed = phase_seq.spawn(120)[i].spawn(2)
+    target = i % 12
+    sequences = None
+    if index < 120:  # phase 1 replays the training scenario's orders
+        training = scheduler.build_scenario_schedule(
+            timing, None, np.random.default_rng(schedule_seq))
+        sequences = session._phase_sequences(training, target, i // 12, 3)
+    rng = np.random.default_rng(stream_seed)
+    params = replace(subject.SubjectParams(),
+                     constant_offset=session.DEFAULT_MISMATCH_S,
+                     seed=subject_seed)
+    blind = scheduler.build_online_trial_schedule(timing, 3, rng,
+                                                  sequences=sequences)
+    record = subject.simulate_subject(subject.with_targets(blind, target),
+                                      params)
+    pipeline = session.PipelineConfig()
+    return session._stream_roundtrip(record, pipeline.stream_chunk, rng), rng
+
+
+class TestOnlineIcaOnDegenerateIterates:
+    """Online selections whose ICA iterate turned degenerate (evaluation seed
+    1000, selection 64) or not orthonormal (seed 3000, selection 235) used to
+    stop the whole evaluation; the unconverged unmixing is now accepted."""
+
+    @pytest.mark.parametrize("seed,index", [(1000, 64), (3000, 235)])
+    def test_dataset_is_built_with_a_warning(self, seed, index):
+        logged, rng = _replayed_selection_record(seed, index)
+        with pytest.warns(RuntimeWarning, match="not orthonormal|degenerate"):
+            dataset = session._dataset(
+                logged, session.PipelineConfig(use_ica=True), ica_rng=rng)
+        assert dataset.n_epochs == 36
+        assert np.isfinite(dataset.vectors).all()
 
 
 class TestRetrainFromOnline:

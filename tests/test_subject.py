@@ -123,6 +123,53 @@ class TestBackground:
                                         np.random.default_rng(0))
 
 
+def reference_background(duration, channels, params, rng, rate=128.0):
+    """The row-at-a-time background that the batched one replaced."""
+    def pink_noise(n):
+        white = rng.standard_normal(n)
+        spectrum = np.fft.rfft(white)
+        freq = np.fft.rfftfreq(n)
+        shape = np.zeros_like(freq)
+        shape[1:] = 1.0 / np.sqrt(freq[1:])
+        x = np.fft.irfft(spectrum * shape, n)
+        scale = np.sqrt(np.mean(x * x))
+        if scale > 0 and params.background_rms > 0:
+            return x * (params.background_rms / scale)
+        return np.zeros(n)
+
+    n = int(round(duration * rate))
+    t = np.arange(n) / rate
+    samples = np.empty((len(channels), n))
+    for i in range(len(channels)):
+        row = pink_noise(n)
+        if params.alpha_amp > 0:
+            phase = rng.uniform(0.0, 2.0 * np.pi)
+            row = row + params.alpha_amp * np.sin(2.0 * np.pi * 10.0 * t + phase)
+        samples[i] = row
+    return samples
+
+
+class TestBatchedBackgroundMatchesReference:
+    """All rows in one FFT and one sin: bitwise the row loop, same draws."""
+
+    @pytest.mark.parametrize("overrides,duration", [
+        ({}, 11.2 + subject.TAIL_S),
+        ({"alpha_amp": 0.0}, 20.0),
+        ({"background_rms": 0.0}, 7.3),
+        ({"background_rms": 0.0, "alpha_amp": 0.0}, 3.0),
+        ({}, 1.0 / 128.0),
+    ])
+    def test_bitwise_equal_and_same_rng_state(self, overrides, duration):
+        params = subject.SubjectParams(seed=0, **overrides)
+        got_rng, want_rng = np.random.default_rng(9), np.random.default_rng(9)
+        got = subject.generate_background(duration, core.ChannelSet(), params,
+                                          got_rng)
+        want = reference_background(duration, core.ChannelSet(), params,
+                                    want_rng)
+        assert got.samples.tobytes() == want.tobytes()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
 class TestInjectP300:
     def _one_target_schedule(self):
         t = scheduler.TimingConfig(sessions_per_scenario=1, runs_per_session=1)
