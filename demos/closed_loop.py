@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 
 from p300loop import scheduler, session, subject
+from p300loop.core import N_IMAGES
 
 
 def main() -> None:
@@ -35,7 +36,7 @@ def main() -> None:
 
     print(f"\nphase 2: one live selection per object "
           f"({args.trials} trials each, offset {args.offset:g} s)")
-    selection_roots = np.random.SeedSequence(args.seed + 1).spawn(timing.images)
+    selection_roots = np.random.SeedSequence(args.seed + 1).spawn(N_IMAGES)
     correct = 0
     for target, root in enumerate(selection_roots):
         subject_seed, stream_seed = root.spawn(2)
@@ -48,7 +49,7 @@ def main() -> None:
         print(f"  attend {catalog.label(target):>7} -> picked "
               f"{catalog.label(result.selected):>7}  [{hit}]  "
               f"trial winners {result.trial_winners}")
-    print(f"\n{correct}/{timing.images} correct, "
+    print(f"\n{correct}/{N_IMAGES} correct, "
           f"{result.latency_s:g} s of flashing per selection")
     print(f"last spoken message: {result.message!r}")
 

@@ -9,6 +9,7 @@ import argparse
 import numpy as np
 
 from p300loop import scheduler
+from p300loop.core import N_IMAGES
 
 
 def main() -> None:
@@ -22,7 +23,7 @@ def main() -> None:
     d_run, d_session, d_scenario = scheduler.durations(timing)
     print(f"flash {timing.d_flash:g} s + gap {timing.d_no_flash:g} s "
           f"-> one image every {isi:g} s")
-    print(f"d_run      = {d_run:7.1f} s  ({timing.images} flashes)")
+    print(f"d_run      = {d_run:7.1f} s  ({N_IMAGES} flashes)")
     print(f"d_session  = {d_session:7.1f} s  (cue + {timing.runs_per_session} "
           f"runs + {timing.runs_per_session - 1} intervals)")
     print(f"d_scenario = {d_scenario:7.1f} s  (adaptation + "
@@ -35,9 +36,9 @@ def main() -> None:
 
     # each run flashes every image exactly once, and a run never opens with
     # the image that closed the one before it
-    first = [ev.image_id for ev in schedule.events[:timing.images]]
+    first = [ev.image_id for ev in schedule.events[:N_IMAGES]]
     second = [ev.image_id
-              for ev in schedule.events[timing.images:2 * timing.images]]
+              for ev in schedule.events[N_IMAGES:2 * N_IMAGES]]
     print(f"run 0 order: {first}")
     print(f"run 1 order: {second}  (cannot open with {first[-1]})")
 

@@ -50,6 +50,7 @@ from .dsp import (
 from .features import (
     EpochWindow,
     LabeledDataset,
+    PipelineConfig,
     build_feature_vector,
     dataset_from_scenario,
     epoch_from_vector,
@@ -74,7 +75,6 @@ from .scheduler import (
 from .session import (
     EvaluationPhase,
     ObjectCatalog,
-    PipelineConfig,
     SelectionResult,
     cross_validated_auc,
     majority_vote,

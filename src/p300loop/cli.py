@@ -10,7 +10,7 @@ import json
 import socket
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -27,15 +27,14 @@ from .acquisition import (
     save_record,
     stream_record,
 )
-from .features import EpochWindow, dataset_from_scenario
+from .features import EpochWindow, PipelineConfig, dataset_from_scenario
 from .scheduler import TimingConfig, build_scenario_schedule, durations
 from .session import (
     ObjectCatalog,
-    PipelineConfig,
-    majority_vote,
     run_full_evaluation,
     score_vectors,
-    trial_winner,
+    trial_scores,
+    vote,
 )
 from .subject import SubjectParams, simulate_subject
 
@@ -57,42 +56,19 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one subcommand invocation needs, flags over config file."""
-
-    command: str
-    args: argparse.Namespace
-
-    @property
-    def seed(self) -> int:
-        return self.args.seed
+def _flag_fields(cls) -> list:
+    """The fields of a config dataclass that have a flag of their own: all
+    but `seed` and those whose default is None."""
+    return [f for f in fields(cls)
+            if f.name != "seed" and f.default is not None]
 
 
-def _add_timing_flags(parser) -> None:
-    group = parser.add_argument_group("timing overrides")
-    group.add_argument("--d-flash", type=float, default=None)
-    group.add_argument("--d-no-flash", type=float, default=None)
-    group.add_argument("--d-run-interval", type=float, default=None)
-    group.add_argument("--d-inf", type=float, default=None)
-    group.add_argument("--d-adapt", type=float, default=None)
-    group.add_argument("--runs-per-session", type=int, default=None)
-    group.add_argument("--sessions-per-scenario", type=int, default=None)
-
-
-def _add_subject_flags(parser) -> None:
-    group = parser.add_argument_group("subject overrides")
-    group.add_argument("--background-rms", type=float, default=None)
-    group.add_argument("--alpha-amp", type=float, default=None)
-    group.add_argument("--p300-amp", type=float, default=None)
-    group.add_argument("--p300-peak-latency", type=float, default=None)
-    group.add_argument("--p300-width", type=float, default=None)
-    group.add_argument("--blink-rate", type=float, default=None)
-    group.add_argument("--blink-amp", type=float, default=None)
-    group.add_argument("--nan-channel", type=str, default=None)
-    group.add_argument("--nan-fraction", type=float, default=None)
-    group.add_argument("--latency-jitter-sd", type=float, default=None)
-    group.add_argument("--constant-offset", type=float, default=None)
+def _add_field_flags(parser, cls, title: str) -> None:
+    """One `--field-name` flag per flag field of `cls`, unset by default."""
+    group = parser.add_argument_group(title)
+    for f in _flag_fields(cls):
+        group.add_argument("--" + f.name.replace("_", "-"),
+                           type=type(f.default), default=None)
 
 
 def _add_pipeline_flags(parser) -> None:
@@ -105,55 +81,19 @@ def _add_pipeline_flags(parser) -> None:
     group.add_argument("--window-length", type=int, default=None)
 
 
-def _overridden(cls, args: argparse.Namespace, mapping: dict):
-    """Build a config dataclass from defaults plus any flags that were set."""
-    overrides = {}
-    for flag, field_name in mapping.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[field_name] = value
-    return cls(**overrides)
-
-
-_TIMING_MAP = {
-    "d_flash": "d_flash", "d_no_flash": "d_no_flash",
-    "d_run_interval": "d_run_interval", "d_inf": "d_inf",
-    "d_adapt": "d_adapt", "runs_per_session": "runs_per_session",
-    "sessions_per_scenario": "sessions_per_scenario",
-}
-
-_SUBJECT_MAP = {
-    "background_rms": "background_rms", "alpha_amp": "alpha_amp",
-    "p300_amp": "p300_amp", "p300_peak_latency": "p300_peak_latency",
-    "p300_width": "p300_width", "blink_rate": "blink_rate",
-    "blink_amp": "blink_amp", "nan_channel": "nan_channel",
-    "nan_fraction": "nan_fraction", "latency_jitter_sd": "latency_jitter_sd",
-    "constant_offset": "constant_offset",
-}
-
-
-def _timing_from(args) -> TimingConfig:
-    return _overridden(TimingConfig, args, _TIMING_MAP)
-
-
-def _subject_from(args) -> SubjectParams:
-    params = _overridden(SubjectParams, args, _SUBJECT_MAP)
-    return replace(params, seed=args.seed)
+def _overridden(cls, values: dict, **fixed):
+    """Build a config dataclass from its defaults, the flag fields set in
+    `values`, then `fixed`."""
+    overrides = {f.name: values[f.name] for f in _flag_fields(cls)
+                 if values.get(f.name) is not None}
+    return cls(**{**overrides, **fixed})
 
 
 def _pipeline_from(args) -> PipelineConfig:
-    window = EpochWindow(
-        start_offset=args.window_start if getattr(args, "window_start", None) is not None else 0,
-        length=args.window_length if getattr(args, "window_length", None) is not None else 65,
-    )
-    kwargs = {"window": window}
-    if getattr(args, "nan_threshold", None) is not None:
-        kwargs["nan_threshold"] = args.nan_threshold
-    if getattr(args, "shrinkage", None) is not None:
-        kwargs["shrinkage"] = args.shrinkage
-    if getattr(args, "ica", None):
-        kwargs["use_ica"] = True
-    return PipelineConfig(**kwargs)
+    window = _overridden(EpochWindow, {"start_offset": args.window_start,
+                                       "length": args.window_length})
+    return _overridden(PipelineConfig, vars(args), window=window,
+                       use_ica=bool(args.ica))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -168,8 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="synthesize a training scenario recording")
     p_sim.add_argument("--out", required=True, help="record file to write")
     p_sim.add_argument("--seed", type=int, default=0)
-    _add_timing_flags(p_sim)
-    _add_subject_flags(p_sim)
+    _add_field_flags(p_sim, TimingConfig, "timing overrides")
+    _add_field_flags(p_sim, SubjectParams, "subject overrides")
 
     p_train = sub.add_parser("train", help="fit a model from a recorded scenario")
     p_train.add_argument("--record", required=True)
@@ -183,8 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--reps-per-object", type=int, default=session.DEFAULT_REPS_PER_OBJECT)
     p_eval.add_argument("--trials", type=int, default=session.DEFAULT_TRIALS)
     p_eval.add_argument("--mismatch", type=float, default=session.DEFAULT_MISMATCH_S)
-    _add_timing_flags(p_eval)
-    _add_subject_flags(p_eval)
+    _add_field_flags(p_eval, TimingConfig, "timing overrides")
+    _add_field_flags(p_eval, SubjectParams, "subject overrides")
     _add_pipeline_flags(p_eval)
 
     p_stream = sub.add_parser("stream", help="serve or consume a live record stream")
@@ -214,10 +154,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_simulate(config: RunConfig) -> int:
-    args = config.args
-    timing = _timing_from(args)
-    params = _subject_from(args)
+def cmd_simulate(args: argparse.Namespace) -> int:
+    timing = _overridden(TimingConfig, vars(args))
+    params = _overridden(SubjectParams, vars(args), seed=args.seed)
     d_run, d_session, d_scenario = durations(timing)
     print(f"d_run = {d_run:g} s, d_session = {d_session:g} s, "
           f"d_scenario = {d_scenario:g} s")
@@ -232,16 +171,11 @@ def cmd_simulate(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_train(config: RunConfig) -> int:
-    args = config.args
+def cmd_train(args: argparse.Namespace) -> int:
     pipeline = _pipeline_from(args)
     record = load_record(args.record)
     rng = np.random.default_rng(args.seed)
-    dataset = dataset_from_scenario(
-        record, window=pipeline.window, nan_threshold=pipeline.nan_threshold,
-        use_ica=pipeline.use_ica, ica_rng=rng,
-        ica_kurtosis_threshold=pipeline.ica_kurtosis_threshold,
-        ica_frontal_fraction=pipeline.ica_frontal_fraction)
+    dataset = dataset_from_scenario(record, pipeline=pipeline, ica_rng=rng)
     model, scaled = session.train_with_features(dataset, pipeline)
     save_model(model, args.model)
     scores = scaled @ model.weights + model.bias
@@ -256,10 +190,9 @@ def cmd_train(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_evaluate(config: RunConfig) -> int:
-    args = config.args
-    timing = _timing_from(args)
-    params = _subject_from(args)
+def cmd_evaluate(args: argparse.Namespace) -> int:
+    timing = _overridden(TimingConfig, vars(args))
+    params = _overridden(SubjectParams, vars(args), seed=args.seed)
     pipeline = _pipeline_from(args)
     report = run_full_evaluation(
         params, seed=args.seed, timing=timing, pipeline=pipeline,
@@ -278,14 +211,15 @@ def cmd_evaluate(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_stream(config: RunConfig) -> int:
-    args = config.args
+def cmd_stream(args: argparse.Namespace) -> int:
     if args.role == "producer":
         if not args.record:
             raise UsageError("producer needs --record")
         return _stream_produce(args)
     if not args.model:
         raise UsageError("consumer needs --model")
+    if args.trials < 1:
+        raise UsageError("consumer needs --trials of at least 1")
     return _stream_consume(args)
 
 
@@ -329,39 +263,23 @@ def _stream_consume(args) -> int:
             replace(ev, is_target=False) if ev.is_target is None else ev
             for ev in record.markers))
 
-    pipeline = PipelineConfig(window=model.window)
     dataset = dataset_from_scenario(
-        record, window=model.window, nan_threshold=pipeline.nan_threshold)
+        record, pipeline=PipelineConfig(window=model.window))
     if tuple(dataset.channels) != model.channels:
         raise FormatError("model channels do not match the received stream")
-    scores = score_vectors(model, dataset.vectors)
-
-    per_run = {}
-    for (run, sess, img), value in zip(dataset.provenance, scores):
-        per_run.setdefault((sess, run), {})[img] = value
-    n_images = len(next(iter(per_run.values())))
-    group = []
-    selections = 0
-    for key in sorted(per_run):
-        by_image = per_run[key]
-        if sorted(by_image) != list(range(n_images)):
-            raise FormatError(f"run {key} is not one flash per image")
-        group.append([by_image[img] for img in range(n_images)])
-        if len(group) == args.trials:
-            table = np.asarray(group)
-            winners = [trial_winner(r) for r in table]
-            chosen = majority_vote(winners, table)
-            selections += 1
-            print(f"selection {selections}: image {chosen} "
-                  f"({catalog.label(chosen)}) -> {catalog.message(chosen)}")
-            group = []
-    if group:
-        print(f"ignored {len(group)} trailing trial(s) short of a vote")
+    table = trial_scores(dataset.provenance,
+                         score_vectors(model, dataset.vectors))
+    n_votes, n_left = divmod(len(table), args.trials)
+    for i in range(n_votes):
+        _, chosen = vote(table[i * args.trials:(i + 1) * args.trials])
+        print(f"selection {i + 1}: image {chosen} "
+              f"({catalog.label(chosen)}) -> {catalog.message(chosen)}")
+    if n_left:
+        print(f"ignored {n_left} trailing trial(s) short of a vote")
     return EXIT_OK
 
 
-def cmd_inspect(config: RunConfig) -> int:
-    args = config.args
+def cmd_inspect(args: argparse.Namespace) -> int:
     if not args.record and not args.model:
         raise UsageError("inspect needs --record and/or --model")
     if args.record:
@@ -417,8 +335,7 @@ def main(argv=None) -> int:
     try:
         _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
-        config = RunConfig(command=args.command, args=args)
-        return _COMMANDS[args.command](config)
+        return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

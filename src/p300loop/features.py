@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dsp, ica
+from . import dsp, ica, lda
 from .core import ChannelSet, EegRecord, StimulusEvent, slice_window
 from .scheduler import ScenarioSchedule
 
@@ -29,6 +29,16 @@ class EpochWindow:
     def __post_init__(self) -> None:
         if self.length < 1:
             raise ValueError("window length must be at least 1")
+
+
+@dataclass(frozen=True)
+class PipelineConfig:
+    """Feature-pipeline knobs shared by training and online use."""
+
+    window: EpochWindow = EpochWindow()
+    nan_threshold: float = DEFAULT_NAN_THRESHOLD
+    shrinkage: float = lda.DEFAULT_SHRINKAGE
+    use_ica: bool = False
 
 
 @dataclass(frozen=True)
@@ -135,13 +145,9 @@ def epoch_from_vector(vector: np.ndarray, n_channels: int) -> np.ndarray:
 
 def dataset_from_scenario(record: EegRecord,
                           schedule: ScenarioSchedule | None = None,
-                          window: EpochWindow = EpochWindow(),
-                          nan_threshold: float = DEFAULT_NAN_THRESHOLD,
-                          filter_spec: dsp.FilterSpec | None = None,
-                          use_ica: bool = False,
+                          pipeline: PipelineConfig = PipelineConfig(),
                           ica_rng: np.random.Generator | None = None,
-                          ica_kurtosis_threshold: float = 10.0,
-                          ica_frontal_fraction: float = 0.6) -> LabeledDataset:
+                          ) -> LabeledDataset:
     """Prune, filter, optionally ICA-clean, segment, and vectorize a recording.
 
     Events come from the schedule when given, otherwise from the record's own
@@ -154,36 +160,20 @@ def dataset_from_scenario(record: EegRecord,
         if ev.is_target is None:
             raise ValueError("events must carry target labels")
 
-    pruned, _ = prune_channels(record, nan_threshold)
-    if filter_spec is None:
-        filter_spec = dsp.FilterSpec(rate=pruned.rate)
-    coeffs = dsp.design_bandpass(filter_spec)
+    pruned, _ = prune_channels(record, pipeline.nan_threshold)
+    coeffs = dsp.design_bandpass(dsp.FilterSpec(rate=pruned.rate))
     filtered = dsp.filter_apply(coeffs, pruned)
 
-    if use_ica:
+    if pipeline.use_ica:
         model, sources = ica.fit(filtered.samples, rng=ica_rng, strict=False)
-        mask = ica.classify_components(
-            model, sources, filtered.channels,
-            kurtosis_threshold=ica_kurtosis_threshold,
-            frontal_fraction=ica_frontal_fraction)
+        mask = ica.classify_components(model, sources, filtered.channels)
         cleaned = ica.reconstruct(model, filtered.samples, mask)
         filtered = filtered.with_samples(cleaned)
 
-    epochs = segment(filtered, events, window)
+    epochs = segment(filtered, events, pipeline.window)
     vectors = np.vstack([build_feature_vector(ep)[None, :] for ep, _ in epochs])
     labels = np.array([bool(ev.is_target) for _, ev in epochs])
     provenance = tuple((ev.run_index, ev.session_index, ev.image_id)
                        for _, ev in epochs)
     return LabeledDataset(vectors=vectors, labels=labels, provenance=provenance,
-                          channels=filtered.channels, window=window)
-
-
-def export_table(dataset: LabeledDataset) -> str:
-    """Flat delimited-text table: provenance, label, then feature values."""
-    lines = ["run\tsession\timage_id\tlabel\t" + "\t".join(
-        f"f{i}" for i in range(dataset.feature_size))]
-    for (run, sess, img), label, row in zip(
-            dataset.provenance, dataset.labels, dataset.vectors):
-        values = "\t".join(repr(float(v)) for v in row)
-        lines.append(f"{run}\t{sess}\t{img}\t{int(label)}\t{values}")
-    return "\n".join(lines) + "\n"
+                          channels=filtered.channels, window=pipeline.window)

@@ -32,13 +32,12 @@ class TimingConfig:
     d_adapt: float = 10.0
     runs_per_session: int = 6
     sessions_per_scenario: int = 12
-    images: int = N_IMAGES
 
     def __post_init__(self) -> None:
         for name in ("d_flash", "d_no_flash", "d_run_interval", "d_inf", "d_adapt"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("runs_per_session", "sessions_per_scenario", "images"):
+        for name in ("runs_per_session", "sessions_per_scenario"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
 
@@ -55,7 +54,7 @@ class TimingConfig:
 def _exact_durations(timing: TimingConfig) -> tuple[Fraction, ...]:
     """(isi, d_run, d_session, d_scenario) as exact rational seconds."""
     isi = _fr(timing.d_flash) + _fr(timing.d_no_flash)
-    d_run = isi * timing.images
+    d_run = isi * N_IMAGES
     d_session = (
         _fr(timing.d_inf)
         + timing.runs_per_session * d_run
@@ -68,7 +67,7 @@ def _exact_durations(timing: TimingConfig) -> tuple[Fraction, ...]:
 def durations(timing: TimingConfig) -> tuple[float, float, float]:
     """(d_run, d_session, d_scenario) in seconds, computed exactly.
 
-    d_run = (d_flash + d_no_flash) * images
+    d_run = (d_flash + d_no_flash) * 12
     d_session = d_inf + runs * d_run + (runs - 1) * d_run_interval
     d_scenario = d_adapt + sessions * d_session
     """
@@ -136,7 +135,7 @@ def build_scenario_schedule(timing: TimingConfig,
     session_targets = [int(t) for t in session_targets]
     if len(session_targets) != timing.sessions_per_scenario:
         raise ValueError("need one target image per session")
-    if any(not 0 <= t < timing.images for t in session_targets):
+    if any(not 0 <= t < N_IMAGES for t in session_targets):
         raise ValueError("session target outside image id range")
     if rng is None:
         rng = np.random.default_rng()
@@ -187,7 +186,7 @@ def build_online_trial_schedule(timing: TimingConfig,
         if len(sequences) != n_trials:
             raise ValueError("need one sequence per trial")
         for s in sequences:
-            if sorted(s) != list(range(timing.images)):
+            if sorted(s) != list(range(N_IMAGES)):
                 raise ValueError("each trial sequence must permute all image ids")
     if rng is None and sequences is None:
         rng = np.random.default_rng()
@@ -214,18 +213,16 @@ def online_grid(timing: TimingConfig, n_trials: int,
                 rate: float = DEFAULT_RATE):
     """(grid, span_s) of `n_trials` back-to-back online runs, computed exactly.
 
-    grid[trial][j] is the (onset_sample, onset_s) of the trial's j-th flash,
-    with room for a replayed (images ids) or a random (N_IMAGES ids) order.
+    grid[trial][j] is the (onset_sample, onset_s) of the trial's j-th flash.
     span_s is n_trials * d_run + (n_trials - 1) * d_run_interval: the
     simulated latency of one selection.
     """
     isi, d_run, _, _ = _exact_durations(timing)
     rate_fr = _fr(rate)
-    slots = range(max(timing.images, N_IMAGES))
     grid = []
     for trial in range(n_trials):
         run_base = trial * (d_run + _fr(timing.d_run_interval))
-        onsets = [run_base + j * isi for j in slots]
+        onsets = [run_base + j * isi for j in range(N_IMAGES)]
         grid.append(tuple((time_to_sample(t, rate_fr), float(t))
                           for t in onsets))
     span = n_trials * d_run + (n_trials - 1) * _fr(timing.d_run_interval)

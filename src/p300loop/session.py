@@ -17,7 +17,7 @@ import numpy as np
 from . import acquisition, dsp, features, lda
 from .acquisition import ModelFile
 from .core import N_IMAGES, ChannelSet, EegRecord
-from .features import EpochWindow, LabeledDataset
+from .features import EpochWindow, LabeledDataset, PipelineConfig
 from .scheduler import (
     ScenarioSchedule,
     TimingConfig,
@@ -73,19 +73,6 @@ class ObjectCatalog:
 
 
 @dataclass(frozen=True)
-class PipelineConfig:
-    """Feature-pipeline knobs shared by training and online use."""
-
-    window: EpochWindow = EpochWindow()
-    nan_threshold: float = features.DEFAULT_NAN_THRESHOLD
-    shrinkage: float = lda.DEFAULT_SHRINKAGE
-    use_ica: bool = False
-    ica_kurtosis_threshold: float = 10.0
-    ica_frontal_fraction: float = 0.6
-    stream_chunk: int = acquisition.DEFAULT_CHUNK
-
-
-@dataclass(frozen=True)
 class SelectionResult:
     """Outcome of one online selection."""
 
@@ -132,17 +119,30 @@ def majority_vote(trial_winners, per_image_scores) -> int:
     return int(best)
 
 
-def _dataset(record: EegRecord, pipeline: PipelineConfig,
-             ica_rng: np.random.Generator | None = None) -> LabeledDataset:
-    return features.dataset_from_scenario(
-        record,
-        window=pipeline.window,
-        nan_threshold=pipeline.nan_threshold,
-        use_ica=pipeline.use_ica,
-        ica_rng=ica_rng,
-        ica_kurtosis_threshold=pipeline.ica_kurtosis_threshold,
-        ica_frontal_fraction=pipeline.ica_frontal_fraction,
-    )
+def trial_scores(provenance, scores) -> np.ndarray:
+    """[n_runs x 12] per-image score table, one row per (session, run).
+
+    `provenance` holds the (run, session, image_id) of each score, as in
+    `LabeledDataset.provenance`; rows come in (session, run) order.  Raises
+    ValueError unless every run flashed each image exactly once.
+    """
+    by_run: dict[tuple[int, int], list] = {}
+    values = np.asarray(scores, dtype=np.float64).tolist()
+    for (run, sess, image_id), value in zip(provenance, values):
+        by_run.setdefault((sess, run), []).append((image_id, value))
+    rows = []
+    for key in sorted(by_run):
+        pairs = sorted(by_run[key])
+        if [image_id for image_id, _ in pairs] != list(range(N_IMAGES)):
+            raise ValueError(f"run {key} is not one flash per image")
+        rows.append([value for _, value in pairs])
+    return np.array(rows).reshape(-1, N_IMAGES)
+
+
+def vote(table) -> tuple[tuple[int, ...], int]:
+    """(trial winners, selected image) of a [n_trials x 12] score table."""
+    winners = tuple(trial_winner(row) for row in table)
+    return winners, majority_vote(winners, table)
 
 
 def _bundle(model: lda.LdaModel, scaling: dsp.ScalingParams,
@@ -185,7 +185,8 @@ def run_offline_training(params: SubjectParams, timing: TimingConfig,
     """
     schedule = build_scenario_schedule(timing, None, rng)
     record = simulate_subject(schedule, params)
-    dataset = _dataset(record, pipeline, ica_rng=rng)
+    dataset = features.dataset_from_scenario(record, pipeline=pipeline,
+                                             ica_rng=rng)
     model = train_on_dataset(dataset, pipeline)
     return model, record, schedule
 
@@ -230,9 +231,10 @@ def run_online_selection(model: ModelFile, params: SubjectParams,
                                         sequences=sequences)
     schedule = with_targets(blind, target)
     record = simulate_subject(schedule, params)
-    logged = _stream_roundtrip(record, pipeline.stream_chunk, rng)
+    logged = _stream_roundtrip(record, acquisition.DEFAULT_CHUNK, rng)
 
-    dataset = _dataset(logged, pipeline, ica_rng=rng)
+    dataset = features.dataset_from_scenario(logged, pipeline=pipeline,
+                                             ica_rng=rng)
     if tuple(dataset.channels) != model.channels:
         raise ValueError(
             f"model was trained on channels {model.channels}, "
@@ -241,11 +243,8 @@ def run_online_selection(model: ModelFile, params: SubjectParams,
         raise ValueError("model epoch window differs from pipeline window")
     raw_scores = score_vectors(model, dataset.vectors)
 
-    per_image = np.full((n_trials, N_IMAGES), np.nan)
-    for (run, _sess, image_id), value in zip(dataset.provenance, raw_scores):
-        per_image[run, image_id] = value
-    winners = tuple(trial_winner(per_image[t]) for t in range(n_trials))
-    selected = majority_vote(winners, per_image)
+    per_image = trial_scores(dataset.provenance, raw_scores)
+    winners, selected = vote(per_image)
 
     result = SelectionResult(trial_winners=winners, per_image_scores=per_image,
                              selected=selected, latency_s=blind.span_s,
@@ -259,7 +258,8 @@ def retrain_from_online(logged_records, pipeline: PipelineConfig = PipelineConfi
     logged_records = list(logged_records)
     if not logged_records:
         raise ValueError("no logged records to retrain from")
-    parts = [_dataset(rec, pipeline, ica_rng=rng) for rec in logged_records]
+    parts = [features.dataset_from_scenario(rec, pipeline=pipeline, ica_rng=rng)
+             for rec in logged_records]
     channels = parts[0].channels
     for part in parts:
         if tuple(part.channels) != tuple(channels):

@@ -1,12 +1,16 @@
 """Command-line interface: subcommands, exit codes, config files, loopback."""
+import contextlib
+import dataclasses
+import io
 import json
 import socket
+import sys
 import threading
 import time
 
 import pytest
 
-from p300loop import acquisition, cli
+from p300loop import acquisition, cli, features
 
 
 def _free_port():
@@ -56,9 +60,12 @@ def _consume_with_producer(record, model, extra_producer=(), trials=3):
     deadline = time.monotonic() + 10.0
     rc = None
     while time.monotonic() < deadline:
-        rc = _run(["stream", "consumer", "--port", str(port),
-                   "--model", str(model), "--trials", str(trials)])
-        if rc != 2:  # 2 = connection refused before the producer bound
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = _run(["stream", "consumer", "--port", str(port),
+                       "--model", str(model), "--trials", str(trials)])
+        sys.stderr.write(err.getvalue())
+        if "refused" not in err.getvalue():  # the producer had not bound yet
             break
         time.sleep(0.2)
     producer.join(timeout=10.0)
@@ -272,3 +279,111 @@ class TestStreamLoopback:
         assert rc == 0
         stdout = capsys.readouterr().out
         assert "ignored 2 trailing trial(s)" in stdout
+
+    def test_trials_below_one_is_a_usage_error(self, stream_assets, capsys):
+        for trials in ("0", "-1"):
+            assert _run(["stream", "consumer", "--port", str(_free_port()),
+                         "--model", str(stream_assets["model"]),
+                         "--trials", trials]) == 1
+            assert "--trials" in capsys.readouterr().err
+
+    def test_run_missing_an_image_is_a_data_error(self, stream_assets,
+                                                  tmp_path, capsys):
+        record = acquisition.load_record(stream_assets["record"])
+        gappy = tmp_path / "gappy.eegs"
+        acquisition.save_record(record.with_markers(
+            record.markers[:30] + record.markers[31:]), gappy)
+        rc = _consume_with_producer(gappy, stream_assets["model"])
+        assert rc == 2
+        assert "not one flash per image" in capsys.readouterr().err
+
+
+# One value per timing and subject field that has a flag, each off its default.
+_FIELD_VALUES = {
+    "d_flash": 0.25, "d_no_flash": 0.15, "d_run_interval": 0.3, "d_inf": 2.5,
+    "d_adapt": 8.0, "runs_per_session": 4, "sessions_per_scenario": 3,
+    "background_rms": 9.0, "alpha_amp": 2.0, "p300_amp": 11.0,
+    "p300_peak_latency": 0.35, "p300_width": 0.07, "blink_rate": 5.0,
+    "blink_amp": 70.0, "nan_channel": "O1", "nan_fraction": 0.1,
+    "latency_jitter_sd": 0.01, "constant_offset": 0.05,
+}
+_TIMING_FIELDS = {f.name for f in dataclasses.fields(cli.TimingConfig)}
+
+
+def _evaluate_configs(monkeypatch, tmp_path, argv):
+    """The configs `evaluate` hands to the evaluation, which is not run."""
+    seen = {}
+
+    def fake_evaluation(params, seed, timing, pipeline, **_):
+        seen.update(params=params, timing=timing, pipeline=pipeline)
+        phase = {"correct": 0, "total": 1, "accuracy": 0.0}
+        return {"phase1": phase, "phase2": phase,
+                "latency": {"per_selection_s": 0.0}}
+
+    monkeypatch.setattr(cli, "run_full_evaluation", fake_evaluation)
+    assert _run(["evaluate", "--report", str(tmp_path / "r.json")]
+                + list(argv)) == 0
+    return seen
+
+
+class TestFieldFlags:
+    """Timing and subject flags come from the fields of their dataclasses."""
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("name", sorted(_FIELD_VALUES))
+    def test_each_flag_lands_in_its_field(self, name, source, monkeypatch,
+                                          tmp_path):
+        value = _FIELD_VALUES[name]
+        if source == "flag":
+            argv = ["--" + name.replace("_", "-"), str(value)]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({name: value}))
+            argv = ["--config", str(cfg)]
+        seen = _evaluate_configs(monkeypatch, tmp_path, argv)
+        timing, params = cli.TimingConfig(), cli.SubjectParams(seed=0)
+        if name in _TIMING_FIELDS:
+            timing = dataclasses.replace(timing, **{name: value})
+        else:
+            params = dataclasses.replace(params, **{name: value})
+        assert seen["timing"] == timing
+        assert seen["params"] == params
+        assert seen["pipeline"] == features.PipelineConfig()
+
+    def test_flag_groups_hold_exactly_the_field_flags(self, capsys):
+        with pytest.raises(SystemExit):
+            _run(["evaluate", "--help"])
+        groups, current = {}, None
+        for line in capsys.readouterr().out.splitlines():
+            if line.endswith("overrides:"):
+                current = groups.setdefault(line, [])
+            elif not line.strip():
+                current = None
+            elif current is not None:
+                current.append(line.split()[0])
+        flags = [f for group in groups.values() for f in group]
+        assert sorted(flags) == sorted("--" + n.replace("_", "-")
+                                       for n in _FIELD_VALUES)
+        assert groups["timing overrides:"] == [
+            f for f in flags if f[2:].replace("-", "_") in _TIMING_FIELDS]
+
+    @pytest.mark.parametrize("flag", ["--images", "--p300-topography"])
+    def test_fields_without_a_flag(self, flag, tmp_path):
+        assert _run(["evaluate", "--report", str(tmp_path / "r.json"),
+                     flag, "12"]) == 1
+
+    def test_seed_and_topography_are_not_subject_overrides(self, monkeypatch,
+                                                           tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 4, "p300_topography": [1.0] * 14}))
+        seen = _evaluate_configs(monkeypatch, tmp_path,
+                                 ["--config", str(cfg)])
+        assert seen["params"] == cli.SubjectParams(seed=4)
+
+    def test_pipeline_flags_land_in_the_pipeline(self, monkeypatch, tmp_path):
+        seen = _evaluate_configs(monkeypatch, tmp_path, [
+            "--ica", "--shrinkage", "0.01", "--nan-threshold", "0.3",
+            "--window-start", "2", "--window-length", "60"])
+        assert seen["pipeline"] == features.PipelineConfig(
+            window=features.EpochWindow(start_offset=2, length=60),
+            nan_threshold=0.3, shrinkage=0.01, use_ica=True)

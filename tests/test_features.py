@@ -186,23 +186,3 @@ class TestDatasetFromScenario:
                                     channels=core.ChannelSet(("A", "B")),
                                     window=features.EpochWindow(length=3))
 
-
-class TestExportTable:
-    def test_header_and_one_row(self):
-        dataset = features.LabeledDataset(
-            vectors=np.array([[0.25, -1.5]]), labels=np.array([True]),
-            provenance=((2, 1, 7),))
-        table = features.export_table(dataset)
-        lines = table.splitlines()
-        assert lines[0] == "run\tsession\timage_id\tlabel\tf0\tf1"
-        assert lines[1] == "2\t1\t7\t1\t0.25\t-1.5"
-
-    def test_values_round_trip_exactly(self):
-        rng = np.random.default_rng(5)
-        dataset = features.LabeledDataset(
-            vectors=rng.normal(size=(3, 4)), labels=np.array([True, False, True]),
-            provenance=((0, 0, 0), (0, 0, 1), (0, 0, 2)))
-        lines = features.export_table(dataset).splitlines()[1:]
-        parsed = np.array([[float(v) for v in line.split("\t")[4:]]
-                           for line in lines])
-        np.testing.assert_array_equal(parsed, dataset.vectors)

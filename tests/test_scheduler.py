@@ -13,7 +13,6 @@ class TestTimingConfig:
         t = scheduler.TimingConfig()
         assert t.d_flash == 0.2
         assert t.d_no_flash == 0.1
-        assert t.images == 12
         assert t.runs_per_session == 6
         assert t.sessions_per_scenario == 12
 
@@ -29,6 +28,11 @@ class TestTimingConfig:
             scheduler.TimingConfig(d_inf=-1.0)
         with pytest.raises(ValueError):
             scheduler.TimingConfig(runs_per_session=0)
+
+    def test_image_count_is_not_configurable(self):
+        # every run flashes each of the core.N_IMAGES images once
+        with pytest.raises(TypeError):
+            scheduler.TimingConfig(images=12)
 
 
 class TestDurations:
@@ -232,7 +236,7 @@ def reference_online_schedule(timing, n_trials, rng, rate, sequences=None):
     """The per-call Fraction builder that the cached online grid replaced."""
     fr = lambda x: Fraction(str(x))
     isi = fr(timing.d_flash) + fr(timing.d_no_flash)
-    d_run = isi * timing.images
+    d_run = isi * core.N_IMAGES
     rate_fr = fr(rate)
     events = []
     prev_last = None
@@ -263,21 +267,19 @@ class TestCachedOnlineGrid:
     @settings(max_examples=60, deadline=None)
     @given(d_flash=_CENTI_SECONDS, d_no_flash=_CENTI_SECONDS,
            d_run_interval=_CENTI_SECONDS,
-           images=st.sampled_from([12, 14]),
            n_trials=st.integers(min_value=1, max_value=6),
            rate=st.sampled_from([128.0, 100.0, 256.0, 500.0]),
            seed=st.integers(min_value=0, max_value=2**16),
            replay=st.booleans())
     def test_matches_fraction_builder(self, d_flash, d_no_flash,
-                                      d_run_interval, images, n_trials, rate,
+                                      d_run_interval, n_trials, rate,
                                       seed, replay):
         timing = scheduler.TimingConfig(d_flash=d_flash, d_no_flash=d_no_flash,
-                                        d_run_interval=d_run_interval,
-                                        images=images)
+                                        d_run_interval=d_run_interval)
         sequences = None
-        if replay and images == core.N_IMAGES:  # replays need valid image ids
+        if replay:
             perm = np.random.default_rng(seed).permutation
-            sequences = [[int(i) for i in perm(images)]
+            sequences = [[int(i) for i in perm(core.N_IMAGES)]
                          for _ in range(n_trials)]
         got_rng = np.random.default_rng(seed)
         want_rng = np.random.default_rng(seed)

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from p300loop import (acquisition, dsp, features, lda, scheduler, session,
                       subject)
@@ -118,6 +119,104 @@ class TestMajorityVote:
                 scores[t, w] = float(rng.normal())
             got = session.majority_vote(winners, scores)
             assert got == _brute_force_vote(list(winners), scores)
+
+
+def reference_online_vote(provenance, scores, n_trials):
+    """The per-image fill and vote that `run_online_selection` used to do."""
+    per_image = np.full((n_trials, 12), np.nan)
+    for (run, _sess, image_id), value in zip(provenance, scores):
+        per_image[run, image_id] = value
+    winners = tuple(session.trial_winner(per_image[t]) for t in range(n_trials))
+    return per_image, winners, session.majority_vote(winners, per_image)
+
+
+def reference_stream_votes(provenance, scores, trials):
+    """The per-run grouping and votes that the stream consumer used to do:
+    (selected images, trailing runs short of a vote)."""
+    per_run = {}
+    for (run, sess, img), value in zip(provenance, scores):
+        per_run.setdefault((sess, run), {})[img] = value
+    n_images = len(next(iter(per_run.values())))
+    group, chosen = [], []
+    for key in sorted(per_run):
+        by_image = per_run[key]
+        if sorted(by_image) != list(range(n_images)):
+            raise ValueError(f"run {key} is not one flash per image")
+        group.append([by_image[img] for img in range(n_images)])
+        if len(group) == trials:
+            table = np.asarray(group)
+            winners = [session.trial_winner(r) for r in table]
+            chosen.append(session.majority_vote(winners, table))
+            group = []
+    return chosen, len(group)
+
+
+def _shuffled_flashes(n_sessions, n_runs, seed, ties):
+    """(provenance, scores) of every image flashed once per run, shuffled.
+
+    With `ties`, scores come from four levels, so trial argmaxes and vote
+    score sums tie often."""
+    rng = np.random.default_rng(seed)
+    provenance = [(run, sess, img) for sess in range(n_sessions)
+                  for run in range(n_runs) for img in range(12)]
+    order = rng.permutation(len(provenance))
+    provenance = [provenance[i] for i in order]
+    if ties:
+        scores = rng.integers(0, 4, size=len(provenance)) / 4
+    else:
+        scores = rng.normal(size=len(provenance))
+    return provenance, scores
+
+
+class TestTrialScoresAndVote:
+    """`trial_scores` and `vote` give what the two loops they replaced gave."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(n_trials=st.integers(min_value=1, max_value=5),
+           seed=st.integers(min_value=0, max_value=2**16), ties=st.booleans())
+    def test_matches_online_fill(self, n_trials, seed, ties):
+        provenance, scores = _shuffled_flashes(1, n_trials, seed, ties)
+        table = session.trial_scores(provenance, scores)
+        want_table, want_winners, want_selected = reference_online_vote(
+            provenance, scores, n_trials)
+        assert table.tobytes() == want_table.tobytes()
+        assert session.vote(table) == (want_winners, want_selected)
+
+    @settings(max_examples=80, deadline=None)
+    @given(n_sessions=st.integers(min_value=1, max_value=3),
+           n_runs=st.integers(min_value=1, max_value=7),
+           trials=st.integers(min_value=1, max_value=5),
+           seed=st.integers(min_value=0, max_value=2**16), ties=st.booleans())
+    def test_matches_stream_grouping(self, n_sessions, n_runs, trials, seed,
+                                     ties):
+        provenance, scores = _shuffled_flashes(n_sessions, n_runs, seed, ties)
+        table = session.trial_scores(provenance, scores)
+        assert table.shape == (n_sessions * n_runs, 12)
+        n_votes, n_left = divmod(len(table), trials)
+        chosen = [session.vote(table[i * trials:(i + 1) * trials])[1]
+                  for i in range(n_votes)]
+        assert (chosen, n_left) == reference_stream_votes(provenance, scores,
+                                                          trials)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_sessions=st.integers(min_value=1, max_value=3),
+           n_runs=st.integers(min_value=1, max_value=5),
+           seed=st.integers(min_value=0, max_value=2**16))
+    def test_run_missing_an_image_raises(self, n_sessions, n_runs, seed):
+        provenance, scores = _shuffled_flashes(n_sessions, n_runs, seed, False)
+        drop = int(np.random.default_rng(seed).integers(len(provenance)))
+        del provenance[drop]
+        scores = np.delete(scores, drop)
+        with pytest.raises(ValueError, match="one flash per image"):
+            session.trial_scores(provenance, scores)
+        with pytest.raises(ValueError):
+            reference_stream_votes(provenance, scores, 1)
+
+    def test_run_flashing_an_image_twice_raises(self):
+        provenance, scores = _shuffled_flashes(1, 2, 0, False)
+        provenance.append((1, 0, 4))  # run 1 of session 0 shows image 4 again
+        with pytest.raises(ValueError, match=r"run \(0, 1\)"):
+            session.trial_scores(provenance, np.append(scores, 9.0))
 
 
 class TestTrainOnDataset:
@@ -258,8 +357,7 @@ def reference_threaded_roundtrip(record, chunk, rng):
 
 
 class TestInlineStreamRoundTrip:
-    @pytest.mark.parametrize("chunk", [session.PipelineConfig().stream_chunk,
-                                       7])
+    @pytest.mark.parametrize("chunk", [acquisition.DEFAULT_CHUNK, 7])
     def test_same_record_and_rng_state_as_threaded(self, chunk):
         timing = scheduler.TimingConfig()
         blind = scheduler.build_online_trial_schedule(
@@ -299,8 +397,8 @@ def _replayed_selection_record(seed, index):
                                                   sequences=sequences)
     record = subject.simulate_subject(subject.with_targets(blind, target),
                                       params)
-    pipeline = session.PipelineConfig()
-    return session._stream_roundtrip(record, pipeline.stream_chunk, rng), rng
+    return session._stream_roundtrip(record, acquisition.DEFAULT_CHUNK,
+                                     rng), rng
 
 
 class TestOnlineIcaOnDegenerateIterates:
@@ -312,8 +410,9 @@ class TestOnlineIcaOnDegenerateIterates:
     def test_dataset_is_built_with_a_warning(self, seed, index):
         logged, rng = _replayed_selection_record(seed, index)
         with pytest.warns(RuntimeWarning, match="not orthonormal|degenerate"):
-            dataset = session._dataset(
-                logged, session.PipelineConfig(use_ica=True), ica_rng=rng)
+            dataset = features.dataset_from_scenario(
+                logged, pipeline=features.PipelineConfig(use_ica=True),
+                ica_rng=rng)
         assert dataset.n_epochs == 36
         assert np.isfinite(dataset.vectors).all()
 
