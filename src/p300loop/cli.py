@@ -191,6 +191,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    if args.trials < 1:
+        raise UsageError("evaluate needs --trials of at least 1")
     timing = _overridden(TimingConfig, vars(args))
     params = _overridden(SubjectParams, vars(args), seed=args.seed)
     pipeline = _pipeline_from(args)

@@ -8,8 +8,8 @@ the bias placing the decision boundary at the midpoint of the class means.
 
 A fit is two steps: the class statistics (counts, means, pooled centred
 scatter) and the shrinkage solve on them.  Statistics can be downdated and
-rescaled exactly, so cross-validation derives each fold's statistics from the
-whole sample's instead of refitting from the fold's rows.
+rescaled exactly, so cross-validation derives each fold's discriminant from
+the whole sample's statistics instead of refitting from the fold's rows.
 """
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.blas import dsyrk
 
 DEFAULT_SHRINKAGE = 1e-3
 
@@ -64,6 +65,11 @@ class ClassStatistics:
     Class 1 (target) comes first.  The scatter is sum over both classes of
     (x - class mean)(x - class mean)^T, not yet divided by n - 2.  An empty
     class has mean zero and adds nothing to the scatter.
+
+    `solve` fits the discriminant of the sample.  `solve_without` fits the
+    one of the rows that stay once some leave, with the rest rescaled, by
+    downdating these statistics in one caller-owned buffer instead of
+    refitting from the rows that stay.
     """
 
     counts: tuple[int, int]
@@ -86,64 +92,81 @@ class ClassStatistics:
         return cls(counts=tuple(counts), means=np.array(means),
                    scatter=scatter)
 
-    def without(self, part: ClassStatistics) -> ClassStatistics:
-        """Statistics of this sample once the rows summarised by `part` leave.
+    def solve(self, shrinkage: float = DEFAULT_SHRINKAGE) -> LdaModel:
+        """The shrinkage discriminant of these statistics."""
+        return _shrinkage_solve(self.scatter.copy(), self.means, self.counts,
+                                shrinkage)
 
-        Per class, the exact pooled-scatter downdate of Chan, Golub & LeVeque
-        (1979): with n rows in all, k leaving and r = n - k staying,
-        scatter_rest = scatter_all - scatter_part - (r k / n) g g^T, where g
-        is the mean of the leaving rows minus the mean of the staying ones.
+    def solve_without(self, rows: np.ndarray, labels: np.ndarray,
+                      shift: np.ndarray, factor: np.ndarray, shrinkage: float,
+                      out: np.ndarray) -> LdaModel:
+        """The discriminant of the rows that stay once `rows` leave, each
+        mapped elementwise by (x - shift) * factor.
+
+        `out` is a Fortran-order [d x d] buffer, overwritten; nothing else is
+        written.  Per class, with n rows in all, k leaving and r = n - k
+        staying, the exact pooled-scatter downdate of Chan, Golub & LeVeque
+        (1979) is scatter_rest = scatter_all - scatter_part - (r k / n) g g^T,
+        where g is the mean of the leaving rows minus the mean of the staying
+        ones.  Both terms are one syrk with alpha = -1 on the lower triangle:
+        its rows are the leaving rows centred on their class means, plus
+        sqrt(r k / n) g for each class that loses rows and keeps some.  With
+        D = diag(factor), the means then map to D (m - shift) and the scatter
+        to D S D, scaled in place before the shared shrinkage solve.
         """
-        counts, means = [], []
-        scatter = self.scatter - part.scatter
-        for n, k, mean_all, mean_part in zip(self.counts, part.counts,
-                                             self.means, part.means):
-            rest = n - k
+        counts, means, downdate = [], [], []
+        for n, mean_all, part in zip(self.counts, self.means,
+                                     (rows[labels], rows[~labels])):
+            k, rest = len(part), n - len(part)
+            if k:
+                part_mean = part.mean(axis=0)
+                downdate.append(part - part_mean)
             if k == 0:
                 mean = mean_all
             elif rest == 0:
                 mean = np.zeros_like(mean_all)
             else:
-                mean = (n * mean_all - k * mean_part) / rest
-                gap = mean_part - mean
-                scatter -= (rest * k / n) * np.outer(gap, gap)
+                mean = (n * mean_all - k * part_mean) / rest
+                downdate.append(math.sqrt(rest * k / n)
+                                * (part_mean - mean)[None, :])
             counts.append(rest)
             means.append(mean)
-        return ClassStatistics(counts=tuple(counts), means=np.array(means),
-                               scatter=scatter)
+        np.copyto(out.T, self.scatter)  # the scatter is symmetric
+        if downdate:  # in place unless `out` is not Fortran-ordered
+            out = dsyrk(-1.0, np.vstack(downdate).T, beta=1.0, c=out, lower=1,
+                        overwrite_c=1)
+        out *= factor[:, None]
+        out *= factor
+        return _shrinkage_solve(out, (np.array(means) - shift) * factor,
+                                tuple(counts), shrinkage, lower=True)
 
-    def scaled(self, shift: np.ndarray,
-               factor: np.ndarray) -> ClassStatistics:
-        """Statistics of the rows mapped elementwise by (x - shift) * factor.
 
-        With D = diag(factor), the means map to D (m - shift) and the scatter
-        to D S D.
-        """
-        return ClassStatistics(
-            counts=self.counts, means=(self.means - shift) * factor,
-            scatter=factor[:, None] * self.scatter * factor[None, :])
+def _shrinkage_solve(scatter: np.ndarray, means: np.ndarray,
+                     counts: tuple[int, int], shrinkage: float,
+                     lower: bool = False) -> LdaModel:
+    """The shrinkage discriminant of a pooled scatter, factored in place.
 
-    def solve(self, shrinkage: float = DEFAULT_SHRINKAGE) -> LdaModel:
-        """The shrinkage discriminant of these statistics."""
-        if not 0 <= shrinkage <= 1:
-            raise ValueError("shrinkage must lie in [0, 1]")
-        if min(self.counts) == 0:
-            raise ValueError("both classes must be present")
-        n = sum(self.counts)
-        d = self.scatter.shape[0]
-        m1, m2 = self.means
-        scatter = self.scatter / max(n - 2, 1)
-        target = np.trace(scatter) / d
-        regularized = (1.0 - shrinkage) * scatter
-        regularized[np.diag_indices(d)] += shrinkage * target
-        w = cho_solve(cho_factor(regularized), m1 - m2)
-        norm = np.linalg.norm(w)
-        if norm == 0:
-            raise ValueError("degenerate training set: identical class means")
-        w = w / norm
-        b = -float(w @ (m1 + m2)) / 2.0
-        return LdaModel(w=w, b=b, mu1=float(w @ m1), mu2=float(w @ m2),
-                        shrinkage=shrinkage)
+    `scatter` is overwritten; only its lower triangle is read when `lower`
+    is set, only its upper one otherwise.
+    """
+    if not 0 <= shrinkage <= 1:
+        raise ValueError("shrinkage must lie in [0, 1]")
+    if min(counts) == 0:
+        raise ValueError("both classes must be present")
+    d = scatter.shape[0]
+    m1, m2 = means
+    scatter /= max(sum(counts) - 2, 1)
+    target = np.trace(scatter) / d
+    scatter *= 1.0 - shrinkage
+    scatter[np.diag_indices(d)] += shrinkage * target
+    w = cho_solve(cho_factor(scatter, lower=lower, overwrite_a=True), m1 - m2)
+    norm = np.linalg.norm(w)
+    if norm == 0:
+        raise ValueError("degenerate training set: identical class means")
+    w = w / norm
+    b = -float(w @ (m1 + m2)) / 2.0
+    return LdaModel(w=w, b=b, mu1=float(w @ m1), mu2=float(w @ m2),
+                    shrinkage=shrinkage)
 
 
 def train(data, labels=None, shrinkage: float = DEFAULT_SHRINKAGE) -> LdaModel:

@@ -13,6 +13,7 @@ import time
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
+from scipy.stats import rankdata
 
 from . import acquisition, dsp, features, lda
 from .acquisition import ModelFile
@@ -295,13 +296,15 @@ def _cross_validated_scores(dataset: LabeledDataset,
                             shrinkage: float) -> np.ndarray:
     """Held-out discriminant score of every epoch, one fold per session.
 
-    The class statistics of the whole dataset are computed once.  A fold
-    removes its session's statistics from them exactly (the pooled-scatter
-    downdate in `lda.ClassStatistics.without`), then applies its min-max
-    scaling as the diagonal map D, giving the scatter D S D.  Training rows
-    lie within their own min and max, so the clip of `minmax_apply` does
-    nothing to them and this is the same algebra as scaling the rows and
-    refitting; the fold's min and max come from per-session ones.
+    The class statistics of the whole dataset are computed once, and one
+    Fortran-order d x d buffer serves every fold.  A fold copies the whole
+    scatter into it, removes its session with one syrk downdate, applies its
+    min-max scaling as the diagonal map D (scatter D S D), the n - 2 divisor
+    and the shrinkage in place, and factors it there
+    (`lda.ClassStatistics.solve_without`).  Training rows lie within their
+    own min and max, so the clip of `minmax_apply` does nothing to them and
+    this is the same algebra as scaling the rows and refitting; the fold's
+    min and max come from per-session ones.
     """
     session_of = np.array([sess for _run, sess, _img in dataset.provenance])
     sessions = np.unique(session_of)
@@ -309,6 +312,7 @@ def _cross_validated_scores(dataset: LabeledDataset,
         raise ValueError("need at least two sessions for cross-validation")
     vectors, labels = dataset.vectors, dataset.labels
     whole = lda.ClassStatistics.of(vectors, labels)
+    buffer = np.empty_like(whole.scatter, order="F")
     held_rows = [session_of == sess for sess in sessions]
     session_mins = np.array([vectors[held].min(axis=0) for held in held_rows])
     session_maxes = np.array([vectors[held].max(axis=0) for held in held_rows])
@@ -317,35 +321,20 @@ def _cross_validated_scores(dataset: LabeledDataset,
         others = np.arange(len(sessions)) != i
         scaling = dsp.ScalingParams(mins=session_mins[others].min(axis=0),
                                     maxes=session_maxes[others].max(axis=0))
-        # One expression, so each intermediate d x d statistic is freed as
-        # soon as the next is made; this keeps the peak memory down.
-        model = whole.without(
-            lda.ClassStatistics.of(vectors[held], labels[held])
-        ).scaled(scaling.mins, scaling.factors).solve(shrinkage)
-        scores[held] = (dsp.minmax_apply(scaling, vectors[held])
-                        @ model.w + model.b)
+        rows = vectors[held]
+        model = whole.solve_without(rows, labels[held], scaling.mins,
+                                    scaling.factors, shrinkage, buffer)
+        scores[held] = dsp.minmax_apply(scaling, rows) @ model.w + model.b
     return scores
 
 
 def _auc(scores: np.ndarray, labels: np.ndarray) -> float:
     """Rank-based area under the ROC curve (ties get half credit)."""
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(len(scores))
-    ranks[order] = np.arange(1, len(scores) + 1)
-    # average ranks over exact ties
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        if j > i:
-            ranks[order[i:j + 1]] = ranks[order[i:j + 1]].mean()
-        i = j + 1
     n_pos = int(labels.sum())
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC needs both classes")
+    ranks = rankdata(scores)  # exact ties share their average rank
     return float((ranks[labels].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
 
 

@@ -153,6 +153,18 @@ class TestEvaluate:
         assert report["config"]["subject"]["p300_amp"] == 12.0
         assert report["phase1"]["total"] == 12
 
+    def test_trials_below_one_is_a_usage_error(self, tmp_path, monkeypatch,
+                                               capsys):
+        calls = []
+        monkeypatch.setattr(cli, "run_full_evaluation",
+                            lambda *args, **kwargs: calls.append(args))
+        report = tmp_path / "r.json"
+        for trials in ("0", "-1"):
+            assert _run(["evaluate", "--report", str(report),
+                         "--trials", trials]) == 1
+            assert "--trials" in capsys.readouterr().err
+        assert calls == [] and not report.exists()
+
 
 class TestInspect:
     def test_record_summary(self, workspace, capsys):

@@ -175,6 +175,13 @@ class TestClassStatistics:
         assert model.w.tobytes() == w.tobytes()
         assert model.b == b
 
+    @staticmethod
+    def _assert_same_model(got, want):
+        np.testing.assert_allclose(got.w, want.w, rtol=0, atol=1e-12)
+        for name in ("b", "mu1", "mu2"):
+            assert getattr(got, name) == pytest.approx(getattr(want, name),
+                                                       rel=0, abs=1e-11)
+
     @pytest.mark.parametrize("leave", ["mixed", "no targets", "all targets"])
     def test_downdate_matches_statistics_of_the_rest(self, leave):
         vectors, labels = self._data()
@@ -184,27 +191,56 @@ class TestClassStatistics:
             leaving &= ~labels
         elif leave == "all targets":
             leaving |= labels
+        d = vectors.shape[1]
         whole = lda.ClassStatistics.of(vectors, labels)
-        rest = whole.without(
-            lda.ClassStatistics.of(vectors[leaving], labels[leaving]))
-        want = lda.ClassStatistics.of(vectors[~leaving], labels[~leaving])
-        assert rest.counts == want.counts
-        np.testing.assert_allclose(rest.scatter, want.scatter, atol=1e-10)
+        rest = lda.ClassStatistics.of(vectors[~leaving], labels[~leaving])
+        out = np.empty((d, d), order="F")
+
+        def fold():
+            return whole.solve_without(vectors[leaving], labels[leaving],
+                                       np.zeros(d), np.ones(d), 0.01, out)
+
         if leave == "all targets":
             assert rest.counts[0] == 0
             with pytest.raises(ValueError, match="both classes"):
-                rest.solve()
+                fold()
         else:
-            np.testing.assert_allclose(rest.means, want.means, atol=1e-12)
+            self._assert_same_model(fold(), rest.solve(0.01))
 
     def test_scaled_statistics_match_scaled_rows(self):
         vectors, labels = self._data()
+        d = vectors.shape[1]
         shift = vectors.min(axis=0)
-        factor = np.linspace(0.0, 2.0, vectors.shape[1])
-        got = lda.ClassStatistics.of(vectors, labels).scaled(shift, factor)
-        want = lda.ClassStatistics.of((vectors - shift) * factor, labels)
-        np.testing.assert_allclose(got.means, want.means, atol=1e-12)
-        np.testing.assert_allclose(got.scatter, want.scatter, atol=1e-10)
+        factor = np.linspace(0.0, 2.0, d)
+        got = lda.ClassStatistics.of(vectors, labels).solve_without(
+            vectors[:0], labels[:0], shift, factor, 0.01,
+            np.empty((d, d), order="F"))
+        want = lda.ClassStatistics.of((vectors - shift) * factor,
+                                      labels).solve(0.01)
+        self._assert_same_model(got, want)
+
+    def test_downdate_writes_only_its_buffer(self):
+        vectors, labels = self._data()
+        d = vectors.shape[1]
+        whole = lda.ClassStatistics.of(vectors, labels)
+        before = (whole.scatter.copy(), whole.means.copy(), vectors.copy())
+        out = np.empty((d, d), order="F")
+        rows = vectors[10:30]  # a view into `vectors`
+        shift, factor = vectors.min(axis=0), np.full(d, 0.5)
+        whole.solve_without(rows, labels[10:30], shift, factor, 0.01, out)
+        for was, now in zip(before, (whole.scatter, whole.means, vectors)):
+            assert was.tobytes() == now.tobytes()
+        # the buffer's lower triangle holds the factor of the fold's matrix
+        stay = np.ones(len(labels), dtype=bool)
+        stay[10:30] = False
+        rest = lda.ClassStatistics.of((vectors[stay] - shift) * factor,
+                                      labels[stay])
+        covariance = rest.scatter / (stay.sum() - 2)
+        target = np.trace(covariance) / d
+        regularized = 0.99 * covariance + 0.01 * target * np.eye(d)
+        factor_l = np.tril(out)
+        np.testing.assert_allclose(factor_l @ factor_l.T, regularized,
+                                   rtol=0, atol=1e-12)
 
 
 class TestScore:

@@ -464,6 +464,16 @@ class TestAuc:
         with pytest.raises(ValueError):
             session._auc(np.zeros(3), np.array([True, True, True]))
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-3, 3), st.booleans()),
+                    min_size=2, max_size=40))
+    def test_average_ranks_match_the_tie_loop(self, pairs):
+        # scores from 7 values, so most draws have many exact ties
+        scores = np.array([0.25 * value for value, _ in pairs])
+        labels = np.array([label for _, label in pairs])
+        labels[:2] = (True, False)
+        assert session._auc(scores, labels) == _tie_loop_auc(scores, labels)
+
     def test_cross_validated_auc_on_noisy_data(self, training_dataset):
         auc = session.cross_validated_auc(training_dataset)
         assert auc >= 0.85
@@ -476,6 +486,25 @@ class TestAuc:
             provenance=training_dataset.provenance[:24])
         with pytest.raises(ValueError):
             session.cross_validated_auc(one)
+
+
+def _tie_loop_auc(scores, labels):
+    """Reference: the AUC with ties averaged by an explicit loop."""
+    order = np.argsort(scores, kind="mergesort")
+    ranks = np.empty(len(scores))
+    ranks[order] = np.arange(1, len(scores) + 1)
+    sorted_scores = scores[order]
+    i = 0
+    while i < len(scores):
+        j = i
+        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        if j > i:
+            ranks[order[i:j + 1]] = ranks[order[i:j + 1]].mean()
+        i = j + 1
+    n_pos = int(labels.sum())
+    n_neg = len(labels) - n_pos
+    return float((ranks[labels].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
 
 
 def _per_fold_refit_scores(dataset, shrinkage=lda.DEFAULT_SHRINKAGE):
@@ -527,6 +556,84 @@ class TestCrossValidationFolds:
             _per_fold_refit_scores(dataset)
         with pytest.raises(ValueError):
             session.cross_validated_auc(dataset)
+
+
+@st.composite
+def _fold_datasets(draw):
+    """Small random datasets of 3-5 sessions, often with more features than
+    training rows, and with the edge cases of the fold downdate forced in."""
+    sizes = draw(st.lists(st.integers(2, 6), min_size=3, max_size=5))
+    n = sum(sizes)
+    d = draw(st.integers(1, 2 * n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vectors = rng.normal(size=(n, d)) + rng.normal(size=d)
+    session_of = np.repeat(np.arange(len(sizes)), sizes)
+    case = draw(st.sampled_from(["random", "session without targets",
+                                 "single target left", "constant feature"]))
+    labels = rng.random(n) < 0.4
+    labels[[0, -1]] = True, False
+    if case == "session without targets":
+        labels &= session_of != 0
+        labels[-2:] = True
+    elif case == "single target left":
+        # holding session 0 or 1 out leaves one target row in training
+        labels[:] = False
+        labels[[0, sizes[0]]] = True
+    elif case == "constant feature":
+        vectors[:, draw(st.integers(0, d - 1))] = 0.25
+    vectors[labels] += 0.5
+    provenance = [(0, int(sess), 0) for sess in session_of]
+    shrinkage = draw(st.floats(1e-3, 1.0))
+    return (features.LabeledDataset(vectors=vectors, labels=labels,
+                                    provenance=provenance), shrinkage)
+
+
+class TestCrossValidationDowndate:
+    @settings(max_examples=80, deadline=None)
+    @given(_fold_datasets())
+    def test_matches_per_fold_refit(self, drawn):
+        dataset, shrinkage = drawn
+        try:
+            want = _per_fold_refit_scores(dataset, shrinkage=shrinkage)
+        except ValueError:
+            with pytest.raises(ValueError):
+                session._cross_validated_scores(dataset, shrinkage)
+            return
+        got = session._cross_validated_scores(dataset, shrinkage)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+    def test_session_order_does_not_matter(self, training_dataset):
+        # the folds run in another order; a fold that saw state left in the
+        # reused buffer by the fold before it would change its bits
+        relabel = {sess: (5 * sess + 3) % 12
+                   for sess in set(_session_of(training_dataset))}
+        assert sorted(relabel.values()) == list(range(12))
+        provenance = tuple((run, relabel[sess], img)
+                           for run, sess, img in training_dataset.provenance)
+        shuffled = features.LabeledDataset(
+            vectors=training_dataset.vectors, labels=training_dataset.labels,
+            provenance=provenance)
+        want = session._cross_validated_scores(training_dataset, 0.01)
+        got = session._cross_validated_scores(shuffled, 0.01)
+        assert got.tobytes() == want.tobytes()
+
+    def test_inputs_and_whole_statistics_are_not_mutated(
+            self, training_dataset, monkeypatch):
+        made = []
+        of = lda.ClassStatistics.of
+        monkeypatch.setattr(lda.ClassStatistics, "of", classmethod(
+            lambda cls, vectors, labels: made.append(of(vectors, labels))
+            or made[-1]))
+        vectors = training_dataset.vectors.copy()
+        labels = training_dataset.labels.copy()
+        session._cross_validated_scores(training_dataset, 0.01)
+        assert training_dataset.vectors.tobytes() == vectors.tobytes()
+        assert training_dataset.labels.tobytes() == labels.tobytes()
+        (whole,) = made
+        fresh = of(vectors, labels)
+        assert whole.counts == fresh.counts
+        assert whole.means.tobytes() == fresh.means.tobytes()
+        assert whole.scatter.tobytes() == fresh.scatter.tobytes()
 
 
 class TestPhaseSequences:
