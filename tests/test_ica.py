@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from p300loop import core, ica
 
@@ -123,6 +124,90 @@ class TestFastIca:
             ica.fastica(z, k=3)
 
 
+def _unblocked_step(w, z):
+    """The fixed-point update as one whole-record expression (the reference
+    for the blocked pass)."""
+    g = np.tanh(w @ z)
+    g_prime_mean = (1.0 - g ** 2).mean(axis=1)
+    return g @ z.T / z.shape[1] - g_prime_mean[:, None] * w
+
+
+def _unblocked_fastica(z, tol=1e-4, max_iter=200, rng=None):
+    """fastica with the unblocked step; returns (W, sources, iterations) or
+    raises ConvergenceError exactly as fastica does."""
+    k = z.shape[0]
+    w = ica._symmetric_orthonormalize(rng.standard_normal((k, k)))
+    for iteration in range(1, max_iter + 1):
+        w_new = _unblocked_step(w, z)
+        try:
+            w_new = ica._symmetric_orthonormalize(w_new)
+        except np.linalg.LinAlgError as exc:
+            raise ica.ConvergenceError(str(exc), w, iteration - 1) from exc
+        change = 1.0 - np.abs(np.sum(w_new * w, axis=1))
+        w = w_new
+        if change.max() < tol:
+            return (*ica._finalize(w, z), iteration)
+    raise ica.ConvergenceError("no convergence", w, max_iter)
+
+
+def _outcome(fit, z, seed):
+    """("W", W) on convergence, else ("last_w", last iterate, iterations)."""
+    try:
+        return ("W", fit(z, rng=np.random.default_rng(seed))[0])
+    except ica.ConvergenceError as exc:
+        return ("last_w", exc.last_w, exc.iterations)
+
+
+def _whitened_laplace(seed, k, n):
+    rng = np.random.default_rng(seed)
+    return ica.whiten(rng.normal(size=(k, k)) @ rng.laplace(size=(k, n)))[2]
+
+
+class TestBlockedStep:
+    """The fixed-point step runs in column blocks of BLOCK_SAMPLES."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 6),
+           data=st.data())
+    def test_one_block_is_bitwise_the_unblocked_iteration(self, seed, k, data):
+        n = data.draw(st.integers(k + 1, ica.BLOCK_SAMPLES), label="n")
+        z = _whitened_laplace(seed, k, n)
+        blocked = _outcome(ica.fastica, z, seed)
+        unblocked = _outcome(_unblocked_fastica, z, seed)
+        assert blocked[0] == unblocked[0]
+        assert np.array_equal(blocked[1], unblocked[1])
+        assert blocked[2:] == unblocked[2:]
+
+    @pytest.mark.parametrize("n", [ica.BLOCK_SAMPLES + 1,
+                                   5 * ica.BLOCK_SAMPLES // 2])
+    def test_multi_block_step_agrees(self, n):
+        z = _whitened_laplace(n, 5, n)
+        rng = np.random.default_rng(1)
+        w = ica._symmetric_orthonormalize(rng.standard_normal((5, 5)))
+        buf = np.empty(5 * ica.BLOCK_SAMPLES)
+        np.testing.assert_allclose(ica._fixed_point_step(w, z, buf),
+                                   _unblocked_step(w, z),
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_multi_block_mixture_converges_with_the_unblocked_iteration(
+            self, monkeypatch):
+        _, _, mixed = three_source_mixture(3, n=3 * ica.BLOCK_SAMPLES + 123)
+        _, _, z = ica.whiten(mixed)
+        w_ref, _, iterations = _unblocked_fastica(
+            z, rng=np.random.default_rng(103))
+        original = ica._symmetric_orthonormalize
+        calls = []
+
+        def orthonormalize(w):
+            calls.append(None)
+            return original(w)
+
+        monkeypatch.setattr(ica, "_symmetric_orthonormalize", orthonormalize)
+        w, _ = ica.fastica(z, rng=np.random.default_rng(103))
+        assert len(calls) == iterations + 1  # the random start, then one a step
+        np.testing.assert_allclose(w, w_ref, rtol=0, atol=1e-9)
+
+
 class TestFit:
     def test_full_pipeline_on_mixture(self):
         sources, _, mixed = three_source_mixture(3)
@@ -231,7 +316,37 @@ def _toy_model():
     return model, channels
 
 
+def _per_row_excess_kurtosis(x):
+    """Reference: the former one-component kurtosis."""
+    centred = x - x.mean()
+    var = np.mean(centred ** 2)
+    if var == 0:
+        return 0.0
+    return float(np.mean(centred ** 4) / var ** 2 - 3.0)
+
+
 class TestClassifyComponents:
+    def test_kurtosis_matches_the_per_row_reference(self):
+        rng = np.random.default_rng(12)
+        sources = np.vstack([rng.laplace(size=3000),
+                             np.full(3000, 2.5),  # constant: kurtosis 0
+                             rng.uniform(-1.0, 1.0, 3000),
+                             np.where(rng.random(3000) < 0.01, 40.0, 0.0)])
+        model = ica.IcaModel(mean=np.zeros(4), whitening=np.eye(4),
+                             unmixing=np.eye(4), mixing=np.eye(4), k=4)
+        channels = core.ChannelSet(("AF3", "AF4", "F7", "F8"))
+        expected = [_per_row_excess_kurtosis(row) for row in sources]
+        # every column is frontal, so each flag is the kurtosis test alone;
+        # sweep the threshold across each reference value
+        for kurt in expected:
+            for threshold in (kurt * (1 - 1e-12) - 1e-12,
+                              kurt * (1 + 1e-12) + 1e-12):
+                mask = ica.classify_components(model, sources, channels,
+                                               kurtosis_threshold=threshold)
+                assert mask.tolist() == [k > threshold for k in expected]
+        assert expected[1] == 0.0
+
+
     def test_spiky_frontal_component_flagged(self):
         model, channels = _toy_model()
         rng = np.random.default_rng(9)
