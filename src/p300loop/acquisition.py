@@ -314,10 +314,29 @@ def reassemble(frames) -> EegRecord:
     return EegRecord(channels, header.rate, samples, tuple(events))
 
 
+def encode_record(record: EegRecord, chunk: int) -> bytes:
+    """The wire bytes of a record: its `stream_record` frames, encoded."""
+    return b"".join(encode_frame(f) for f in stream_record(record, chunk))
+
+
+def decode_record(chunks) -> EegRecord:
+    """Rebuild a record from its wire bytes, given as byte chunks of any sizes.
+
+    Raises ProtocolError on malformed bytes, on a broken stream grammar, and
+    when the chunks end mid-frame.
+    """
+    reader = FrameReader()
+    frames: list[WireFrame] = []
+    for data in chunks:
+        frames.extend(reader.feed(data))
+    if reader.pending_bytes:
+        raise ProtocolError("stream ended mid-frame")
+    return reassemble(frames)
+
+
 def save_record(record: EegRecord, path, chunk: int = DEFAULT_CHUNK) -> None:
     """Write the wire format to a file."""
-    data = b"".join(encode_frame(f) for f in stream_record(record, chunk))
-    Path(path).write_bytes(data)
+    Path(path).write_bytes(encode_record(record, chunk))
 
 
 def load_record(path) -> EegRecord:
@@ -325,11 +344,7 @@ def load_record(path) -> EegRecord:
     data = Path(path).read_bytes()
     if not data:
         raise ProtocolError(f"empty record file: {path}")
-    reader = FrameReader()
-    frames = reader.feed(data)
-    if reader.pending_bytes:
-        raise ProtocolError("trailing bytes after the last complete frame")
-    return reassemble(frames)
+    return decode_record([data])
 
 
 @dataclass(frozen=True)

@@ -10,32 +10,25 @@ import json
 import socket
 import sys
 import time
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 
 from . import acquisition, ica, lda, session
 from .acquisition import (
     FormatError,
-    FrameReader,
     ProtocolError,
+    decode_record,
     encode_frame,
     load_model,
     load_record,
-    reassemble,
     save_model,
     save_record,
     stream_record,
 )
 from .features import EpochWindow, PipelineConfig, dataset_from_scenario
 from .scheduler import TimingConfig, build_scenario_schedule, durations
-from .session import (
-    ObjectCatalog,
-    run_full_evaluation,
-    score_vectors,
-    trial_scores,
-    vote,
-)
+from .session import ObjectCatalog, run_full_evaluation, score_table, vote
 from .subject import SubjectParams, simulate_subject
 
 EXIT_OK = 0
@@ -103,7 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="JSON file of flag defaults (dest names, e.g. "
                              '"p300_amp"); explicit flags win')
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.command_parsers = {}
 
     p_sim = sub.add_parser("simulate", help="synthesize a training scenario recording")
     p_sim.add_argument("--out", required=True, help="record file to write")
@@ -230,7 +222,8 @@ def _stream_produce(args) -> int:
     frames = stream_record(record, args.chunk)
     chunk_duration = args.chunk / record.rate
     with socket.create_server((args.host, args.port)) as server:
-        print(f"serving {args.record} on {args.host}:{args.port}")
+        # flushed: a script waits for this line before it starts a consumer
+        print(f"serving {args.record} on {args.host}:{args.port}", flush=True)
         conn, peer = server.accept()
         with conn:
             print(f"consumer connected from {peer[0]}:{peer[1]}")
@@ -245,32 +238,10 @@ def _stream_produce(args) -> int:
 def _stream_consume(args) -> int:
     model = load_model(args.model)
     catalog = ObjectCatalog()
-    reader = FrameReader()
-    frames = []
     with socket.create_connection((args.host, args.port)) as conn:
-        while True:
-            data = conn.recv(65536)
-            if not data:
-                break
-            frames.extend(reader.feed(data))
-    if reader.pending_bytes:
-        raise ProtocolError("stream ended mid-frame")
-    record = reassemble(frames)
+        record = decode_record(iter(lambda: conn.recv(65536), b""))
     print(f"received {record.n_samples} samples, {len(record.markers)} markers")
-
-    # Scoring needs no labels; mark unknown targets non-target so the
-    # segmentation path accepts live streams.
-    if any(ev.is_target is None for ev in record.markers):
-        record = record.with_markers(tuple(
-            replace(ev, is_target=False) if ev.is_target is None else ev
-            for ev in record.markers))
-
-    dataset = dataset_from_scenario(
-        record, pipeline=PipelineConfig(window=model.window))
-    if tuple(dataset.channels) != model.channels:
-        raise FormatError("model channels do not match the received stream")
-    table = trial_scores(dataset.provenance,
-                         score_vectors(model, dataset.vectors))
+    table = score_table(model, record, PipelineConfig(window=model.window))
     n_votes, n_left = divmod(len(table), args.trials)
     for i in range(n_votes):
         _, chosen = vote(table[i * args.trials:(i + 1) * args.trials])

@@ -44,13 +44,8 @@ class LdaModel:
         object.__setattr__(self, "w", w)
 
 
-def _as_arrays(data, labels):
-    """Accept (LabeledDataset) or (vectors, labels)."""
-    if labels is None:
-        vectors = data.vectors
-        labels = data.labels
-    else:
-        vectors = data
+def _as_arrays(vectors, labels):
+    """[n x d] float vectors and their n boolean labels, checked."""
     vectors = np.asarray(vectors, dtype=np.float64)
     labels = np.asarray(labels, dtype=bool)
     if vectors.ndim != 2 or labels.shape != (vectors.shape[0],):
@@ -169,10 +164,10 @@ def _shrinkage_solve(scatter: np.ndarray, means: np.ndarray,
                     shrinkage=shrinkage)
 
 
-def train(data, labels=None, shrinkage: float = DEFAULT_SHRINKAGE) -> LdaModel:
+def train(vectors, labels, shrinkage: float = DEFAULT_SHRINKAGE) -> LdaModel:
     """Fit the discriminant; class 1 (True labels) is the target class."""
-    vectors, labels_ = _as_arrays(data, labels)
-    return ClassStatistics.of(vectors, labels_).solve(shrinkage)
+    vectors, labels = _as_arrays(vectors, labels)
+    return ClassStatistics.of(vectors, labels).solve(shrinkage)
 
 
 def score(model: LdaModel, v) -> float | np.ndarray:
@@ -185,16 +180,16 @@ def score(model: LdaModel, v) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def fisher_criterion(model: LdaModel, data, labels=None) -> float:
+def fisher_criterion(model: LdaModel, vectors, labels) -> float:
     """J = (mu1 - mu2)^2 / (s1^2 + s2^2) on the projected samples.
 
     Per-class spread is the population variance of the projections; two
     zero-variance point classes at distinct means give +inf.
     """
-    vectors, labels_ = _as_arrays(data, labels)
+    vectors, labels = _as_arrays(vectors, labels)
     proj = vectors @ model.w
-    pos = proj[labels_]
-    neg = proj[~labels_]
+    pos = proj[labels]
+    neg = proj[~labels]
     if len(pos) == 0 or len(neg) == 0:
         raise ValueError("both classes must be present")
     gap = (pos.mean() - neg.mean()) ** 2

@@ -64,6 +64,23 @@ def _exact_durations(timing: TimingConfig) -> tuple[Fraction, ...]:
     return isi, d_run, d_session, d_scenario
 
 
+def _run_grid(timing: TimingConfig, n_runs: int, base: Fraction, rate: float):
+    """(onset_sample, onset_s) of every flash slot of `n_runs` runs.
+
+    Run r starts at base + r * (d_run + d_run_interval) exact seconds, and
+    its j-th flash j * isi after that; grid[r][j] is that slot.
+    """
+    isi, d_run, _, _ = _exact_durations(timing)
+    rate_fr = _fr(rate)
+    grid = []
+    for run in range(n_runs):
+        run_base = base + run * (d_run + _fr(timing.d_run_interval))
+        onsets = [run_base + j * isi for j in range(N_IMAGES)]
+        grid.append(tuple((time_to_sample(t, rate_fr), float(t))
+                          for t in onsets))
+    return tuple(grid)
+
+
 def durations(timing: TimingConfig) -> tuple[float, float, float]:
     """(d_run, d_session, d_scenario) in seconds, computed exactly.
 
@@ -140,27 +157,21 @@ def build_scenario_schedule(timing: TimingConfig,
     if rng is None:
         rng = np.random.default_rng()
 
-    isi, d_run, d_session, d_scenario = _exact_durations(timing)
-    rate_fr = _fr(rate)
+    _, _, d_session, d_scenario = _exact_durations(timing)
 
     events: list[StimulusEvent] = []
     prev_last: int | None = None
     for sess, target in enumerate(session_targets):
         session_base = _fr(timing.d_adapt) + sess * d_session + _fr(timing.d_inf)
-        for run in range(timing.runs_per_session):
-            run_base = session_base + run * (d_run + _fr(timing.d_run_interval))
+        grid = _run_grid(timing, timing.runs_per_session, session_base, rate)
+        for run, slots in enumerate(grid):
             seq = generate_run_sequence(rng, prev_last)
             prev_last = seq[-1]
-            for j, img in enumerate(seq):
-                onset = run_base + j * isi
-                events.append(StimulusEvent(
-                    image_id=img,
-                    onset_sample=time_to_sample(onset, rate_fr),
-                    run_index=run,
-                    session_index=sess,
-                    is_target=(img == target),
-                    onset_s=float(onset),
-                ))
+            events.extend(StimulusEvent(image_id=img, onset_sample=sample,
+                                        run_index=run, session_index=sess,
+                                        is_target=(img == target),
+                                        onset_s=onset_s)
+                          for img, (sample, onset_s) in zip(seq, slots))
     return ScenarioSchedule(timing=timing, events=tuple(events),
                             session_targets=tuple(session_targets),
                             span_s=float(d_scenario))
@@ -217,16 +228,9 @@ def online_grid(timing: TimingConfig, n_trials: int,
     span_s is n_trials * d_run + (n_trials - 1) * d_run_interval: the
     simulated latency of one selection.
     """
-    isi, d_run, _, _ = _exact_durations(timing)
-    rate_fr = _fr(rate)
-    grid = []
-    for trial in range(n_trials):
-        run_base = trial * (d_run + _fr(timing.d_run_interval))
-        onsets = [run_base + j * isi for j in range(N_IMAGES)]
-        grid.append(tuple((time_to_sample(t, rate_fr), float(t))
-                          for t in onsets))
+    d_run = _exact_durations(timing)[1]
     span = n_trials * d_run + (n_trials - 1) * _fr(timing.d_run_interval)
-    return tuple(grid), float(span)
+    return _run_grid(timing, n_trials, Fraction(0), rate), float(span)
 
 
 def event_table(schedule: ScenarioSchedule) -> str:

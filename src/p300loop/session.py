@@ -2,10 +2,12 @@
 retraining, and the 120-selection evaluation.
 
 Online selections run the acquisition protocol end to end: the simulated
-amplifier output is serialized into frames and fed, in byte chunks of random
-sizes, to an incremental decoder; the record is reassembled and each trial
-classified.  A selection is the majority vote over per-trial argmax winners;
-its simulated latency is the flashing time of the trials themselves.
+amplifier output is encoded to wire bytes (`acquisition.encode_record`) and
+decoded back from byte chunks of random sizes (`acquisition.decode_record`),
+and `score_table` turns the record into one row of 12 image scores per
+trial, as the stream consumer of the CLI does.  A selection is the majority
+vote over per-trial argmax winners; its simulated latency is the flashing
+time of the trials themselves.
 """
 from __future__ import annotations
 
@@ -175,6 +177,31 @@ def score_vectors(model: ModelFile, vectors: np.ndarray) -> np.ndarray:
     return scaled @ model.weights + model.bias
 
 
+def score_table(model: ModelFile, record: EegRecord, pipeline: PipelineConfig,
+                ica_rng: np.random.Generator | None = None) -> np.ndarray:
+    """[n_runs x 12] score table of a record under a trained model.
+
+    Scoring reads no labels, so markers with an unknown target flag (a live
+    stream's) count as non-targets.  Raises ValueError unless the record's
+    surviving channels and the pipeline's window are the model's; rows are
+    as `trial_scores` builds them.
+    """
+    if any(ev.is_target is None for ev in record.markers):
+        record = record.with_markers(tuple(
+            replace(ev, is_target=False) if ev.is_target is None else ev
+            for ev in record.markers))
+    dataset = features.dataset_from_scenario(record, pipeline=pipeline,
+                                             ica_rng=ica_rng)
+    if tuple(dataset.channels) != model.channels:
+        raise ValueError(
+            f"model was trained on channels {model.channels}, "
+            f"online data yields {tuple(dataset.channels)}")
+    if dataset.window != model.window:
+        raise ValueError("model epoch window differs from pipeline window")
+    return trial_scores(dataset.provenance,
+                        score_vectors(model, dataset.vectors))
+
+
 def run_offline_training(params: SubjectParams, timing: TimingConfig,
                          rng: np.random.Generator | None = None,
                          pipeline: PipelineConfig = PipelineConfig(),
@@ -194,23 +221,21 @@ def run_offline_training(params: SubjectParams, timing: TimingConfig,
 
 def _stream_roundtrip(record: EegRecord, chunk: int,
                       rng: np.random.Generator) -> EegRecord:
-    """Frames -> byte chunks -> incremental decoder -> record.
+    """Record -> wire bytes -> byte chunks -> record.
 
-    The frames' bytes are fed to a `FrameReader` in slices of random sizes
-    (1 to 2047 bytes, drawn from `rng`): decoding must not depend on them.
+    The bytes are decoded from slices of random sizes (1 to 2047 bytes,
+    drawn from `rng` as they are consumed): decoding must not depend on them.
     """
-    payload = b"".join(acquisition.encode_frame(f)
-                       for f in acquisition.stream_record(record, chunk))
-    reader = acquisition.FrameReader()
-    frames: list[acquisition.WireFrame] = []
-    pos = 0
-    while pos < len(payload):
-        size = int(rng.integers(1, 2048))
-        frames.extend(reader.feed(payload[pos:pos + size]))
-        pos += size
-    if reader.pending_bytes:
-        raise acquisition.ProtocolError("stream ended mid-frame")
-    return acquisition.reassemble(frames)
+    payload = acquisition.encode_record(record, chunk)
+
+    def slices():
+        pos = 0
+        while pos < len(payload):
+            size = int(rng.integers(1, 2048))
+            yield payload[pos:pos + size]
+            pos += size
+
+    return acquisition.decode_record(slices())
 
 
 def run_online_selection(model: ModelFile, params: SubjectParams,
@@ -233,18 +258,7 @@ def run_online_selection(model: ModelFile, params: SubjectParams,
     schedule = with_targets(blind, target)
     record = simulate_subject(schedule, params)
     logged = _stream_roundtrip(record, acquisition.DEFAULT_CHUNK, rng)
-
-    dataset = features.dataset_from_scenario(logged, pipeline=pipeline,
-                                             ica_rng=rng)
-    if tuple(dataset.channels) != model.channels:
-        raise ValueError(
-            f"model was trained on channels {model.channels}, "
-            f"online data yields {tuple(dataset.channels)}")
-    if dataset.window != model.window:
-        raise ValueError("model epoch window differs from pipeline window")
-    raw_scores = score_vectors(model, dataset.vectors)
-
-    per_image = trial_scores(dataset.provenance, raw_scores)
+    per_image = score_table(model, logged, pipeline, ica_rng=rng)
     winners, selected = vote(per_image)
 
     result = SelectionResult(trial_winners=winners, per_image_scores=per_image,
@@ -380,11 +394,10 @@ def _run_phase(model: ModelFile, base_params: SubjectParams,
                mismatch: float, seed_seq: np.random.SeedSequence,
                training_schedule: ScenarioSchedule | None,
                collect_logs: bool):
-    """reps rounds over all 12 objects in turn; returns (phase, logs, results)."""
+    """reps rounds over all 12 objects in turn; returns (phase, logs)."""
     per_correct = [0] * N_IMAGES
     per_total = [0] * N_IMAGES
     logs: list[EegRecord] = []
-    results: list[SelectionResult] = []
     round_seeds = seed_seq.spawn(reps * N_IMAGES)
     i = 0
     for round_index in range(reps):
@@ -407,11 +420,10 @@ def _run_phase(model: ModelFile, base_params: SubjectParams,
                 per_correct[target] += 1
             if collect_logs:
                 logs.append(logged)
-            results.append(result)
     phase = EvaluationPhase(correct=sum(per_correct), total=sum(per_total),
                             per_object_correct=tuple(per_correct),
                             per_object_total=tuple(per_total))
-    return phase, logs, results
+    return phase, logs
 
 
 def run_full_evaluation(params: SubjectParams,
@@ -442,13 +454,13 @@ def run_full_evaluation(params: SubjectParams,
         train_params, timing, rng=np.random.default_rng(schedule_seq),
         pipeline=pipeline)
 
-    phase1, logs, _ = _run_phase(
+    phase1, logs = _run_phase(
         model1, params, catalog, timing, pipeline, n_trials, reps_per_object,
         mismatch, phase1_seq, training_schedule, collect_logs=True)
 
     model2 = retrain_from_online(logs, pipeline)
 
-    phase2, _, _ = _run_phase(
+    phase2, _ = _run_phase(
         model2, params, catalog, timing, pipeline, n_trials, reps_per_object,
         mismatch, phase2_seq, training_schedule=None, collect_logs=False)
 

@@ -195,21 +195,17 @@ def corrupt_nan_channel(record: EegRecord, params: SubjectParams,
     return record.with_samples(samples)
 
 
-def simulate_subject(schedule: ScenarioSchedule, params: SubjectParams,
-                     channels: ChannelSet | None = None,
-                     rate: float = DEFAULT_RATE,
-                     tail_s: float = TAIL_S) -> EegRecord:
-    """Full subject simulation for a schedule, markers attached.
+def simulate_subject(schedule: ScenarioSchedule,
+                     params: SubjectParams) -> EegRecord:
+    """Full 14-channel subject simulation for a schedule, markers attached.
 
     Composition: background, then P300 injection, then blinks, then NaN
-    corruption.  The record extends tail_s past the schedule span so the last
+    corruption.  The record extends TAIL_S past the schedule span so the last
     flash's epoch window (plus any latency offset) stays in range.
     """
-    if channels is None:
-        channels = ChannelSet()
     bg_rng, p300_rng, blink_rng, nan_rng = stage_generators(params.seed)
-    duration = schedule.span_s + tail_s
-    record = generate_background(duration, channels, params, bg_rng, rate)
+    duration = schedule.span_s + TAIL_S
+    record = generate_background(duration, ChannelSet(), params, bg_rng)
     record = record.with_markers(schedule.events)
     record = inject_p300(record, schedule, params, p300_rng)
     record = inject_blinks(record, params, blink_rng)

@@ -233,6 +233,23 @@ class TestFrameReader:
         assert len(want) > 400
         assert got == want
         assert chunked.pending_bytes == whole.pending_bytes > 0
+        # decode_record on the same chunks: mid-frame at the cut header,
+        # the reassembled record without it
+        steps = np.random.default_rng(6).integers(1, 4097, size=len(wire))
+        bounds = np.concatenate([[0], np.cumsum(steps)])
+
+        def chunks(data):
+            return (data[a:b] for a, b in zip(bounds[:-1], bounds[1:])
+                    if a < len(data))
+
+        with pytest.raises(acq.ProtocolError, match="ended mid-frame"):
+            acq.decode_record(chunks(wire))
+        complete = wire[:len(wire) - whole.pending_bytes]
+        decoded = acq.decode_record(chunks(complete))
+        rebuilt = acq.reassemble(want)
+        assert decoded.samples.tobytes() == rebuilt.samples.tobytes()
+        assert decoded.markers == rebuilt.markers
+        assert decoded.channels == rebuilt.channels
 
     def test_bad_magic_after_a_complete_frame_in_one_feed(self):
         reader = acq.FrameReader()

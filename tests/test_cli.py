@@ -72,6 +72,23 @@ def _consume_with_producer(record, model, extra_producer=(), trials=3):
     return rc
 
 
+def _serve_bytes_once(payload):
+    """Listen on a free port, send `payload` to the first client and close;
+    returns (port, server thread)."""
+    server = socket.create_server(("127.0.0.1", 0))
+    port = server.getsockname()[1]
+
+    def serve():
+        with server:
+            conn, _ = server.accept()
+            with conn:
+                conn.sendall(payload)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    return port, thread
+
+
 class TestSimulate:
     def test_prints_durations_and_counts(self, workspace, capsys):
         out = workspace["root"] / "again.eegs"
@@ -308,6 +325,34 @@ class TestStreamLoopback:
         rc = _consume_with_producer(gappy, stream_assets["model"])
         assert rc == 2
         assert "not one flash per image" in capsys.readouterr().err
+
+
+    def test_producer_closing_mid_frame_is_a_protocol_error(
+            self, stream_assets, capsys):
+        wire = acquisition.encode_record(
+            acquisition.load_record(stream_assets["record"]),
+            acquisition.DEFAULT_CHUNK)
+        port, server = _serve_bytes_once(wire[:-3])  # inside the end frame
+        rc = _run(["stream", "consumer", "--port", str(port),
+                   "--model", str(stream_assets["model"])])
+        server.join(timeout=10.0)
+        assert rc == 4
+        assert "stream ended mid-frame" in capsys.readouterr().err
+
+    def test_model_channels_differ_from_the_stream(self, stream_assets,
+                                                   tmp_path, capsys):
+        # FC5 is corrupted and dropped from the stream; the model has all 14
+        dirty = tmp_path / "dirty.eegs"
+        assert _run(["simulate", "--out", str(dirty), "--seed", "3",
+                     "--sessions-per-scenario", "2"]) == 0
+        model = acquisition.load_model(stream_assets["model"])
+        assert len(model.channels) == 14
+        rc = _consume_with_producer(dirty, stream_assets["model"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        streamed = tuple(lab for lab in model.channels if lab != "FC5")
+        assert f"model was trained on channels {model.channels}" in err
+        assert f"online data yields {streamed}" in err
 
 
 # One value per timing and subject field that has a flag, each off its default.

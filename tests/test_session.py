@@ -328,6 +328,23 @@ class TestOnlineSelection:
         assert [got[t] for t in range(3)] == seqs
 
 
+class TestScoreTable:
+    def test_unknown_target_flags_score_as_labelled(self, noiseless_training):
+        model, _, _ = noiseless_training
+        blind = scheduler.build_online_trial_schedule(
+            scheduler.TimingConfig(), 3, np.random.default_rng(8))
+        labelled = subject.simulate_subject(
+            subject.with_targets(blind, 4),
+            subject.SubjectParams(seed=7, nan_fraction=0.0))
+        unlabelled = labelled.with_markers(blind.events)
+        assert all(ev.is_target is None for ev in unlabelled.markers)
+        pipeline = session.PipelineConfig()
+        want = session.score_table(model, labelled, pipeline)
+        got = session.score_table(model, unlabelled, pipeline)
+        assert want.shape == (3, 12)
+        assert got.tobytes() == want.tobytes()
+
+
 def reference_threaded_roundtrip(record, chunk, rng):
     """The producer thread and queue that the inline round trip replaced."""
     chunk_queue = queue.Queue(maxsize=64)
