@@ -10,19 +10,22 @@ sample order (each marker precedes the sample frame containing its index),
 then end.  Sample values travel as 32-bit little-endian floats; markers and
 indices are exact integers, so a round trip loses nothing but float precision.
 
-Model files are versioned JSON with repr-exact floats.
+Model files are versioned JSON with repr-exact floats.  Format 2 adds the
+pipeline configuration the model was trained with, which is what serving
+runs; a format-1 file was trained with the default configuration and its own
+epoch window.
 """
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .core import ChannelSet, EegRecord, StimulusEvent
-from .features import EpochWindow
+from .features import EpochWindow, PipelineConfig
 
 MAGIC = b"EEGS"
 VERSION = (1, 0)  # (major, minor); readers reject larger majors
@@ -38,7 +41,7 @@ _TARGET_UNKNOWN = 255
 
 MAX_PAYLOAD = 1 << 24
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 DEFAULT_CHUNK = 128
 
 
@@ -359,16 +362,21 @@ class IcaSection:
 
 @dataclass(frozen=True)
 class ModelFile:
-    """Persistable trained model: weights, bias, scaling, and pipeline shape."""
+    """Persistable trained model: weights, bias, scaling, channels, and the
+    pipeline configuration it was trained with and is served with."""
 
     weights: np.ndarray
     bias: float
     mins: np.ndarray
     maxes: np.ndarray
     channels: tuple[str, ...]
-    window: EpochWindow
+    pipeline: PipelineConfig
     format_version: int = MODEL_FORMAT_VERSION
     ica: IcaSection | None = None
+
+    @property
+    def window(self) -> EpochWindow:
+        return self.pipeline.window
 
     def __post_init__(self) -> None:
         weights = np.array(self.weights, dtype=np.float64, copy=True)
@@ -382,7 +390,8 @@ class ModelFile:
         if mins.shape != weights.shape or maxes.shape != weights.shape:
             raise FormatError("scaling vectors must match the weight length")
         finite = {"weights": weights, "bias": self.bias, "mins": mins,
-                  "maxes": maxes}
+                  "maxes": maxes, "nan_threshold": self.pipeline.nan_threshold,
+                  "shrinkage": self.pipeline.shrinkage}
         if self.ica is not None:
             finite.update({f"ICA {name}": getattr(self.ica, name)
                            for name in ("mean", "whitening", "unmixing")})
@@ -404,7 +413,7 @@ class ModelFile:
                 and np.array_equal(self.mins, other.mins)
                 and np.array_equal(self.maxes, other.maxes)
                 and self.channels == other.channels
-                and self.window == other.window
+                and self.pipeline == other.pipeline
                 and self.format_version == other.format_version
                 and _ica_equal(self.ica, other.ica))
 
@@ -435,6 +444,9 @@ def save_model(model: ModelFile, path) -> None:
         "channels": list(model.channels),
         "epoch_window": {"start_offset": model.window.start_offset,
                          "length": model.window.length},
+        "nan_threshold": float(model.pipeline.nan_threshold),
+        "shrinkage": float(model.pipeline.shrinkage),
+        "use_ica": bool(model.pipeline.use_ica),
         "ica": None if model.ica is None else {
             "mean": [float(v) for v in model.ica.mean],
             "whitening": [[float(v) for v in row] for row in model.ica.whitening],
@@ -455,28 +467,36 @@ def load_model(path) -> ModelFile:
     if not isinstance(doc, dict):
         raise FormatError("model file must hold a JSON object")
     version = _require(doc, "format_version")
-    if not isinstance(version, int) or version > MODEL_FORMAT_VERSION:
+    if type(version) is not int or not 1 <= version <= MODEL_FORMAT_VERSION:
         raise FormatError(f"unsupported model format version {version!r}")
-    window_doc = _require(doc, "epoch_window")
-    window = EpochWindow(start_offset=int(_require(window_doc, "start_offset")),
-                         length=int(_require(window_doc, "length")))
-    ica_doc = _require(doc, "ica")
-    ica_section = None
-    if ica_doc is not None:
-        ica_section = IcaSection(
-            mean=np.asarray(_require(ica_doc, "mean"), dtype=np.float64),
-            whitening=np.asarray(_require(ica_doc, "whitening"), dtype=np.float64),
-            unmixing=np.asarray(_require(ica_doc, "unmixing"), dtype=np.float64),
-            mask=np.asarray(_require(ica_doc, "mask"), dtype=bool),
-        )
     try:
+        window_doc = _require(doc, "epoch_window")
+        pipeline = PipelineConfig(window=EpochWindow(
+            start_offset=int(_require(window_doc, "start_offset")),
+            length=int(_require(window_doc, "length"))))
+        if version >= 2:
+            use_ica = _require(doc, "use_ica")
+            if not isinstance(use_ica, bool):
+                raise FormatError("model use_ica must be true or false")
+            pipeline = replace(pipeline, use_ica=use_ica,
+                               nan_threshold=float(_require(doc, "nan_threshold")),
+                               shrinkage=float(_require(doc, "shrinkage")))
+        ica_doc = _require(doc, "ica")
+        ica_section = None
+        if ica_doc is not None:
+            ica_section = IcaSection(
+                mean=np.asarray(_require(ica_doc, "mean"), dtype=np.float64),
+                whitening=np.asarray(_require(ica_doc, "whitening"), dtype=np.float64),
+                unmixing=np.asarray(_require(ica_doc, "unmixing"), dtype=np.float64),
+                mask=np.asarray(_require(ica_doc, "mask"), dtype=bool),
+            )
         return ModelFile(
             weights=np.asarray(_require(doc, "weights"), dtype=np.float64),
             bias=float(_require(doc, "bias")),
             mins=np.asarray(_require(doc, "mins"), dtype=np.float64),
             maxes=np.asarray(_require(doc, "maxes"), dtype=np.float64),
             channels=tuple(_require(doc, "channels")),
-            window=window,
+            pipeline=pipeline,
             format_version=version,
             ica=ica_section,
         )

@@ -129,12 +129,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_stream.add_argument("--time-scale", type=float, default=0.0,
                           help="1.0 = real time, 0 = as fast as possible")
     p_stream.add_argument("--chunk", type=int, default=acquisition.DEFAULT_CHUNK)
-    p_stream.add_argument("--seed", type=int, default=0)
+    p_stream.add_argument("--seed", type=int, default=0,
+                          help="seeds the consumer's ICA fit (as train --seed)")
 
     p_ins = sub.add_parser("inspect", help="summarize a record or model file")
     p_ins.add_argument("--record")
     p_ins.add_argument("--model")
-    p_ins.add_argument("--seed", type=int, default=0)
 
     parser.command_parsers = {"simulate": p_sim, "train": p_train,
                               "evaluate": p_eval, "stream": p_stream,
@@ -241,7 +241,7 @@ def _stream_consume(args) -> int:
     with socket.create_connection((args.host, args.port)) as conn:
         record = decode_record(iter(lambda: conn.recv(65536), b""))
     print(f"received {record.n_samples} samples, {len(record.markers)} markers")
-    table = score_table(model, record, PipelineConfig(window=model.window))
+    table = score_table(model, record, ica_rng=np.random.default_rng(args.seed))
     n_votes, n_left = divmod(len(table), args.trials)
     for i in range(n_votes):
         _, chosen = vote(table[i * args.trials:(i + 1) * args.trials])
@@ -273,8 +273,8 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         model = load_model(args.model)
         print(f"model {args.model}: {len(model.weights)} weights = "
               f"{len(model.channels)} channels x {model.window.length} samples")
-        print(f"  bias {model.bias:.6g}, format version {model.format_version}, "
-              f"ica {'present' if model.ica else 'absent'}")
+        print(f"  bias {model.bias:.6g}, format version {model.format_version}")
+        print(f"  {model.pipeline}")
     return EXIT_OK
 
 

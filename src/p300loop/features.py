@@ -135,14 +135,6 @@ def build_feature_vector(epoch: np.ndarray) -> np.ndarray:
     return epoch.reshape(-1).copy()
 
 
-def epoch_from_vector(vector: np.ndarray, n_channels: int) -> np.ndarray:
-    """Inverse of build_feature_vector."""
-    vector = np.asarray(vector)
-    if vector.size % n_channels:
-        raise ValueError("vector length is not a multiple of the channel count")
-    return vector.reshape(n_channels, -1)
-
-
 def dataset_from_scenario(record: EegRecord,
                           schedule: ScenarioSchedule | None = None,
                           pipeline: PipelineConfig = PipelineConfig(),

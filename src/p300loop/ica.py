@@ -104,8 +104,7 @@ def _symmetric_orthonormalize(w: np.ndarray) -> np.ndarray:
     return w
 
 
-def fastica(whitened: np.ndarray, k: int | None = None,
-            nonlinearity: str = "tanh", tol: float = 1e-4,
+def fastica(whitened: np.ndarray, k: int | None = None, tol: float = 1e-4,
             max_iter: int = 200,
             rng: np.random.Generator | None = None):
     """Symmetric fixed-point estimation of the unmixing matrix W.
@@ -119,8 +118,6 @@ def fastica(whitened: np.ndarray, k: int | None = None,
     without the maximum row-angle change dropping below tol, or on a step
     that cannot be orthonormalized (carrying the last iterate that was).
     """
-    if nonlinearity != "tanh":
-        raise ValueError(f"unsupported nonlinearity {nonlinearity!r}")
     z = np.asarray(whitened, dtype=np.float64)
     if z.ndim != 2:
         raise ValueError("whitened data must be 2-D")

@@ -5,9 +5,9 @@ Online selections run the acquisition protocol end to end: the simulated
 amplifier output is encoded to wire bytes (`acquisition.encode_record`) and
 decoded back from byte chunks of random sizes (`acquisition.decode_record`),
 and `score_table` turns the record into one row of 12 image scores per
-trial, as the stream consumer of the CLI does.  A selection is the majority
-vote over per-trial argmax winners; its simulated latency is the flashing
-time of the trials themselves.
+trial, through the pipeline stored in the model, as the stream consumer of
+the CLI does.  A selection is the majority vote over per-trial argmax
+winners; its simulated latency is the flashing time of the trials themselves.
 """
 from __future__ import annotations
 
@@ -19,8 +19,8 @@ from scipy.stats import rankdata
 
 from . import acquisition, dsp, features, lda
 from .acquisition import ModelFile
-from .core import N_IMAGES, ChannelSet, EegRecord
-from .features import EpochWindow, LabeledDataset, PipelineConfig
+from .core import N_IMAGES, EegRecord
+from .features import LabeledDataset, PipelineConfig
 from .scheduler import (
     ScenarioSchedule,
     TimingConfig,
@@ -148,16 +148,10 @@ def vote(table) -> tuple[tuple[int, ...], int]:
     return winners, majority_vote(winners, table)
 
 
-def _bundle(model: lda.LdaModel, scaling: dsp.ScalingParams,
-            channels: ChannelSet, window: EpochWindow) -> ModelFile:
-    return ModelFile(weights=model.w, bias=model.b, mins=scaling.mins,
-                     maxes=scaling.maxes, channels=tuple(channels),
-                     window=window)
-
-
 def train_on_dataset(dataset: LabeledDataset,
                      pipeline: PipelineConfig) -> ModelFile:
-    """Fit scaling on the training vectors, then the discriminant."""
+    """Fit scaling on the training vectors, then the discriminant; the model
+    stores `pipeline`, which built `dataset`, as the one it is served with."""
     return train_with_features(dataset, pipeline)[0]
 
 
@@ -167,7 +161,9 @@ def train_with_features(dataset: LabeledDataset, pipeline: PipelineConfig,
     scaling = dsp.minmax_fit(dataset.vectors)
     scaled = dsp.minmax_apply(scaling, dataset.vectors)
     model = lda.train(scaled, dataset.labels, shrinkage=pipeline.shrinkage)
-    return _bundle(model, scaling, dataset.channels, dataset.window), scaled
+    return ModelFile(weights=model.w, bias=model.b, mins=scaling.mins,
+                     maxes=scaling.maxes, channels=tuple(dataset.channels),
+                     pipeline=pipeline), scaled
 
 
 def score_vectors(model: ModelFile, vectors: np.ndarray) -> np.ndarray:
@@ -177,27 +173,26 @@ def score_vectors(model: ModelFile, vectors: np.ndarray) -> np.ndarray:
     return scaled @ model.weights + model.bias
 
 
-def score_table(model: ModelFile, record: EegRecord, pipeline: PipelineConfig,
+def score_table(model: ModelFile, record: EegRecord,
                 ica_rng: np.random.Generator | None = None) -> np.ndarray:
     """[n_runs x 12] score table of a record under a trained model.
 
-    Scoring reads no labels, so markers with an unknown target flag (a live
-    stream's) count as non-targets.  Raises ValueError unless the record's
-    surviving channels and the pipeline's window are the model's; rows are
-    as `trial_scores` builds them.
+    The record runs through the pipeline the model was trained with, ICA
+    fitted with `ica_rng` when that pipeline uses it.  Scoring reads no
+    labels, so markers with an unknown target flag (a live stream's) count as
+    non-targets.  Raises ValueError unless the record's surviving channels
+    are the model's; rows are as `trial_scores` builds them.
     """
     if any(ev.is_target is None for ev in record.markers):
         record = record.with_markers(tuple(
             replace(ev, is_target=False) if ev.is_target is None else ev
             for ev in record.markers))
-    dataset = features.dataset_from_scenario(record, pipeline=pipeline,
+    dataset = features.dataset_from_scenario(record, pipeline=model.pipeline,
                                              ica_rng=ica_rng)
     if tuple(dataset.channels) != model.channels:
         raise ValueError(
             f"model was trained on channels {model.channels}, "
             f"online data yields {tuple(dataset.channels)}")
-    if dataset.window != model.window:
-        raise ValueError("model epoch window differs from pipeline window")
     return trial_scores(dataset.provenance,
                         score_vectors(model, dataset.vectors))
 
@@ -243,7 +238,6 @@ def run_online_selection(model: ModelFile, params: SubjectParams,
                          n_trials: int = DEFAULT_TRIALS,
                          rng: np.random.Generator | None = None,
                          timing: TimingConfig = TimingConfig(),
-                         pipeline: PipelineConfig = PipelineConfig(),
                          sequences=None,
                          ) -> tuple[SelectionResult, EegRecord]:
     """One live selection: simulate, stream, classify, vote.
@@ -258,7 +252,7 @@ def run_online_selection(model: ModelFile, params: SubjectParams,
     schedule = with_targets(blind, target)
     record = simulate_subject(schedule, params)
     logged = _stream_roundtrip(record, acquisition.DEFAULT_CHUNK, rng)
-    per_image = score_table(model, logged, pipeline, ica_rng=rng)
+    per_image = score_table(model, logged, ica_rng=rng)
     winners, selected = vote(per_image)
 
     result = SelectionResult(trial_winners=winners, per_image_scores=per_image,
@@ -390,7 +384,7 @@ class EvaluationPhase:
 
 def _run_phase(model: ModelFile, base_params: SubjectParams,
                catalog: ObjectCatalog, timing: TimingConfig,
-               pipeline: PipelineConfig, n_trials: int, reps: int,
+               n_trials: int, reps: int,
                mismatch: float, seed_seq: np.random.SeedSequence,
                training_schedule: ScenarioSchedule | None,
                collect_logs: bool):
@@ -414,7 +408,7 @@ def _run_phase(model: ModelFile, base_params: SubjectParams,
             result, logged = run_online_selection(
                 model, params, catalog, target, n_trials=n_trials,
                 rng=np.random.default_rng(stream_seed), timing=timing,
-                pipeline=pipeline, sequences=sequences)
+                sequences=sequences)
             per_total[target] += 1
             if result.selected == target:
                 per_correct[target] += 1
@@ -427,7 +421,6 @@ def _run_phase(model: ModelFile, base_params: SubjectParams,
 
 
 def run_full_evaluation(params: SubjectParams,
-                        catalog: ObjectCatalog | None = None,
                         seed: int = 0,
                         timing: TimingConfig = TimingConfig(),
                         pipeline: PipelineConfig = PipelineConfig(),
@@ -442,8 +435,7 @@ def run_full_evaluation(params: SubjectParams,
     random orders.  Everything derives from `seed`, so reports are identical
     across runs (wall_clock_seconds aside).
     """
-    if catalog is None:
-        catalog = ObjectCatalog()
+    catalog = ObjectCatalog()
     started = time.perf_counter()
     root = np.random.SeedSequence(seed)
     train_seq, phase1_seq, phase2_seq = root.spawn(3)
@@ -455,13 +447,13 @@ def run_full_evaluation(params: SubjectParams,
         pipeline=pipeline)
 
     phase1, logs = _run_phase(
-        model1, params, catalog, timing, pipeline, n_trials, reps_per_object,
+        model1, params, catalog, timing, n_trials, reps_per_object,
         mismatch, phase1_seq, training_schedule, collect_logs=True)
 
     model2 = retrain_from_online(logs, pipeline)
 
     phase2, _ = _run_phase(
-        model2, params, catalog, timing, pipeline, n_trials, reps_per_object,
+        model2, params, catalog, timing, n_trials, reps_per_object,
         mismatch, phase2_seq, training_schedule=None, collect_logs=False)
 
     d_run, d_session, d_scenario = durations(timing)
@@ -505,27 +497,16 @@ def _phase_dict(phase: EvaluationPhase, catalog: ObjectCatalog) -> dict:
 
 
 def _subject_dict(params: SubjectParams) -> dict:
-    return {
-        "background_rms": params.background_rms,
-        "alpha_amp": params.alpha_amp,
-        "p300_amp": params.p300_amp,
-        "p300_peak_latency": params.p300_peak_latency,
-        "p300_width": params.p300_width,
-        "blink_rate": params.blink_rate,
-        "blink_amp": params.blink_amp,
-        "nan_channel": params.nan_channel,
-        "nan_fraction": params.nan_fraction,
-        "latency_jitter_sd": params.latency_jitter_sd,
-        "p300_topography": (None if params.p300_topography is None
-                            else list(params.p300_topography)),
-    }
+    """The subject fields but `constant_offset` and `seed`, which the report
+    gives as `mismatch_s` and `seed`; `p300_topography` comes last."""
+    subject = asdict(params)
+    del subject["constant_offset"], subject["seed"]
+    subject["p300_topography"] = subject.pop("p300_topography")
+    return subject
 
 
 def _pipeline_dict(pipeline: PipelineConfig) -> dict:
-    return {
-        "window_start_offset": pipeline.window.start_offset,
-        "window_length": pipeline.window.length,
-        "nan_threshold": pipeline.nan_threshold,
-        "shrinkage": pipeline.shrinkage,
-        "use_ica": pipeline.use_ica,
-    }
+    """The pipeline fields, the window's flattened first as `window_*`."""
+    fields = asdict(pipeline)
+    window = fields.pop("window")
+    return {f"window_{name}": value for name, value in window.items()} | fields

@@ -399,15 +399,18 @@ class TestRecordFiles:
             acq.load_record(path)
 
 
-def _model(ica=None):
+_WINDOW = features.EpochWindow(start_offset=1, length=3)
+
+
+def _model(ica=None, pipeline=features.PipelineConfig(window=_WINDOW),
+           format_version=acq.MODEL_FORMAT_VERSION):
     n = 2 * 3
     rng = np.random.default_rng(3)
     return acq.ModelFile(
         weights=rng.normal(size=n), bias=-0.3125,
         mins=np.zeros(n), maxes=np.ones(n),
-        channels=("AF3", "P8"),
-        window=features.EpochWindow(start_offset=1, length=3),
-        ica=ica)
+        channels=("AF3", "P8"), pipeline=pipeline,
+        format_version=format_version, ica=ica)
 
 
 class TestModelFile:
@@ -415,17 +418,28 @@ class TestModelFile:
         with pytest.raises(acq.FormatError):
             acq.ModelFile(weights=np.zeros(5), bias=0.0, mins=np.zeros(5),
                           maxes=np.ones(5), channels=("A", "B"),
-                          window=features.EpochWindow(length=3))
+                          pipeline=features.PipelineConfig(window=_WINDOW))
         with pytest.raises(acq.FormatError):
             acq.ModelFile(weights=np.zeros(6), bias=0.0, mins=np.zeros(5),
                           maxes=np.ones(5), channels=("A", "B"),
-                          window=features.EpochWindow(length=3))
+                          pipeline=features.PipelineConfig(window=_WINDOW))
 
     def test_save_load_is_exact(self, tmp_path):
-        model = _model()
         path = tmp_path / "model.json"
-        acq.save_model(model, path)
-        assert acq.load_model(path) == model
+        trained = features.PipelineConfig(window=_WINDOW, nan_threshold=0.3,
+                                          shrinkage=0.01, use_ica=True)
+        for model in (_model(), _model(pipeline=trained)):
+            acq.save_model(model, path)
+            assert acq.load_model(path) == model
+        # a format-1 file holds no pipeline keys: it was trained with the
+        # default pipeline, over its own epoch window
+        v1 = _model(format_version=1)
+        path.write_text(json.dumps({
+            "format_version": 1, "weights": v1.weights.tolist(),
+            "bias": -0.3125, "mins": [0.0] * 6, "maxes": [1.0] * 6,
+            "channels": ["AF3", "P8"],
+            "epoch_window": {"start_offset": 1, "length": 3}, "ica": None}))
+        assert acq.load_model(path) == v1
 
     def test_ica_section_round_trips(self, tmp_path):
         ica = acq.IcaSection(mean=np.array([0.5, -0.5]),
@@ -446,7 +460,7 @@ class TestModelFile:
         model = acq.ModelFile(weights=weights, bias=1.0 / 3.0,
                               mins=np.zeros(n), maxes=np.ones(n),
                               channels=("AF3", "P8"),
-                              window=features.EpochWindow(length=3))
+                              pipeline=features.PipelineConfig(window=_WINDOW))
         path = tmp_path / "model.json"
         acq.save_model(model, path)
         loaded = acq.load_model(path)
@@ -466,12 +480,13 @@ class TestModelFile:
     def test_missing_field_rejected(self, tmp_path):
         model = _model()
         path = tmp_path / "model.json"
-        acq.save_model(model, path)
-        doc = json.loads(path.read_text())
-        del doc["bias"]
-        path.write_text(json.dumps(doc))
-        with pytest.raises(acq.FormatError):
-            acq.load_model(path)
+        for field in ("bias", "use_ica", "nan_threshold", "shrinkage"):
+            acq.save_model(model, path)
+            doc = json.loads(path.read_text())
+            del doc[field]
+            path.write_text(json.dumps(doc))
+            with pytest.raises(acq.FormatError, match=field):
+                acq.load_model(path)
 
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "model.json"
@@ -485,13 +500,14 @@ class TestModelFile:
         with pytest.raises(acq.FormatError):
             acq.load_model(path)
 
-    @pytest.mark.parametrize("field", ["weights", "bias", "mins", "maxes"])
+    @pytest.mark.parametrize("field", ["weights", "bias", "mins", "maxes",
+                                       "nan_threshold", "shrinkage"])
     def test_non_finite_model_rejected_on_load(self, tmp_path, field):
         path = tmp_path / "model.json"
         acq.save_model(_model(), path)
         doc = json.loads(path.read_text())
-        if field == "bias":
-            doc["bias"] = float("nan")
+        if field in ("bias", "nan_threshold", "shrinkage"):
+            doc[field] = float("nan")
         else:
             doc[field][1] = float("inf")
         path.write_text(json.dumps(doc))
@@ -507,6 +523,19 @@ class TestModelFile:
         ica = acq.IcaSection(mask=np.array([True, False]), **arrays)
         with pytest.raises(acq.FormatError):
             _model(ica=ica)
+
+    @pytest.mark.parametrize("field,value", [
+        ("use_ica", "false"), ("use_ica", 0),
+        ("epoch_window", {"start_offset": 1, "length": None}), ("ica", 5),
+        ("format_version", 0), ("format_version", True)])
+    def test_mistyped_field_rejected(self, tmp_path, field, value):
+        path = tmp_path / "model.json"
+        acq.save_model(_model(), path)
+        doc = json.loads(path.read_text())
+        doc[field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(acq.FormatError):
+            acq.load_model(path)
 
     def test_nan_weights_cannot_be_saved(self, tmp_path):
         model = _model()

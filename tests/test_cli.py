@@ -8,9 +8,10 @@ import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 
-from p300loop import acquisition, cli, features
+from p300loop import acquisition, cli, features, session
 
 
 def _free_port():
@@ -48,7 +49,22 @@ def stream_assets(tmp_path_factory):
     return {"record": record, "model": model}
 
 
-def _consume_with_producer(record, model, extra_producer=(), trials=3):
+@pytest.fixture(scope="module")
+def ica_assets(tmp_path_factory):
+    """A 2-session recording and a model trained on it with ICA, seed 5, and a
+    NaN threshold that keeps FC5 (20% NaN), which the default would drop."""
+    root = tmp_path_factory.mktemp("ica")
+    record = root / "scenario.eegs"
+    model = root / "ica-model.json"
+    assert _run(["simulate", "--out", str(record), "--seed", "3",
+                 "--sessions-per-scenario", "2"]) == 0
+    assert _run(["train", "--record", str(record), "--model", str(model),
+                 "--ica", "--nan-threshold", "0.3", "--seed", "5"]) == 0
+    return {"record": record, "model": model}
+
+
+def _consume_with_producer(record, model, extra_producer=(), trials=3,
+                           extra_consumer=()):
     """Serve `record` in a background thread and consume it; returns stdout rc."""
     port = _free_port()
     producer = threading.Thread(
@@ -63,7 +79,8 @@ def _consume_with_producer(record, model, extra_producer=(), trials=3):
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             rc = _run(["stream", "consumer", "--port", str(port),
-                       "--model", str(model), "--trials", str(trials)])
+                       "--model", str(model), "--trials", str(trials)]
+                      + list(extra_consumer))
         sys.stderr.write(err.getvalue())
         if "refused" not in err.getvalue():  # the producer had not bound yet
             break
@@ -195,6 +212,7 @@ class TestInspect:
         assert _run(["inspect", "--model", str(workspace["model"])]) == 0
         stdout = capsys.readouterr().out
         assert "845 weights = 13 channels x 65 samples" in stdout
+        assert str(features.PipelineConfig()) in stdout
 
     def test_needs_an_argument(self):
         assert _run(["inspect"]) == 1
@@ -353,6 +371,37 @@ class TestStreamLoopback:
         streamed = tuple(lab for lab in model.channels if lab != "FC5")
         assert f"model was trained on channels {model.channels}" in err
         assert f"online data yields {streamed}" in err
+
+    def test_consumer_serves_the_trained_pipeline(self, ica_assets, capsys):
+        rc = _consume_with_producer(ica_assets["record"], ica_assets["model"],
+                                    extra_consumer=["--seed", "5"])
+        assert rc == 0
+        got = [l for l in capsys.readouterr().out.splitlines()
+               if l.startswith("selection")]
+        table = session.score_table(
+            acquisition.load_model(ica_assets["model"]),
+            acquisition.load_record(ica_assets["record"]),
+            ica_rng=np.random.default_rng(5))
+        chosen = [session.vote(table[i:i + 3])[1]
+                  for i in range(0, len(table), 3)]
+        catalog = session.ObjectCatalog()
+        assert got == [f"selection {i + 1}: image {c} ({catalog.label(c)}) "
+                       f"-> {catalog.message(c)}" for i, c in enumerate(chosen)]
+
+    def test_served_table_is_the_training_table(self, ica_assets):
+        record = acquisition.load_record(ica_assets["record"])
+        model = acquisition.load_model(ica_assets["model"])
+        pipeline = features.PipelineConfig(nan_threshold=0.3, use_ica=True)
+        assert model.pipeline == pipeline and "FC5" in model.channels
+        dataset = features.dataset_from_scenario(
+            record, pipeline=pipeline, ica_rng=np.random.default_rng(5))
+        trained, scaled = session.train_with_features(dataset, pipeline)
+        assert trained == model
+        want = session.trial_scores(dataset.provenance,
+                                    scaled @ trained.weights + trained.bias)
+        got = session.score_table(model, record,
+                                  ica_rng=np.random.default_rng(5))
+        assert got.tobytes() == want.tobytes()
 
 
 # One value per timing and subject field that has a flag, each off its default.

@@ -118,7 +118,7 @@ class TestFeatureVector:
         epoch = rng.normal(size=(13, 65))
         vec = features.build_feature_vector(epoch)
         assert vec.shape == (845,)
-        np.testing.assert_array_equal(features.epoch_from_vector(vec, 13), epoch)
+        np.testing.assert_array_equal(vec.reshape(13, 65), epoch)
 
     def test_vector_is_a_copy(self):
         epoch = np.zeros((2, 2))
@@ -129,8 +129,6 @@ class TestFeatureVector:
     def test_validation(self):
         with pytest.raises(ValueError):
             features.build_feature_vector(np.zeros(5))
-        with pytest.raises(ValueError):
-            features.epoch_from_vector(np.zeros(5), 2)
 
 
 class TestDatasetFromScenario:

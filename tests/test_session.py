@@ -226,6 +226,7 @@ class TestTrainOnDataset:
         assert model.weights.shape == (845,)
         assert model.channels == tuple(training_dataset.channels)
         assert model.window == training_dataset.window
+        assert model.pipeline == pipeline
 
         scaling = dsp.minmax_fit(training_dataset.vectors)
         scaled = dsp.minmax_apply(scaling, training_dataset.vectors)
@@ -305,16 +306,6 @@ class TestOnlineSelection:
                 model, _noiseless_params(nan_fraction=0.2), catalog, 0,
                 rng=np.random.default_rng(0))
 
-    def test_window_mismatch_detected(self, noiseless_training):
-        model, _, _ = noiseless_training
-        catalog = session.ObjectCatalog()
-        pipeline = session.PipelineConfig(
-            window=features.EpochWindow(length=64))
-        with pytest.raises(ValueError, match="window"):
-            session.run_online_selection(
-                model, _noiseless_params(), catalog, 0,
-                rng=np.random.default_rng(0), pipeline=pipeline)
-
     def test_replayed_sequences_are_used(self, noiseless_training):
         model, _, _ = noiseless_training
         catalog = session.ObjectCatalog()
@@ -338,9 +329,8 @@ class TestScoreTable:
             subject.SubjectParams(seed=7, nan_fraction=0.0))
         unlabelled = labelled.with_markers(blind.events)
         assert all(ev.is_target is None for ev in unlabelled.markers)
-        pipeline = session.PipelineConfig()
-        want = session.score_table(model, labelled, pipeline)
-        got = session.score_table(model, unlabelled, pipeline)
+        want = session.score_table(model, labelled)
+        got = session.score_table(model, unlabelled)
         assert want.shape == (3, 12)
         assert got.tobytes() == want.tobytes()
 
