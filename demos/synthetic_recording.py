@@ -40,11 +40,11 @@ def main() -> None:
     filtered = dsp.filter_apply(coeffs, pruned)
 
     window = features.EpochWindow()
-    epochs = features.segment(filtered, schedule.events, window)
     row = filtered.channels.index(args.channel)
-    target = np.mean([ep[row] for ep, ev in epochs if ev.is_target], axis=0)
-    nontarget = np.mean([ep[row] for ep, ev in epochs if not ev.is_target],
-                        axis=0)
+    epochs = features.segment(filtered, window)[:, row]
+    is_target = np.array([bool(ev.is_target) for ev in filtered.markers])
+    target = epochs[is_target].mean(axis=0)
+    nontarget = epochs[~is_target].mean(axis=0)
 
     peak = int(np.argmax(target))
     print(f"\n{args.channel} epoch averages over {window.length} samples "

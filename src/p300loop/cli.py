@@ -14,7 +14,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from . import acquisition, ica, lda, session
+from . import acquisition, ica, session
 from .acquisition import (
     FormatError,
     ProtocolError,
@@ -168,15 +168,13 @@ def cmd_train(args: argparse.Namespace) -> int:
     record = load_record(args.record)
     rng = np.random.default_rng(args.seed)
     dataset = dataset_from_scenario(record, pipeline=pipeline, ica_rng=rng)
-    model, scaled = session.train_with_features(dataset, pipeline)
+    model = session.train_on_dataset(dataset, pipeline)
     save_model(model, args.model)
-    scores = scaled @ model.weights + model.bias
-    lda_view = lda.LdaModel(w=model.weights, b=model.bias)
-    j_value = lda.fisher_criterion(lda_view, scaled, dataset.labels)
+    scores = session.score_vectors(model, dataset.vectors)
     auc = session.cross_validated_auc(dataset, pipeline)
     print(f"trained on {dataset.n_epochs} epochs "
           f"({dataset.n_targets} targets), {dataset.feature_size} features")
-    print(f"fisher J = {j_value:.4f}, cross-validated AUC = {auc:.4f}")
+    print(f"cross-validated AUC = {auc:.4f}")
     print(f"score range on training data: [{scores.min():.4f}, {scores.max():.4f}]")
     print(f"wrote {args.model}")
     return EXIT_OK
@@ -288,7 +286,8 @@ _COMMANDS = {
 
 
 def _apply_config_file(parser, argv):
-    """Seed parser defaults from --config JSON; explicit flags still win."""
+    """Seed parser defaults from --config JSON; explicit flags still win.
+    Each key must be a flag's dest, its value of that flag's JSON type."""
     probe = _Parser(add_help=False)
     probe.add_argument("--config", type=str, default=None)
     known, _ = probe.parse_known_args(argv)
@@ -298,6 +297,19 @@ def _apply_config_file(parser, argv):
         defaults = json.load(fh)
     if not isinstance(defaults, dict):
         raise FormatError("config file must hold a JSON object")
+    kinds = {action.dest: bool if action.nargs == 0 else action.type or str
+             for sub in parser.command_parsers.values()
+             for action in sub._actions
+             if action.option_strings and action.dest != "help"}
+    for key, value in defaults.items():
+        kind = kinds.get(key)
+        if kind is None:
+            raise FormatError(f"config key {key!r} is the dest of no flag")
+        if (isinstance(value, bool) != (kind is bool) or not isinstance(
+                value, (int, float) if kind is float else kind)):
+            raise FormatError(f"config key {key!r} needs a JSON "
+                              f"{kind.__name__}, not {value!r}")
+        defaults[key] = kind(value)
     for sub in parser.command_parsers.values():
         sub.set_defaults(**defaults)
 

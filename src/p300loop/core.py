@@ -44,9 +44,6 @@ class ChannelSet:
     def __iter__(self):
         return iter(self.labels)
 
-    def __contains__(self, label: str) -> bool:
-        return label in self.labels
-
     def index(self, label: str) -> int:
         try:
             return self.labels.index(label)
@@ -147,14 +144,3 @@ def time_to_sample(t, rate) -> int:
         return int(math.floor(x + Fraction(1, 2)))
     return int(math.floor(float(x) + 0.5))
 
-
-def slice_window(record: EegRecord, start: int, length: int) -> np.ndarray:
-    """Copy of a contiguous sample window [start, start + length)."""
-    if length < 0:
-        raise ValueError("length must be non-negative")
-    if start < 0 or start + length > record.n_samples:
-        raise IndexError(
-            f"window [{start}, {start + length}) outside record of "
-            f"{record.n_samples} samples"
-        )
-    return np.array(record.samples[:, start:start + length], copy=True)

@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import dsp, ica, lda
-from .core import ChannelSet, EegRecord, StimulusEvent, slice_window
-from .scheduler import ScenarioSchedule
+from .core import ChannelSet, EegRecord
 
 DEFAULT_NAN_THRESHOLD = 0.05
 
@@ -108,64 +108,53 @@ def prune_channels(record: EegRecord,
     return EegRecord(channels, record.rate, samples, record.markers), dropped
 
 
-def segment(record: EegRecord, events=None,
-            window: EpochWindow = EpochWindow()):
-    """One (epoch matrix, event) pair per stimulus event."""
-    if events is None:
-        events = record.markers
-    epochs = []
-    for ev in events:
-        start = ev.onset_sample + window.start_offset
-        try:
-            epoch = slice_window(record, start, window.length)
-        except IndexError:
+def segment(record: EegRecord,
+            window: EpochWindow = EpochWindow()) -> np.ndarray:
+    """[n_markers x channels x length] epochs, one per marker, in order."""
+    starts = np.array([ev.onset_sample for ev in record.markers],
+                      dtype=np.intp) + window.start_offset
+    for ev, start in zip(record.markers, starts.tolist()):
+        if start < 0 or start + window.length > record.n_samples:
             raise IndexError(
                 f"epoch for image {ev.image_id} (session {ev.session_index}, "
                 f"run {ev.run_index}) at samples [{start}, "
-                f"{start + window.length}) exceeds the record") from None
-        epochs.append((epoch, ev))
-    return epochs
-
-
-def build_feature_vector(epoch: np.ndarray) -> np.ndarray:
-    """Concatenate channel rows in order: channel 0's samples, then channel 1's."""
-    epoch = np.asarray(epoch)
-    if epoch.ndim != 2:
-        raise ValueError("epoch must be a 2-D matrix")
-    return epoch.reshape(-1).copy()
+                f"{start + window.length}) exceeds the record")
+    windows = sliding_window_view(record.samples, window.length, axis=1)
+    return windows.transpose(1, 0, 2)[starts]
 
 
 def dataset_from_scenario(record: EegRecord,
-                          schedule: ScenarioSchedule | None = None,
                           pipeline: PipelineConfig = PipelineConfig(),
                           ica_rng: np.random.Generator | None = None,
                           ) -> LabeledDataset:
     """Prune, filter, optionally ICA-clean, segment, and vectorize a recording.
 
-    Events come from the schedule when given, otherwise from the record's own
-    markers; every event must carry a target flag.
+    There is one epoch per marker of the record, and every marker must carry
+    a target flag.  An ICA pipeline fits with `ica_rng`, which it requires.
     """
-    events = schedule.events if schedule is not None else record.markers
+    events = record.markers
     if not events:
         raise ValueError("no stimulus events to segment")
     for ev in events:
         if ev.is_target is None:
             raise ValueError("events must carry target labels")
+    if pipeline.use_ica and ica_rng is None:
+        raise TypeError("an ICA pipeline needs ica_rng to seed its fit")
 
     pruned, _ = prune_channels(record, pipeline.nan_threshold)
     coeffs = dsp.design_bandpass(dsp.FilterSpec(rate=pruned.rate))
     filtered = dsp.filter_apply(coeffs, pruned)
 
     if pipeline.use_ica:
-        model, sources = ica.fit(filtered.samples, rng=ica_rng, strict=False)
+        model, sources = ica.fit(filtered.samples, rng=ica_rng)
         mask = ica.classify_components(model, sources, filtered.channels)
         cleaned = ica.reconstruct(model, filtered.samples, mask)
         filtered = filtered.with_samples(cleaned)
 
-    epochs = segment(filtered, events, pipeline.window)
-    vectors = np.vstack([build_feature_vector(ep)[None, :] for ep, _ in epochs])
-    labels = np.array([bool(ev.is_target) for _, ev in epochs])
+    epochs = segment(filtered, pipeline.window)
+    labels = np.array([bool(ev.is_target) for ev in events])
     provenance = tuple((ev.run_index, ev.session_index, ev.image_id)
-                       for _, ev in epochs)
-    return LabeledDataset(vectors=vectors, labels=labels, provenance=provenance,
+                       for ev in events)
+    return LabeledDataset(vectors=epochs.reshape(len(events), -1),
+                          labels=labels, provenance=provenance,
                           channels=filtered.channels, window=pipeline.window)

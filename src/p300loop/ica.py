@@ -28,7 +28,7 @@ BLOCK_SAMPLES = 4096
 
 
 class RankError(ValueError):
-    """Requested more components than the data's numerical rank supports."""
+    """The data's numerical rank is below its channel count."""
 
 
 class ConvergenceError(RuntimeError):
@@ -62,11 +62,11 @@ def _orthonormal(w: np.ndarray) -> bool:
     return np.allclose(w @ w.T, np.eye(w.shape[0]), atol=1e-6)
 
 
-def whiten(data: np.ndarray, k: int | None = None):
+def whiten(data: np.ndarray):
     """(mean, V, whitened) with the whitened sample covariance = identity.
 
     Eigenvalues below 1e-12 of the largest are treated as numerically null and
-    cannot back a component.
+    cannot back a component: each channel needs one.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2:
@@ -74,10 +74,6 @@ def whiten(data: np.ndarray, k: int | None = None):
     n_channels, n_samples = data.shape
     if n_samples <= n_channels:
         raise ValueError("need more samples than channels")
-    if k is None:
-        k = n_channels
-    if k > n_channels:
-        raise RankError(f"k={k} exceeds {n_channels} channels")
     mean = data.mean(axis=1)
     centred = data - mean[:, None]
     cov = centred @ centred.T / (n_samples - 1)
@@ -85,9 +81,9 @@ def whiten(data: np.ndarray, k: int | None = None):
     order = np.argsort(evals)[::-1]
     evals, evecs = evals[order], evecs[:, order]
     retained = int(np.sum(evals > EIGENVALUE_FLOOR * evals[0]))
-    if k > retained:
-        raise RankError(f"k={k} exceeds numerical rank {retained}")
-    v = evecs[:, :k].T / np.sqrt(evals[:k])[:, None]
+    if n_channels > retained:
+        raise RankError(f"numerical rank {retained} < {n_channels} channels")
+    v = evecs.T / np.sqrt(evals)[:, None]
     return mean, v, v @ centred
 
 
@@ -104,10 +100,9 @@ def _symmetric_orthonormalize(w: np.ndarray) -> np.ndarray:
     return w
 
 
-def fastica(whitened: np.ndarray, k: int | None = None, tol: float = 1e-4,
-            max_iter: int = 200,
-            rng: np.random.Generator | None = None):
-    """Symmetric fixed-point estimation of the unmixing matrix W.
+def fastica(whitened: np.ndarray, rng: np.random.Generator,
+            tol: float = 1e-4, max_iter: int = 200):
+    """Symmetric fixed-point estimation of W, started from a draw of `rng`.
 
     Returns (W, sources); sources are unit-variance rows of W @ whitened with
     each row's sign fixed so its largest-magnitude loading is positive.
@@ -121,12 +116,7 @@ def fastica(whitened: np.ndarray, k: int | None = None, tol: float = 1e-4,
     z = np.asarray(whitened, dtype=np.float64)
     if z.ndim != 2:
         raise ValueError("whitened data must be 2-D")
-    if k is None:
-        k = z.shape[0]
-    if k != z.shape[0]:
-        raise ValueError("k must match the whitened row count")
-    if rng is None:
-        rng = np.random.default_rng()
+    k = z.shape[0]
 
     buf = np.empty(k * min(z.shape[1], BLOCK_SAMPLES))
     w = _symmetric_orthonormalize(rng.standard_normal((k, k)))
@@ -186,23 +176,19 @@ def _finalize(w: np.ndarray, z: np.ndarray):
     return w, sources
 
 
-def fit(data: np.ndarray, k: int | None = None, *, tol: float = 1e-4,
-        max_iter: int = 200, rng: np.random.Generator | None = None,
-        strict: bool = True):
+def fit(data: np.ndarray, rng: np.random.Generator, *, tol: float = 1e-4,
+        max_iter: int = 200):
     """Whiten then run fastica; returns (IcaModel, sources).
 
-    With strict=False a non-converged iteration is accepted with a warning
-    instead of raising: EEG-like data with a largely Gaussian background has
-    no stable rotation for the background subspace, while strongly
-    non-Gaussian components (artifacts) settle within a few iterations.
+    A non-converged iteration is accepted with a warning instead of raising:
+    EEG-like data with a largely Gaussian background has no stable rotation
+    for the background subspace, while strongly non-Gaussian components
+    (artifacts) settle within a few iterations.
     """
-    mean, v, z = whiten(data, k)
+    mean, v, z = whiten(data)
     try:
-        w, sources = fastica(z, z.shape[0], tol=tol, max_iter=max_iter,
-                             rng=rng)
+        w, sources = fastica(z, rng, tol=tol, max_iter=max_iter)
     except ConvergenceError as exc:
-        if strict:
-            raise
         warnings.warn(f"accepting unconverged unmixing ({exc})",
                       RuntimeWarning, stacklevel=2)
         w, sources = _finalize(exc.last_w, z)

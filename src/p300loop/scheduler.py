@@ -8,7 +8,7 @@ once to sample indices, so no rounding drift accumulates over a scenario.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -41,15 +41,6 @@ class TimingConfig:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
 
-    @property
-    def isi(self) -> float:
-        """Interstimulus interval: flash plus gap, onset to onset."""
-        return float(_exact_durations(self)[0])
-
-    @property
-    def d_run(self) -> float:
-        return float(_exact_durations(self)[1])
-
 
 def _exact_durations(timing: TimingConfig) -> tuple[Fraction, ...]:
     """(isi, d_run, d_session, d_scenario) as exact rational seconds."""
@@ -64,19 +55,19 @@ def _exact_durations(timing: TimingConfig) -> tuple[Fraction, ...]:
     return isi, d_run, d_session, d_scenario
 
 
-def _run_grid(timing: TimingConfig, n_runs: int, base: Fraction, rate: float):
+def _run_grid(timing: TimingConfig, n_runs: int, base: Fraction):
     """(onset_sample, onset_s) of every flash slot of `n_runs` runs.
 
     Run r starts at base + r * (d_run + d_run_interval) exact seconds, and
     its j-th flash j * isi after that; grid[r][j] is that slot.
     """
     isi, d_run, _, _ = _exact_durations(timing)
-    rate_fr = _fr(rate)
+    rate = _fr(DEFAULT_RATE)
     grid = []
     for run in range(n_runs):
         run_base = base + run * (d_run + _fr(timing.d_run_interval))
         onsets = [run_base + j * isi for j in range(N_IMAGES)]
-        grid.append(tuple((time_to_sample(t, rate_fr), float(t))
+        grid.append(tuple((time_to_sample(t, rate), float(t))
                           for t in onsets))
     return tuple(grid)
 
@@ -140,8 +131,7 @@ def generate_run_sequence(rng: np.random.Generator,
 
 def build_scenario_schedule(timing: TimingConfig,
                             session_targets=None,
-                            rng: np.random.Generator | None = None,
-                            rate: float = DEFAULT_RATE) -> ScenarioSchedule:
+                            rng: np.random.Generator | None = None) -> ScenarioSchedule:
     """Full training scenario: adaptation, then one session per prescribed image.
 
     Each session shows d_inf of instruction, then runs_per_session runs spaced by
@@ -163,7 +153,7 @@ def build_scenario_schedule(timing: TimingConfig,
     prev_last: int | None = None
     for sess, target in enumerate(session_targets):
         session_base = _fr(timing.d_adapt) + sess * d_session + _fr(timing.d_inf)
-        grid = _run_grid(timing, timing.runs_per_session, session_base, rate)
+        grid = _run_grid(timing, timing.runs_per_session, session_base)
         for run, slots in enumerate(grid):
             seq = generate_run_sequence(rng, prev_last)
             prev_last = seq[-1]
@@ -180,9 +170,7 @@ def build_scenario_schedule(timing: TimingConfig,
 def build_online_trial_schedule(timing: TimingConfig,
                                 n_trials: int = 3,
                                 rng: np.random.Generator | None = None,
-                                rate: float = DEFAULT_RATE,
-                                sequences=None,
-                                previous_last: int | None = None) -> ScenarioSchedule:
+                                sequences=None) -> ScenarioSchedule:
     """n_trials back-to-back runs with d_run_interval gaps and no prefix.
 
     is_target is left unset (blind use).  When sequences is given (one image
@@ -202,9 +190,9 @@ def build_online_trial_schedule(timing: TimingConfig,
     if rng is None and sequences is None:
         rng = np.random.default_rng()
 
-    grid, span_s = online_grid(timing, n_trials, rate)
+    grid, span_s = online_grid(timing, n_trials)
     events: list[StimulusEvent] = []
-    prev_last = previous_last
+    prev_last: int | None = None
     for trial, slots in enumerate(grid):
         if sequences is not None:
             seq = sequences[trial]
@@ -220,8 +208,7 @@ def build_online_trial_schedule(timing: TimingConfig,
 
 
 @functools.lru_cache(maxsize=32)
-def online_grid(timing: TimingConfig, n_trials: int,
-                rate: float = DEFAULT_RATE):
+def online_grid(timing: TimingConfig, n_trials: int):
     """(grid, span_s) of `n_trials` back-to-back online runs, computed exactly.
 
     grid[trial][j] is the (onset_sample, onset_s) of the trial's j-th flash.
@@ -230,7 +217,7 @@ def online_grid(timing: TimingConfig, n_trials: int,
     """
     d_run = _exact_durations(timing)[1]
     span = n_trials * d_run + (n_trials - 1) * _fr(timing.d_run_interval)
-    return _run_grid(timing, n_trials, Fraction(0), rate), float(span)
+    return _run_grid(timing, n_trials, Fraction(0)), float(span)
 
 
 def event_table(schedule: ScenarioSchedule) -> str:

@@ -152,18 +152,12 @@ def train_on_dataset(dataset: LabeledDataset,
                      pipeline: PipelineConfig) -> ModelFile:
     """Fit scaling on the training vectors, then the discriminant; the model
     stores `pipeline`, which built `dataset`, as the one it is served with."""
-    return train_with_features(dataset, pipeline)[0]
-
-
-def train_with_features(dataset: LabeledDataset, pipeline: PipelineConfig,
-                        ) -> tuple[ModelFile, np.ndarray]:
-    """`train_on_dataset`, plus the scaled training vectors it was fit on."""
     scaling = dsp.minmax_fit(dataset.vectors)
     scaled = dsp.minmax_apply(scaling, dataset.vectors)
     model = lda.train(scaled, dataset.labels, shrinkage=pipeline.shrinkage)
     return ModelFile(weights=model.w, bias=model.b, mins=scaling.mins,
                      maxes=scaling.maxes, channels=tuple(dataset.channels),
-                     pipeline=pipeline), scaled
+                     pipeline=pipeline)
 
 
 def score_vectors(model: ModelFile, vectors: np.ndarray) -> np.ndarray:
@@ -235,8 +229,8 @@ def _stream_roundtrip(record: EegRecord, chunk: int,
 
 def run_online_selection(model: ModelFile, params: SubjectParams,
                          catalog: ObjectCatalog, target: int,
-                         n_trials: int = DEFAULT_TRIALS,
-                         rng: np.random.Generator | None = None,
+                         n_trials: int = DEFAULT_TRIALS, *,
+                         rng: np.random.Generator,
                          timing: TimingConfig = TimingConfig(),
                          sequences=None,
                          ) -> tuple[SelectionResult, EegRecord]:
@@ -244,9 +238,8 @@ def run_online_selection(model: ModelFile, params: SubjectParams,
 
     The subject attends `target`; the decision pipeline never sees that, but
     the returned logged record keeps ground-truth labels for retraining.
+    Every draw of the flashing orders, the stream and ICA comes from `rng`.
     """
-    if rng is None:
-        rng = np.random.default_rng()
     blind = build_online_trial_schedule(timing, n_trials, rng,
                                         sequences=sequences)
     schedule = with_targets(blind, target)
@@ -356,14 +349,10 @@ def _phase_sequences(schedule: ScenarioSchedule, target: int,
     """
     position = list(schedule.session_targets).index(target)
     runs_per_session = schedule.timing.runs_per_session
-    by_run: dict[int, list[tuple[int, int]]] = {}
-    for ev in schedule.events:
+    sequences: list[list[int]] = [[] for _ in range(runs_per_session)]
+    for ev in schedule.events:  # in onset order
         if ev.session_index == position:
-            by_run.setdefault(ev.run_index, []).append(
-                (ev.onset_sample, ev.image_id))
-    sequences = []
-    for run in sorted(by_run):
-        sequences.append([img for _s, img in sorted(by_run[run])])
+            sequences[ev.run_index].append(ev.image_id)
     start = (round_index * n_trials) % runs_per_session
     return [sequences[(start + i) % runs_per_session] for i in range(n_trials)]
 
@@ -438,7 +427,8 @@ def run_full_evaluation(params: SubjectParams,
     catalog = ObjectCatalog()
     started = time.perf_counter()
     root = np.random.SeedSequence(seed)
-    train_seq, phase1_seq, phase2_seq = root.spawn(3)
+    # a child's seed depends on its index only, not on how many are spawned
+    train_seq, phase1_seq, phase2_seq, retrain_seq = root.spawn(4)
     schedule_seq, subject_seq = train_seq.spawn(2)
 
     train_params = replace(params, constant_offset=0.0, seed=subject_seq)
@@ -450,7 +440,7 @@ def run_full_evaluation(params: SubjectParams,
         model1, params, catalog, timing, n_trials, reps_per_object,
         mismatch, phase1_seq, training_schedule, collect_logs=True)
 
-    model2 = retrain_from_online(logs, pipeline)
+    model2 = retrain_from_online(logs, pipeline, np.random.default_rng(retrain_seq))
 
     phase2, _ = _run_phase(
         model2, params, catalog, timing, n_trials, reps_per_object,

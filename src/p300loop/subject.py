@@ -95,8 +95,8 @@ def stage_generators(seed) -> tuple[np.random.Generator, ...]:
 
 
 def generate_background(duration: float, channels: ChannelSet,
-                        params: SubjectParams, rng: np.random.Generator,
-                        rate: float = DEFAULT_RATE) -> EegRecord:
+                        params: SubjectParams,
+                        rng: np.random.Generator) -> EegRecord:
     """Markerless background record: pink noise plus random-phase alpha.
 
     Each row draws its white noise, then its alpha phase; the 1/f shaping
@@ -104,7 +104,7 @@ def generate_background(duration: float, channels: ChannelSet,
     """
     if duration <= 0:
         raise ValueError("duration must be positive")
-    n = int(round(duration * rate))
+    n = int(round(duration * DEFAULT_RATE))
     white = np.empty((len(channels), n))
     phases = np.empty((len(channels), 1))
     for i in range(len(channels)):
@@ -120,10 +120,10 @@ def generate_background(duration: float, channels: ChannelSet,
     gain = params.background_rms / np.where(ok, scale, 1.0)
     samples = np.where(ok, x * gain, 0.0)
     if params.alpha_amp > 0:
-        t = np.arange(n) / rate
+        t = np.arange(n) / DEFAULT_RATE
         samples = samples + params.alpha_amp * np.sin(
             2.0 * np.pi * 10.0 * t + phases)
-    return EegRecord(channels, rate, samples)
+    return EegRecord(channels, DEFAULT_RATE, samples)
 
 
 def inject_p300(record: EegRecord, schedule: ScenarioSchedule,

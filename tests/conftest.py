@@ -39,5 +39,5 @@ def training_record(training_schedule):
 
 
 @pytest.fixture(scope="session")
-def training_dataset(training_record, training_schedule):
-    return features.dataset_from_scenario(training_record, training_schedule)
+def training_dataset(training_record):
+    return features.dataset_from_scenario(training_record)

@@ -77,7 +77,7 @@ def test_criterion_02_feature_geometry():
         schedule = scheduler.build_scenario_schedule(
             timing, rng=np.random.default_rng(0))
         record = subject.simulate_subject(schedule, subject.SubjectParams(seed=0))
-        dataset = features.dataset_from_scenario(record, schedule)
+        dataset = features.dataset_from_scenario(record)
 
         ok = (dataset.n_epochs == 864
               and dataset.feature_size == 845
@@ -193,8 +193,7 @@ def test_criterion_05_blink_removal():
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            model, sources = ica.fit(dirty.samples, rng=np.random.default_rng(42),
-                                     strict=False)
+            model, sources = ica.fit(dirty.samples, rng=np.random.default_rng(42))
         mask = ica.classify_components(model, sources, channels,
                                        kurtosis_threshold=5.0)
         scrubbed = dirty.with_samples(ica.reconstruct(model, dirty.samples, mask))

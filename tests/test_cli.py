@@ -146,6 +146,15 @@ class TestTrain:
         assert "trained on 864 epochs (72 targets), 845 features" in stdout
         assert "cross-validated AUC" in stdout
 
+    def test_in_sample_fisher_criterion_not_printed(self, workspace, capsys):
+        # J of the vectors the model was fit on measures fit, not separation
+        assert _run(["train", "--record", str(workspace["record"]),
+                     "--model", str(workspace["root"] / "model3.json")]) == 0
+        stdout = capsys.readouterr().out
+        assert "fisher" not in stdout.lower()
+        assert "cross-validated AUC = " in stdout
+        assert "score range on training data: [" in stdout
+
     def test_model_file_is_loadable(self, workspace):
         model = acquisition.load_model(workspace["model"])
         assert model.weights.shape == (845,)
@@ -244,6 +253,31 @@ class TestConfigFile:
         cfg.write_text("[1, 2]")
         assert _run(["simulate", "--config", str(cfg),
                      "--out", str(tmp_path / "x.eegs")]) == 2
+
+    def _rejected(self, tmp_path, capsys, config, key):
+        """`simulate --config` exits 2 before simulating, naming `key`."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "x.eegs"
+        assert _run(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"config key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_key_rejected(self, tmp_path, capsys):
+        self._rejected(tmp_path, capsys, {"p300_ampp": 99}, "p300_ampp")
+
+    def test_float_for_an_int_flag_rejected(self, tmp_path, capsys):
+        self._rejected(tmp_path, capsys, {"seed": 1.5}, "seed")
+
+    def test_bool_for_an_int_flag_rejected(self, tmp_path, capsys):
+        self._rejected(tmp_path, capsys, {"trials": True}, "trials")
+
+    def test_int_for_a_float_flag_is_a_float(self, monkeypatch, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"d_inf": 2}))
+        seen = _evaluate_configs(monkeypatch, tmp_path,
+                                 ["--config", str(cfg)])
+        assert repr(seen["timing"].d_inf) == "2.0"
 
 
 class TestExitCodes:
@@ -395,10 +429,10 @@ class TestStreamLoopback:
         assert model.pipeline == pipeline and "FC5" in model.channels
         dataset = features.dataset_from_scenario(
             record, pipeline=pipeline, ica_rng=np.random.default_rng(5))
-        trained, scaled = session.train_with_features(dataset, pipeline)
+        trained = session.train_on_dataset(dataset, pipeline)
         assert trained == model
-        want = session.trial_scores(dataset.provenance,
-                                    scaled @ trained.weights + trained.bias)
+        want = session.trial_scores(
+            dataset.provenance, session.score_vectors(trained, dataset.vectors))
         got = session.score_table(model, record,
                                   ica_rng=np.random.default_rng(5))
         assert got.tobytes() == want.tobytes()
@@ -481,10 +515,13 @@ class TestFieldFlags:
     def test_seed_and_topography_are_not_subject_overrides(self, monkeypatch,
                                                            tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"seed": 4, "p300_topography": [1.0] * 14}))
+        cfg.write_text(json.dumps({"seed": 4}))
         seen = _evaluate_configs(monkeypatch, tmp_path,
                                  ["--config", str(cfg)])
         assert seen["params"] == cli.SubjectParams(seed=4)
+        cfg.write_text(json.dumps({"p300_topography": [1.0] * 14}))
+        assert _run(["evaluate", "--config", str(cfg),
+                     "--report", str(tmp_path / "r.json")]) == 2
 
     def test_pipeline_flags_land_in_the_pipeline(self, monkeypatch, tmp_path):
         seen = _evaluate_configs(monkeypatch, tmp_path, [

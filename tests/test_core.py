@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from p300loop import core
+from p300loop import core, features
 
 
 class TestChannelSet:
@@ -160,31 +160,37 @@ class TestTimeToSample:
 
 
 class TestSliceWindow:
-    def _record(self):
+    """The sample window `features.segment` cuts from a record per marker."""
+
+    def _record(self, onset=0):
         samples = np.arange(20, dtype=float).reshape(2, 10)
+        marker = core.StimulusEvent(image_id=0, onset_sample=onset,
+                                    run_index=0, session_index=0)
         return core.EegRecord(samples=samples, rate=128.0,
-                              channels=core.ChannelSet(("A", "B")))
+                              channels=core.ChannelSet(("A", "B")),
+                              markers=(marker,))
 
     def test_contents_and_copy_semantics(self):
-        rec = self._record()
-        win = core.slice_window(rec, 3, 4)
+        rec = self._record(onset=3)
+        win = features.segment(rec, features.EpochWindow(length=4))[0]
         assert win.shape == (2, 4)
         np.testing.assert_array_equal(win[0], [3, 4, 5, 6])
         win[0, 0] = -1.0  # a writable copy, not a view
         assert rec.samples[0, 3] == 3.0
 
     def test_bounds_checks(self):
-        rec = self._record()
         with pytest.raises(IndexError):
-            core.slice_window(rec, 7, 4)
+            features.segment(self._record(onset=7),
+                             features.EpochWindow(length=4))
         with pytest.raises(IndexError):
-            core.slice_window(rec, -1, 4)
+            features.segment(self._record(onset=0),
+                             features.EpochWindow(start_offset=-1, length=4))
         with pytest.raises(ValueError):
-            core.slice_window(rec, 0, -1)
+            features.EpochWindow(length=-1)
 
     def test_full_span_allowed(self):
-        rec = self._record()
-        win = core.slice_window(rec, 0, 10)
+        rec = self._record(onset=0)
+        win = features.segment(rec, features.EpochWindow(length=10))[0]
         np.testing.assert_array_equal(win, rec.samples)
 
 

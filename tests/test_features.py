@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from p300loop import core, features, scheduler, subject
+from p300loop import core, dsp, features, scheduler, subject
 
 
 def _record_with_nans(fractions, n=1000):
@@ -60,75 +60,80 @@ class TestPruneChannels:
 
 
 class TestSegment:
-    def _record(self, n=2000):
+    def _record(self, markers, n=2000):
         samples = np.tile(np.arange(n, dtype=float), (2, 1))
-        return core.EegRecord(core.ChannelSet(("A", "B")), 128.0, samples)
+        return core.EegRecord(core.ChannelSet(("A", "B")), 128.0, samples,
+                              markers)
 
     def test_window_columns(self):
-        rec = self._record()
         ev = core.StimulusEvent(image_id=0, onset_sample=1000, run_index=0,
                                 session_index=0, is_target=True)
-        epochs = features.segment(rec, [ev])
-        assert len(epochs) == 1
-        epoch, back = epochs[0]
-        assert back == ev
-        assert epoch.shape == (2, 65)
+        epochs = features.segment(self._record([ev]))
+        assert epochs.shape == (1, 2, 65)
         # an onset at sample 1000 spans columns 1000..1064 inclusive
-        assert epoch[0, 0] == 1000.0
-        assert epoch[0, -1] == 1064.0
+        assert epochs[0, 0, 0] == 1000.0
+        assert epochs[0, 0, -1] == 1064.0
 
     def test_start_offset_shifts_window(self):
-        rec = self._record()
         ev = core.StimulusEvent(image_id=0, onset_sample=1000, run_index=0,
                                 session_index=0, is_target=True)
         window = features.EpochWindow(start_offset=13, length=10)
-        (epoch, _), = features.segment(rec, [ev], window)
-        assert epoch[0, 0] == 1013.0
+        epochs = features.segment(self._record([ev]), window)
+        assert epochs[0, 0, 0] == 1013.0
 
     def test_events_default_to_markers(self):
-        rec = self._record()
-        ev = core.StimulusEvent(image_id=3, onset_sample=500, run_index=0,
-                                session_index=0, is_target=False)
-        rec = rec.with_markers([ev])
-        epochs = features.segment(rec)
-        assert len(epochs) == 1
-        assert epochs[0][1].image_id == 3
+        # one epoch per marker, in marker order
+        evs = [core.StimulusEvent(image_id=i, onset_sample=onset, run_index=0,
+                                  session_index=0, is_target=False)
+               for i, onset in ((3, 500), (1, 700), (2, 900))]
+        epochs = features.segment(self._record(evs))
+        assert epochs.shape == (3, 2, 65)
+        np.testing.assert_array_equal(epochs[:, 1, 0], [500.0, 700.0, 900.0])
 
     def test_window_overrun_is_descriptive(self):
-        rec = self._record(n=1030)
         ev = core.StimulusEvent(image_id=2, onset_sample=1000, run_index=1,
                                 session_index=4, is_target=False)
         with pytest.raises(IndexError, match="session 4"):
-            features.segment(rec, [ev])
+            features.segment(self._record([ev], n=1030))
 
 
 class TestFeatureVector:
+    """A feature vector is its epoch flattened row-major: channel 0's
+    samples, then channel 1's."""
+
+    def _epochs(self, samples, length):
+        ev = core.StimulusEvent(image_id=0, onset_sample=0, run_index=0,
+                                session_index=0, is_target=True)
+        rec = core.EegRecord(core.ChannelSet(tuple("AB"[:len(samples)])),
+                             128.0, samples, (ev,))
+        return features.segment(rec, features.EpochWindow(length=length))
+
     def test_row_major_order_1x3(self):
-        epoch = np.array([[1.0, 2.0, 3.0]])
-        np.testing.assert_array_equal(features.build_feature_vector(epoch),
-                                      [1.0, 2.0, 3.0])
+        epochs = self._epochs(np.array([[1.0, 2.0, 3.0, 9.0]]), 3)
+        np.testing.assert_array_equal(epochs.reshape(1, -1), [[1.0, 2.0, 3.0]])
 
     def test_row_major_order_2x2(self):
-        epoch = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(features.build_feature_vector(epoch),
-                                      [1.0, 2.0, 3.0, 4.0])
+        epochs = self._epochs(np.array([[1.0, 2.0, 9.0], [3.0, 4.0, 9.0]]), 2)
+        np.testing.assert_array_equal(epochs.reshape(1, -1),
+                                      [[1.0, 2.0, 3.0, 4.0]])
 
-    def test_round_trip(self):
-        rng = np.random.default_rng(1)
-        epoch = rng.normal(size=(13, 65))
-        vec = features.build_feature_vector(epoch)
-        assert vec.shape == (845,)
-        np.testing.assert_array_equal(vec.reshape(13, 65), epoch)
+    def test_round_trip(self, training_record, training_dataset):
+        pruned, _ = features.prune_channels(training_record)
+        filtered = dsp.filter_apply(
+            dsp.design_bandpass(dsp.FilterSpec(rate=pruned.rate)), pruned)
+        epochs = features.segment(filtered)
+        # reference: one basic slice per marker
+        want = [filtered.samples[:, ev.onset_sample:ev.onset_sample + 65]
+                for ev in filtered.markers]
+        np.testing.assert_array_equal(epochs, want)
+        assert training_dataset.vectors.shape == (864, 845)
+        np.testing.assert_array_equal(
+            training_dataset.vectors.reshape(864, 13, 65), epochs)
 
-    def test_vector_is_a_copy(self):
-        epoch = np.zeros((2, 2))
-        vec = features.build_feature_vector(epoch)
-        vec[0] = 9.0
-        assert epoch[0, 0] == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            features.build_feature_vector(np.zeros(5))
+    def test_vector_is_a_copy(self, training_record):
+        epochs = features.segment(training_record)
+        assert epochs.flags.writeable
+        assert not np.shares_memory(epochs, training_record.samples)
 
 
 class TestDatasetFromScenario:
@@ -146,9 +151,12 @@ class TestDatasetFromScenario:
 
     def test_events_can_come_from_markers(self, training_record,
                                           training_dataset):
-        from_markers = features.dataset_from_scenario(training_record)
-        np.testing.assert_array_equal(from_markers.vectors,
-                                      training_dataset.vectors)
+        assert training_dataset.provenance == tuple(
+            (ev.run_index, ev.session_index, ev.image_id)
+            for ev in training_record.markers)
+        np.testing.assert_array_equal(
+            training_dataset.labels,
+            [ev.is_target for ev in training_record.markers])
 
     def test_unlabelled_events_rejected(self):
         t = scheduler.TimingConfig(sessions_per_scenario=1, runs_per_session=1)
@@ -164,6 +172,11 @@ class TestDatasetFromScenario:
         rec = core.EegRecord(core.ChannelSet(("A",)), 128.0, np.zeros((1, 100)))
         with pytest.raises(ValueError):
             features.dataset_from_scenario(rec)
+
+    def test_ica_pipeline_needs_a_generator(self, training_record):
+        with pytest.raises(TypeError, match="ica_rng"):
+            features.dataset_from_scenario(
+                training_record, features.PipelineConfig(use_ica=True))
 
     def test_filtering_actually_ran(self, training_record, training_dataset):
         # raw epochs contain the ~10 uV background; filtered features are

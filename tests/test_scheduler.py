@@ -18,8 +18,9 @@ class TestTimingConfig:
 
     def test_derived_properties_are_exact(self):
         t = scheduler.TimingConfig()
-        assert t.isi == 0.3
-        assert t.d_run == 3.6
+        isi, d_run, _, _ = scheduler._exact_durations(t)
+        assert (isi, d_run) == (Fraction(3, 10), Fraction(18, 5))
+        assert scheduler.durations(t)[0] == 3.6
 
     def test_rejects_nonpositive_durations_and_counts(self):
         with pytest.raises(ValueError):
@@ -219,25 +220,18 @@ class TestOnlineTrialSchedule:
             scheduler.build_online_trial_schedule(t, n_trials=1,
                                                   sequences=[[0] * 12])
 
-    def test_previous_last_respected(self):
-        t = scheduler.TimingConfig()
-        for seed in range(20):
-            sched = scheduler.build_online_trial_schedule(
-                t, n_trials=1, rng=np.random.default_rng(seed), previous_last=6)
-            assert sched.events[0].image_id != 6
-
     def test_needs_at_least_one_trial(self):
         with pytest.raises(ValueError):
             scheduler.build_online_trial_schedule(scheduler.TimingConfig(),
                                                   n_trials=0)
 
 
-def reference_online_schedule(timing, n_trials, rng, rate, sequences=None):
+def reference_online_schedule(timing, n_trials, rng, sequences=None):
     """The per-call Fraction builder that the cached online grid replaced."""
     fr = lambda x: Fraction(str(x))
     isi = fr(timing.d_flash) + fr(timing.d_no_flash)
     d_run = isi * core.N_IMAGES
-    rate_fr = fr(rate)
+    rate_fr = fr(core.DEFAULT_RATE)
     events = []
     prev_last = None
     for trial in range(n_trials):
@@ -268,12 +262,10 @@ class TestCachedOnlineGrid:
     @given(d_flash=_CENTI_SECONDS, d_no_flash=_CENTI_SECONDS,
            d_run_interval=_CENTI_SECONDS,
            n_trials=st.integers(min_value=1, max_value=6),
-           rate=st.sampled_from([128.0, 100.0, 256.0, 500.0]),
            seed=st.integers(min_value=0, max_value=2**16),
            replay=st.booleans())
     def test_matches_fraction_builder(self, d_flash, d_no_flash,
-                                      d_run_interval, n_trials, rate,
-                                      seed, replay):
+                                      d_run_interval, n_trials, seed, replay):
         timing = scheduler.TimingConfig(d_flash=d_flash, d_no_flash=d_no_flash,
                                         d_run_interval=d_run_interval)
         sequences = None
@@ -284,22 +276,21 @@ class TestCachedOnlineGrid:
         got_rng = np.random.default_rng(seed)
         want_rng = np.random.default_rng(seed)
         got = scheduler.build_online_trial_schedule(
-            timing, n_trials, got_rng, rate=rate, sequences=sequences)
-        want = reference_online_schedule(timing, n_trials, want_rng, rate,
-                                         sequences)
+            timing, n_trials, got_rng, sequences=sequences)
+        want = reference_online_schedule(timing, n_trials, want_rng, sequences)
         assert got.events == want.events
         assert ([ev.onset_s for ev in got.events]
                 == [ev.onset_s for ev in want.events])
         assert got.span_s == want.span_s
-        assert scheduler.online_grid(timing, n_trials, rate)[1] == want.span_s
+        assert scheduler.online_grid(timing, n_trials)[1] == want.span_s
         assert (got_rng.bit_generator.state
                 == want_rng.bit_generator.state)
 
     def test_grid_is_computed_once_per_key(self):
         timing = scheduler.TimingConfig(d_flash=0.15)
-        first = scheduler.online_grid(timing, 3, 128.0)
+        first = scheduler.online_grid(timing, 3)
         assert scheduler.online_grid(
-            scheduler.TimingConfig(d_flash=0.15), 3, 128.0) is first
+            scheduler.TimingConfig(d_flash=0.15), 3) is first
         assert first[1] == float(3 * Fraction("0.25") * 12
                                  + 2 * Fraction("0.2"))
 

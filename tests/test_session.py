@@ -1,6 +1,7 @@
 """Closed-loop machinery: voting, online selection, retraining, evaluation."""
 import queue
 import threading
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -675,6 +676,39 @@ class TestEvaluationPhase:
 
 
 class TestFullEvaluation:
+    def test_seed0_default_report_counts_are_pinned(self):
+        # A change that moves these bits updates the pin and says why.
+        report = session.run_full_evaluation(subject.SubjectParams(), seed=0)
+        counts = {phase: (report[phase]["correct"],
+                          [row["correct"] for row in report[phase]["per_object"]])
+                  for phase in ("phase1", "phase2")}
+        assert counts == {
+            "phase1": (42, [2, 5, 2, 2, 4, 2, 6, 5, 2, 4, 3, 5]),
+            "phase2": (118, [10, 10, 10, 10, 9, 10, 10, 10, 10, 10, 9, 10]),
+        }
+
+    def test_ica_retraining_is_seeded_by_the_evaluation_seed(self,
+                                                             monkeypatch):
+        class Retrained(Exception):
+            pass
+
+        weights = []
+
+        def retrain(*args, retrain=session.retrain_from_online, **kwargs):
+            weights.append(retrain(*args, **kwargs).weights)
+            raise Retrained  # phase 2 is not needed
+
+        monkeypatch.setattr(session, "retrain_from_online", retrain)
+        for _ in range(2):
+            with pytest.raises(Retrained), warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                session.run_full_evaluation(
+                    subject.SubjectParams(), seed=0,
+                    timing=scheduler.TimingConfig(runs_per_session=3),
+                    pipeline=features.PipelineConfig(use_ica=True),
+                    reps_per_object=1)
+        assert weights[0].tobytes() == weights[1].tobytes()
+
     def test_report_structure(self, clean_report):
         report = clean_report
         for phase_key in ("phase1", "phase2"):

@@ -181,7 +181,8 @@ class TestInjectP300:
         rec = subject.simulate_subject(sched, _quiet_params())
         target_ev = next(ev for ev in sched.events if ev.is_target)
         row = rec.channels.index("P8")
-        win = core.slice_window(rec, target_ev.onset_sample, 65)
+        start = target_ev.onset_sample
+        win = rec.samples[:, start:start + 65]
         # 0.4 s * 128 Hz = 51.2 samples after onset
         assert int(np.argmax(win[row])) == 51
         assert win[row].max() == pytest.approx(12.0, rel=1e-3)
@@ -191,14 +192,16 @@ class TestInjectP300:
         rec = subject.simulate_subject(sched, _quiet_params(constant_offset=0.1))
         target_ev = next(ev for ev in sched.events if ev.is_target)
         row = rec.channels.index("P8")
-        win = core.slice_window(rec, target_ev.onset_sample, 80)
+        start = target_ev.onset_sample
+        win = rec.samples[:, start:start + 80]
         assert int(np.argmax(win[row])) == 64
 
     def test_topography_scales_regions(self):
         sched = self._one_target_schedule()
         rec = subject.simulate_subject(sched, _quiet_params())
         target_ev = next(ev for ev in sched.events if ev.is_target)
-        win = core.slice_window(rec, target_ev.onset_sample, 65)
+        start = target_ev.onset_sample
+        win = rec.samples[:, start:start + 65]
         peak = {lab: win[rec.channels.index(lab)].max()
                 for lab in ("O1", "T7", "AF3")}
         assert peak["O1"] == pytest.approx(12.0, rel=1e-3)
@@ -214,7 +217,7 @@ class TestInjectP300:
         for ev in sched.events:
             if ev.is_target:
                 continue
-            win = core.slice_window(rec, ev.onset_sample, 40)
+            win = rec.samples[:, ev.onset_sample:ev.onset_sample + 40]
             # the bump decays fast: windows clear of it by 0.25 s are flat
             if ev.onset_sample + 40 < centre - 32 or ev.onset_sample > centre + 32:
                 assert np.abs(win).max() < 0.1
