@@ -7,7 +7,6 @@ RMS before and after so the frontal cleanup (and posterior preservation) is
 visible channel by channel.
 """
 import argparse
-import warnings
 
 import numpy as np
 
@@ -35,11 +34,7 @@ def main() -> None:
     clean = subject.generate_background(args.duration, channels, params, bg_rng)
     dirty = subject.inject_blinks(clean, params, blink_rng)
 
-    # the near-Gaussian background keeps the fixed point wandering; fit
-    # accepts the final iterate with a warning, silenced here
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        model, sources = ica.fit(dirty.samples, rng=np.random.default_rng(42))
+    model, sources = ica.fit(dirty.samples)
     mask = ica.classify_components(model, sources, channels,
                                    kurtosis_threshold=args.kurtosis_threshold)
     flagged = [int(i) for i in np.flatnonzero(mask)]

@@ -171,6 +171,8 @@ def decode_frame(buffer, offset: int = 0) -> tuple[WireFrame, int]:
         if major > VERSION[0]:
             raise VersionError(f"stream version {major}.{minor} is newer than "
                                f"{VERSION[0]}.{VERSION[1]}")
+        if not 0 < rate < np.inf:  # NaN too
+            raise ProtocolError(f"header rate {rate} is not finite and positive")
         labels = []
         pos = 12
         for _ in range(channel_count):
@@ -180,7 +182,10 @@ def decode_frame(buffer, offset: int = 0) -> tuple[WireFrame, int]:
             pos += 1
             if pos + n > len(payload):
                 raise ProtocolError("header label table truncated")
-            labels.append(payload[pos:pos + n].decode("utf-8"))
+            try:
+                labels.append(payload[pos:pos + n].decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise ProtocolError(f"header label: {exc}") from None
             pos += n
         if pos != len(payload):
             raise ProtocolError("trailing bytes in header payload")
@@ -279,7 +284,8 @@ def stream_record(record: EegRecord, chunk: int = DEFAULT_CHUNK) -> list[WireFra
 
 
 def reassemble(frames) -> EegRecord:
-    """Rebuild a record from a complete frame sequence, enforcing the grammar."""
+    """Rebuild a record from a complete frame sequence, enforcing the grammar
+    and what an EegRecord holds: no infinite sample, ordered in-range markers."""
     frames = list(frames)
     if not frames:
         raise ProtocolError("empty stream")
@@ -289,7 +295,7 @@ def reassemble(frames) -> EegRecord:
     if not isinstance(frames[-1], EndFrame):
         raise ProtocolError("stream not terminated by an end frame")
     blocks = []
-    events = []
+    markers = []
     expected_index = 0
     for frame in frames[1:-1]:
         if isinstance(frame, HeaderFrame):
@@ -306,15 +312,21 @@ def reassemble(frames) -> EegRecord:
             expected_index += frame.samples.shape[0]
             blocks.append(frame.samples)
         else:
-            events.append(StimulusEvent(
-                image_id=frame.image_id, onset_sample=frame.sample_index,
-                run_index=frame.run, session_index=frame.session,
-                is_target=frame.is_target))
+            markers.append(frame)
     if not blocks:
         raise ProtocolError("stream carries no samples")
-    samples = np.concatenate(blocks, axis=0).T.astype(np.float64)
-    channels = ChannelSet(header.labels)
-    return EegRecord(channels, header.rate, samples, tuple(events))
+    samples = np.concatenate(blocks, axis=0)
+    if np.isinf(samples).any():  # NaN is a dropped sample, inf is corruption
+        raise ProtocolError("stream carries an infinite sample")
+    try:
+        events = tuple(StimulusEvent(
+            image_id=m.image_id, onset_sample=m.sample_index,
+            run_index=m.run, session_index=m.session, is_target=m.is_target)
+            for m in markers)
+        return EegRecord(ChannelSet(header.labels), header.rate,
+                         samples.T.astype(np.float64), events)
+    except ValueError as exc:
+        raise ProtocolError(f"stream breaks the record contract: {exc}") from None
 
 
 def encode_record(record: EegRecord, chunk: int) -> bytes:

@@ -106,7 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="fit a model from a recorded scenario")
     p_train.add_argument("--record", required=True)
     p_train.add_argument("--model", required=True, help="model file to write")
-    p_train.add_argument("--seed", type=int, default=0)
+    p_train.add_argument("--seed", type=int, default=0,
+                         help="no effect: training draws nothing at random")
     _add_pipeline_flags(p_train)
 
     p_eval = sub.add_parser("evaluate", help="run the two-phase closed-loop evaluation")
@@ -129,8 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_stream.add_argument("--time-scale", type=float, default=0.0,
                           help="1.0 = real time, 0 = as fast as possible")
     p_stream.add_argument("--chunk", type=int, default=acquisition.DEFAULT_CHUNK)
-    p_stream.add_argument("--seed", type=int, default=0,
-                          help="seeds the consumer's ICA fit (as train --seed)")
 
     p_ins = sub.add_parser("inspect", help="summarize a record or model file")
     p_ins.add_argument("--record")
@@ -166,8 +165,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     pipeline = _pipeline_from(args)
     record = load_record(args.record)
-    rng = np.random.default_rng(args.seed)
-    dataset = dataset_from_scenario(record, pipeline=pipeline, ica_rng=rng)
+    dataset = dataset_from_scenario(record, pipeline=pipeline)
     model = session.train_on_dataset(dataset, pipeline)
     save_model(model, args.model)
     scores = session.score_vectors(model, dataset.vectors)
@@ -239,7 +237,7 @@ def _stream_consume(args) -> int:
     with socket.create_connection((args.host, args.port)) as conn:
         record = decode_record(iter(lambda: conn.recv(65536), b""))
     print(f"received {record.n_samples} samples, {len(record.markers)} markers")
-    table = score_table(model, record, ica_rng=np.random.default_rng(args.seed))
+    table = score_table(model, record)
     n_votes, n_left = divmod(len(table), args.trials)
     for i in range(n_votes):
         _, chosen = vote(table[i * args.trials:(i + 1) * args.trials])
@@ -327,8 +325,7 @@ def main(argv=None) -> int:
     except ProtocolError as exc:
         print(f"protocol error: {exc}", file=sys.stderr)
         return EXIT_PROTOCOL
-    except (ica.ConvergenceError, ica.RankError, np.linalg.LinAlgError,
-            FloatingPointError) as exc:
+    except (ica.RankError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (FormatError, ValueError, OSError, KeyError, IndexError) as exc:

@@ -125,12 +125,11 @@ def segment(record: EegRecord,
 
 def dataset_from_scenario(record: EegRecord,
                           pipeline: PipelineConfig = PipelineConfig(),
-                          ica_rng: np.random.Generator | None = None,
                           ) -> LabeledDataset:
     """Prune, filter, optionally ICA-clean, segment, and vectorize a recording.
 
     There is one epoch per marker of the record, and every marker must carry
-    a target flag.  An ICA pipeline fits with `ica_rng`, which it requires.
+    a target flag.
     """
     events = record.markers
     if not events:
@@ -138,15 +137,13 @@ def dataset_from_scenario(record: EegRecord,
     for ev in events:
         if ev.is_target is None:
             raise ValueError("events must carry target labels")
-    if pipeline.use_ica and ica_rng is None:
-        raise TypeError("an ICA pipeline needs ica_rng to seed its fit")
 
     pruned, _ = prune_channels(record, pipeline.nan_threshold)
     coeffs = dsp.design_bandpass(dsp.FilterSpec(rate=pruned.rate))
     filtered = dsp.filter_apply(coeffs, pruned)
 
     if pipeline.use_ica:
-        model, sources = ica.fit(filtered.samples, rng=ica_rng)
+        model, sources = ica.fit(filtered.samples)
         mask = ica.classify_components(model, sources, filtered.channels)
         cleaned = ica.reconstruct(model, filtered.samples, mask)
         filtered = filtered.with_samples(cleaned)

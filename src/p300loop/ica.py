@@ -1,14 +1,14 @@
 """FastICA blind source separation with artifact identification.
 
 Whitening projects mean-centred data onto covariance eigenvectors scaled by
-inverse square-root eigenvalues.  The unmixing matrix is estimated by the
-symmetric fixed-point iteration with the tanh contrast, orthonormalizing the
-full matrix each step.  Each step is one pass over the whitened data in column
-blocks of BLOCK_SAMPLES, through one buffer reused for every block and step; a
-record of at most one block is summed exactly as an unblocked step would be.
-Components are flagged as blink artifacts when they are strongly
-super-Gaussian and load mostly on frontal channels; flagged components are
-zeroed before reconstruction.
+inverse square-root eigenvalues.  `fit` extracts the blink by the one-unit
+tanh fixed point (Hyvarinen & Oja 1997) from the whitened sample of largest
+norm, the one stable direction over a Gaussian background (Hyvarinen 1999),
+and completes it to an orthonormal basis; `fastica` runs the symmetric
+iteration over all rows.  Each step is one pass over the whitened data in
+column blocks of BLOCK_SAMPLES through one reused buffer.  Components that
+are strongly super-Gaussian and load mostly on frontal channels are flagged
+as blinks and zeroed before reconstruction.
 """
 from __future__ import annotations
 
@@ -141,19 +141,19 @@ def fastica(whitened: np.ndarray, rng: np.random.Generator,
 
 def _fixed_point_step(w: np.ndarray, z: np.ndarray,
                       buf: np.ndarray) -> np.ndarray:
-    """E[z tanh(w z)^T] - E[1 - tanh(w z)^2] w, before orthonormalization.
+    """E[z tanh(w z)^T] - E[1 - tanh(w z)^2] w per row of w, unnormalized.
 
     Runs over column blocks of z (views, not copies) with tanh(w z) of each
-    block held in the flat buffer `buf` of at least k * min(n, BLOCK_SAMPLES)
-    floats.  A single block performs the same operations on the same operands
-    as the unblocked expression, so its result is bitwise the same.
+    block held in the flat buffer `buf` of at least len(w) * min(n,
+    BLOCK_SAMPLES) floats.  A single block performs the same operations on
+    the same operands as the unblocked expression: the same result, bitwise.
     """
     k, n = z.shape
-    gz = np.zeros((k, k))
-    gp = np.zeros(k)
+    gz = np.zeros((len(w), k))
+    gp = np.zeros(len(w))
     for start in range(0, n, BLOCK_SAMPLES):
         zb = z[:, start:start + BLOCK_SAMPLES]
-        g = buf[:zb.size].reshape(zb.shape)  # contiguous for a short block too
+        g = buf[:len(w) * zb.shape[1]].reshape(len(w), -1)  # contiguous
         np.matmul(w, zb, out=g)
         np.tanh(g, out=g)
         gz += g @ zb.T
@@ -176,26 +176,28 @@ def _finalize(w: np.ndarray, z: np.ndarray):
     return w, sources
 
 
-def fit(data: np.ndarray, rng: np.random.Generator, *, tol: float = 1e-4,
-        max_iter: int = 200):
-    """Whiten then run fastica; returns (IcaModel, sources).
+def fit(data: np.ndarray, *, tol: float = 1e-4, max_iter: int = 200):
+    """Whiten, then extract one component; returns (IcaModel, sources).
 
-    A non-converged iteration is accepted with a warning instead of raising:
-    EEG-like data with a largely Gaussian background has no stable rotation
-    for the background subspace, while strongly non-Gaussian components
-    (artifacts) settle within a few iterations.
+    Stops once 1 - |w_new . w| < tol, or warns and keeps the last iterate
+    after max_iter steps.  Unmixing row 0 is the extracted direction.
     """
     mean, v, z = whiten(data)
-    try:
-        w, sources = fastica(z, rng, tol=tol, max_iter=max_iter)
-    except ConvergenceError as exc:
-        warnings.warn(f"accepting unconverged unmixing ({exc})",
-                      RuntimeWarning, stacklevel=2)
-        w, sources = _finalize(exc.last_w, z)
-    a_hat = np.linalg.pinv(w @ v)
-    model = IcaModel(mean=mean, whitening=v, unmixing=w, mixing=a_hat,
-                     k=z.shape[0])
-    return model, sources
+    w = z[:, np.argmax(np.einsum("ij,ij->j", z, z))]
+    w = w / np.linalg.norm(w)
+    buf = np.empty(min(z.shape[1], BLOCK_SAMPLES))
+    for _ in range(max_iter):
+        w, w_old = _fixed_point_step(w[None, :], z, buf)[0], w
+        w /= np.linalg.norm(w)
+        if 1.0 - abs(w @ w_old) < tol:
+            break
+    else:
+        warnings.warn("accepting unconverged unmixing (no convergence after "
+                      f"{max_iter} iterations)", RuntimeWarning, stacklevel=2)
+    basis, _ = np.linalg.qr(np.column_stack([w, np.eye(len(w))]))
+    w, sources = _finalize(basis.T, z)
+    return IcaModel(mean=mean, whitening=v, unmixing=w,
+                    mixing=np.linalg.pinv(w @ v), k=len(w)), sources
 
 
 def classify_components(model: IcaModel, sources: np.ndarray,

@@ -145,7 +145,7 @@ def build_scenario_schedule(timing: TimingConfig,
     if any(not 0 <= t < N_IMAGES for t in session_targets):
         raise ValueError("session target outside image id range")
     if rng is None:
-        rng = np.random.default_rng()
+        raise TypeError("a scenario schedule needs rng")
 
     _, _, d_session, d_scenario = _exact_durations(timing)
 
@@ -176,7 +176,7 @@ def build_online_trial_schedule(timing: TimingConfig,
     is_target is left unset (blind use).  When sequences is given (one image
     order per trial) it is used verbatim instead of fresh random permutations,
     which lets an online phase replay the exact flashing orders of a recorded
-    training scenario.
+    training scenario; otherwise `rng` draws them and is required.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
@@ -188,7 +188,7 @@ def build_online_trial_schedule(timing: TimingConfig,
             if sorted(s) != list(range(N_IMAGES)):
                 raise ValueError("each trial sequence must permute all image ids")
     if rng is None and sequences is None:
-        rng = np.random.default_rng()
+        raise TypeError("an online schedule without sequences needs rng")
 
     grid, span_s = online_grid(timing, n_trials)
     events: list[StimulusEvent] = []

@@ -167,22 +167,20 @@ def score_vectors(model: ModelFile, vectors: np.ndarray) -> np.ndarray:
     return scaled @ model.weights + model.bias
 
 
-def score_table(model: ModelFile, record: EegRecord,
-                ica_rng: np.random.Generator | None = None) -> np.ndarray:
+def score_table(model: ModelFile, record: EegRecord) -> np.ndarray:
     """[n_runs x 12] score table of a record under a trained model.
 
-    The record runs through the pipeline the model was trained with, ICA
-    fitted with `ica_rng` when that pipeline uses it.  Scoring reads no
-    labels, so markers with an unknown target flag (a live stream's) count as
-    non-targets.  Raises ValueError unless the record's surviving channels
-    are the model's; rows are as `trial_scores` builds them.
+    The record runs through the pipeline the model was trained with.
+    Scoring reads no labels, so markers with an unknown target flag (a live
+    stream's) count as non-targets.  Raises ValueError unless the record's
+    surviving channels are the model's; rows are as `trial_scores` builds
+    them.
     """
     if any(ev.is_target is None for ev in record.markers):
         record = record.with_markers(tuple(
             replace(ev, is_target=False) if ev.is_target is None else ev
             for ev in record.markers))
-    dataset = features.dataset_from_scenario(record, pipeline=model.pipeline,
-                                             ica_rng=ica_rng)
+    dataset = features.dataset_from_scenario(record, pipeline=model.pipeline)
     if tuple(dataset.channels) != model.channels:
         raise ValueError(
             f"model was trained on channels {model.channels}, "
@@ -192,7 +190,7 @@ def score_table(model: ModelFile, record: EegRecord,
 
 
 def run_offline_training(params: SubjectParams, timing: TimingConfig,
-                         rng: np.random.Generator | None = None,
+                         rng: np.random.Generator,
                          pipeline: PipelineConfig = PipelineConfig(),
                          ) -> tuple[ModelFile, EegRecord, ScenarioSchedule]:
     """Phase-1 training: simulate a full scenario and fit the model.
@@ -202,8 +200,7 @@ def run_offline_training(params: SubjectParams, timing: TimingConfig,
     """
     schedule = build_scenario_schedule(timing, None, rng)
     record = simulate_subject(schedule, params)
-    dataset = features.dataset_from_scenario(record, pipeline=pipeline,
-                                             ica_rng=rng)
+    dataset = features.dataset_from_scenario(record, pipeline=pipeline)
     model = train_on_dataset(dataset, pipeline)
     return model, record, schedule
 
@@ -238,14 +235,14 @@ def run_online_selection(model: ModelFile, params: SubjectParams,
 
     The subject attends `target`; the decision pipeline never sees that, but
     the returned logged record keeps ground-truth labels for retraining.
-    Every draw of the flashing orders, the stream and ICA comes from `rng`.
+    Every draw of the flashing orders and of the stream comes from `rng`.
     """
     blind = build_online_trial_schedule(timing, n_trials, rng,
                                         sequences=sequences)
     schedule = with_targets(blind, target)
     record = simulate_subject(schedule, params)
     logged = _stream_roundtrip(record, acquisition.DEFAULT_CHUNK, rng)
-    per_image = score_table(model, logged, ica_rng=rng)
+    per_image = score_table(model, logged)
     winners, selected = vote(per_image)
 
     result = SelectionResult(trial_winners=winners, per_image_scores=per_image,
@@ -254,13 +251,13 @@ def run_online_selection(model: ModelFile, params: SubjectParams,
     return result, logged
 
 
-def retrain_from_online(logged_records, pipeline: PipelineConfig = PipelineConfig(),
-                        rng: np.random.Generator | None = None) -> ModelFile:
+def retrain_from_online(logged_records,
+                        pipeline: PipelineConfig = PipelineConfig()) -> ModelFile:
     """Second training phase: rebuild the dataset from online logs and refit."""
     logged_records = list(logged_records)
     if not logged_records:
         raise ValueError("no logged records to retrain from")
-    parts = [features.dataset_from_scenario(rec, pipeline=pipeline, ica_rng=rng)
+    parts = [features.dataset_from_scenario(rec, pipeline=pipeline)
              for rec in logged_records]
     channels = parts[0].channels
     for part in parts:
@@ -426,9 +423,7 @@ def run_full_evaluation(params: SubjectParams,
     """
     catalog = ObjectCatalog()
     started = time.perf_counter()
-    root = np.random.SeedSequence(seed)
-    # a child's seed depends on its index only, not on how many are spawned
-    train_seq, phase1_seq, phase2_seq, retrain_seq = root.spawn(4)
+    train_seq, phase1_seq, phase2_seq = np.random.SeedSequence(seed).spawn(3)
     schedule_seq, subject_seq = train_seq.spawn(2)
 
     train_params = replace(params, constant_offset=0.0, seed=subject_seq)
@@ -440,7 +435,7 @@ def run_full_evaluation(params: SubjectParams,
         model1, params, catalog, timing, n_trials, reps_per_object,
         mismatch, phase1_seq, training_schedule, collect_logs=True)
 
-    model2 = retrain_from_online(logs, pipeline, np.random.default_rng(retrain_seq))
+    model2 = retrain_from_online(logs, pipeline)
 
     phase2, _ = _run_phase(
         model2, params, catalog, timing, n_trials, reps_per_object,

@@ -127,8 +127,7 @@ def generate_background(duration: float, channels: ChannelSet,
 
 
 def inject_p300(record: EegRecord, schedule: ScenarioSchedule,
-                params: SubjectParams,
-                rng: np.random.Generator | None = None) -> EegRecord:
+                params: SubjectParams, rng: np.random.Generator) -> EegRecord:
     """Add the target-flash response bumps; non-target events are untouched.
 
     Each target event contributes amp * topography[ch] * Gaussian centred at
@@ -141,8 +140,6 @@ def inject_p300(record: EegRecord, schedule: ScenarioSchedule,
                 f"{record.n_samples} samples")
         if ev.is_target is None:
             raise ValueError("is_target flags must be set before injection")
-    if params.latency_jitter_sd > 0 and rng is None:
-        raise ValueError("latency jitter requires a random generator")
     if params.p300_amp == 0:
         return record.with_samples(record.samples)
 

@@ -193,7 +193,7 @@ def test_criterion_05_blink_removal():
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            model, sources = ica.fit(dirty.samples, rng=np.random.default_rng(42))
+            model, sources = ica.fit(dirty.samples)
         mask = ica.classify_components(model, sources, channels,
                                        kurtosis_threshold=5.0)
         scrubbed = dirty.with_samples(ica.reconstruct(model, dirty.samples, mask))

@@ -1,5 +1,6 @@
 """Wire protocol framing, incremental decoding, and file round trips."""
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -167,6 +168,48 @@ class TestDecodeErrors:
         wire = acq.MAGIC + bytes([acq.KIND_END]) + (1).to_bytes(4, "little") + b"x"
         with pytest.raises(acq.ProtocolError):
             acq.decode_frame(wire)
+
+
+class TestHostileBytes:
+    """Bytes that decode to values no record may hold are protocol errors."""
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"),
+                                      float("-inf"), 0.0, -128.0])
+    def test_header_rate_must_be_finite_and_positive(self, rate):
+        frame = acq.HeaderFrame(channel_count=1, rate=rate, labels=("A",))
+        with pytest.raises(acq.ProtocolError, match="rate"):
+            acq.decode_frame(acq.encode_frame(frame))
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinite_sample_rejected(self, value):
+        rec = _sample_record()  # its NaN sample still decodes
+        samples = rec.samples.copy()
+        samples[2, 100] = value
+        wire = acq.encode_record(rec.with_samples(samples), 64)
+        with pytest.raises(acq.ProtocolError, match="infinite"):
+            acq.decode_record([wire])
+
+    def test_undecodable_label_rejected(self):
+        wire = bytearray(acq.encode_record(_sample_record(), 64))
+        # prefix, the fixed header fields, the first label's length byte
+        wire[9 + 12 + 1] = 0xFF
+        with pytest.raises(acq.ProtocolError, match="label"):
+            acq.decode_record([bytes(wire)])
+
+    @pytest.mark.parametrize("marker, change, message", [
+        (1, {"sample_index": 5}, "strictly increasing"),
+        (2, {"sample_index": 300}, "beyond end"),
+        (0, {"image_id": 12}, "image_id"),
+    ])
+    def test_marker_out_of_order_or_range_rejected(self, marker, change,
+                                                   message):
+        frames = acq.stream_record(_sample_record(), chunk=64)
+        at = [i for i, f in enumerate(frames)
+              if isinstance(f, acq.MarkerFrame)][marker]
+        frames[at] = replace(frames[at], **change)
+        wire = b"".join(acq.encode_frame(f) for f in frames)
+        with pytest.raises(acq.ProtocolError, match=message):
+            acq.decode_record([wire])
 
 
 class TestFrameReader:

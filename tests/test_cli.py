@@ -51,20 +51,19 @@ def stream_assets(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def ica_assets(tmp_path_factory):
-    """A 2-session recording and a model trained on it with ICA, seed 5, and a
-    NaN threshold that keeps FC5 (20% NaN), which the default would drop."""
+    """A 2-session recording and a model trained on it with ICA and a NaN
+    threshold that keeps FC5 (20% NaN), which the default would drop."""
     root = tmp_path_factory.mktemp("ica")
     record = root / "scenario.eegs"
     model = root / "ica-model.json"
     assert _run(["simulate", "--out", str(record), "--seed", "3",
                  "--sessions-per-scenario", "2"]) == 0
     assert _run(["train", "--record", str(record), "--model", str(model),
-                 "--ica", "--nan-threshold", "0.3", "--seed", "5"]) == 0
+                 "--ica", "--nan-threshold", "0.3"]) == 0
     return {"record": record, "model": model}
 
 
-def _consume_with_producer(record, model, extra_producer=(), trials=3,
-                           extra_consumer=()):
+def _consume_with_producer(record, model, extra_producer=(), trials=3):
     """Serve `record` in a background thread and consume it; returns stdout rc."""
     port = _free_port()
     producer = threading.Thread(
@@ -79,8 +78,7 @@ def _consume_with_producer(record, model, extra_producer=(), trials=3,
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             rc = _run(["stream", "consumer", "--port", str(port),
-                       "--model", str(model), "--trials", str(trials)]
-                      + list(extra_consumer))
+                       "--model", str(model), "--trials", str(trials)])
         sys.stderr.write(err.getvalue())
         if "refused" not in err.getvalue():  # the producer had not bound yet
             break
@@ -312,6 +310,16 @@ class TestExitCodes:
                      "--model", str(tmp_path / "m.json")]) == 4
         assert "protocol error" in capsys.readouterr().err
 
+    def test_infinite_sample_is_a_protocol_error(self, workspace, tmp_path,
+                                                 capsys):
+        record = acquisition.load_record(workspace["record"])
+        samples = record.samples.copy()
+        samples[3, 1000] = np.inf
+        bad = tmp_path / "inf.eegs"
+        acquisition.save_record(record.with_samples(samples), bad)
+        assert _run(["inspect", "--record", str(bad)]) == 4
+        assert "infinite sample" in capsys.readouterr().err
+
     def test_singular_scatter_is_a_numeric_error(self, tmp_path, capsys):
         record = tmp_path / "tiny.eegs"
         assert _run(["simulate", "--out", str(record), "--seed", "0",
@@ -407,15 +415,13 @@ class TestStreamLoopback:
         assert f"online data yields {streamed}" in err
 
     def test_consumer_serves_the_trained_pipeline(self, ica_assets, capsys):
-        rc = _consume_with_producer(ica_assets["record"], ica_assets["model"],
-                                    extra_consumer=["--seed", "5"])
+        rc = _consume_with_producer(ica_assets["record"], ica_assets["model"])
         assert rc == 0
         got = [l for l in capsys.readouterr().out.splitlines()
                if l.startswith("selection")]
         table = session.score_table(
             acquisition.load_model(ica_assets["model"]),
-            acquisition.load_record(ica_assets["record"]),
-            ica_rng=np.random.default_rng(5))
+            acquisition.load_record(ica_assets["record"]))
         chosen = [session.vote(table[i:i + 3])[1]
                   for i in range(0, len(table), 3)]
         catalog = session.ObjectCatalog()
@@ -427,14 +433,12 @@ class TestStreamLoopback:
         model = acquisition.load_model(ica_assets["model"])
         pipeline = features.PipelineConfig(nan_threshold=0.3, use_ica=True)
         assert model.pipeline == pipeline and "FC5" in model.channels
-        dataset = features.dataset_from_scenario(
-            record, pipeline=pipeline, ica_rng=np.random.default_rng(5))
+        dataset = features.dataset_from_scenario(record, pipeline=pipeline)
         trained = session.train_on_dataset(dataset, pipeline)
         assert trained == model
         want = session.trial_scores(
             dataset.provenance, session.score_vectors(trained, dataset.vectors))
-        got = session.score_table(model, record,
-                                  ica_rng=np.random.default_rng(5))
+        got = session.score_table(model, record)
         assert got.tobytes() == want.tobytes()
 
 

@@ -173,11 +173,6 @@ class TestDatasetFromScenario:
         with pytest.raises(ValueError):
             features.dataset_from_scenario(rec)
 
-    def test_ica_pipeline_needs_a_generator(self, training_record):
-        with pytest.raises(TypeError, match="ica_rng"):
-            features.dataset_from_scenario(
-                training_record, features.PipelineConfig(use_ica=True))
-
     def test_filtering_actually_ran(self, training_record, training_dataset):
         # raw epochs contain the ~10 uV background; filtered features are
         # small and never NaN despite the corrupted channel upstream

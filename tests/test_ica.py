@@ -195,10 +195,11 @@ class TestBlockedStep:
 class TestFit:
     def test_full_pipeline_on_mixture(self):
         sources, _, mixed = three_source_mixture(3)
-        model, recovered = ica.fit(mixed, rng=np.random.default_rng(103))
+        model, recovered = ica.fit(mixed)
         assert model.k == 3
-        matches = greedy_match_correlations(recovered, sources)
-        assert np.all(matches >= 0.95)
+        # the extracted component (row 0) is one of the true sources
+        corr = np.abs(np.corrcoef(recovered[0], sources)[0, 1:])
+        assert corr.max() >= 0.95
         # mixing inverts unmixing-on-whitened for a full-rank fit
         np.testing.assert_allclose(
             model.mixing @ (model.unmixing @ model.whitening), np.eye(3),
@@ -208,8 +209,7 @@ class TestFit:
         rng = np.random.default_rng(7)
         data = rng.normal(size=(4, 3000))
         with pytest.warns(RuntimeWarning):
-            model, srcs = ica.fit(data, tol=1e-9, max_iter=10,
-                                  rng=np.random.default_rng(8))
+            model, srcs = ica.fit(data, tol=1e-9, max_iter=10)
         np.testing.assert_allclose(model.unmixing @ model.unmixing.T,
                                    np.eye(4), atol=1e-6)
         assert srcs.shape == (4, 3000)
@@ -257,14 +257,6 @@ class TestDegenerateIterate:
         assert err.last_w is outputs[2]
         np.testing.assert_allclose(err.last_w @ err.last_w.T, np.eye(3),
                                    atol=1e-6)
-
-    def test_relaxed_fit_accepts_last_orthonormal_iterate(self, monkeypatch):
-        _, _, mixed = three_source_mixture(3)
-        _collapse_on_call(monkeypatch, 4)
-        with pytest.warns(RuntimeWarning, match="degenerate"):
-            model, sources = ica.fit(mixed, rng=np.random.default_rng(103))
-        assert model.k == 3
-        assert sources.shape == mixed.shape
 
 
 class TestIcaModel:
@@ -357,21 +349,21 @@ class TestClassifyComponents:
 class TestReconstruct:
     def test_empty_mask_is_identity(self):
         _, _, mixed = three_source_mixture(5)
-        model, _ = ica.fit(mixed, rng=np.random.default_rng(105))
+        model, _ = ica.fit(mixed)
         out = ica.reconstruct(model, mixed, np.zeros(3, dtype=bool))
         np.testing.assert_allclose(out, mixed, atol=1e-8)
 
     def test_full_mask_leaves_only_the_mean(self):
         _, _, mixed = three_source_mixture(6)
         mixed = mixed + 5.0
-        model, _ = ica.fit(mixed, rng=np.random.default_rng(106))
+        model, _ = ica.fit(mixed)
         out = ica.reconstruct(model, mixed, np.ones(3, dtype=bool))
         np.testing.assert_allclose(out, mixed.mean(axis=1, keepdims=True)
                                    * np.ones_like(mixed), atol=1e-8)
 
     def test_masking_removes_one_source(self):
         sources, mixing, mixed = three_source_mixture(7)
-        model, recovered = ica.fit(mixed, rng=np.random.default_rng(107))
+        model, recovered = ica.fit(mixed)
         # find the recovered component matching true source 1
         corr = np.abs(np.corrcoef(recovered, sources[1:2])[:3, 3])
         target = int(np.argmax(corr))
@@ -386,7 +378,7 @@ class TestReconstruct:
 
     def test_validation(self):
         _, _, mixed = three_source_mixture(8)
-        model, _ = ica.fit(mixed, rng=np.random.default_rng(108))
+        model, _ = ica.fit(mixed)
         with pytest.raises(ValueError):
             ica.reconstruct(model, mixed, np.zeros(2, dtype=bool))
         with pytest.raises(ValueError):
@@ -406,7 +398,7 @@ def test_blink_removal_on_synthetic_eeg():
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        model, srcs = ica.fit(dirty.samples, rng=np.random.default_rng(42))
+        model, srcs = ica.fit(dirty.samples)
     mask = ica.classify_components(model, srcs, channels,
                                    kurtosis_threshold=5.0)
     assert mask.any()
@@ -422,3 +414,45 @@ def test_blink_removal_on_synthetic_eeg():
     posterior_before = rms(dirty, core.POSTERIOR_LABELS)
     posterior_after = rms(scrubbed, core.POSTERIOR_LABELS)
     assert abs(posterior_after - posterior_before) < 0.1 * posterior_before
+
+
+def _blink_record(duration):
+    """Criterion 5's recording: background plus 20 blinks a minute."""
+    from p300loop import subject
+
+    params = subject.SubjectParams(seed=0, blink_rate=20.0, blink_amp=140.0,
+                                   nan_fraction=0.0)
+    bg_rng, _, blink_rng, _ = subject.stage_generators(params.seed)
+    clean = subject.generate_background(duration, core.ChannelSet(), params,
+                                        bg_rng)
+    return subject.inject_blinks(clean, params, blink_rng)
+
+
+class TestOneUnitFit:
+    def test_two_fits_of_one_array_are_bitwise_equal(self):
+        data = _blink_record(30.0).samples
+        (a, sources_a), (b, sources_b) = ica.fit(data), ica.fit(data)
+        for field in ("mean", "whitening", "unmixing", "mixing"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+        assert sources_a.tobytes() == sources_b.tobytes()
+
+    def test_removed_source_is_the_symmetric_fits_blink(self):
+        dirty = _blink_record(120.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # it converges
+            model, sources = ica.fit(dirty.samples)
+        mask = ica.classify_components(model, sources, dirty.channels,
+                                       kurtosis_threshold=5.0)
+        _, v, z = ica.whiten(dirty.samples)
+        try:
+            w, symmetric = ica.fastica(z, rng=np.random.default_rng(42))
+        except ica.ConvergenceError as exc:  # the Gaussian background wanders
+            w, symmetric = ica._finalize(exc.last_w, z)
+        symmetric_model = ica.IcaModel(mean=model.mean, whitening=v,
+                                       unmixing=w, mixing=np.linalg.pinv(w @ v),
+                                       k=model.k)
+        symmetric_mask = ica.classify_components(
+            symmetric_model, symmetric, dirty.channels, kurtosis_threshold=5.0)
+        assert mask.sum() == symmetric_mask.sum() == 1
+        corr = np.corrcoef(sources[mask][0], symmetric[symmetric_mask][0])[0, 1]
+        assert abs(corr) >= 0.98

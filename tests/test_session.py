@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from p300loop import (acquisition, dsp, features, lda, scheduler, session,
-                      subject)
+from p300loop import (acquisition, core, dsp, features, ica, lda, scheduler,
+                      session, subject)
 
 
 def _noiseless_params(**overrides):
@@ -382,7 +382,7 @@ class TestInlineStreamRoundTrip:
 
 
 def _replayed_selection_record(seed, index):
-    """(logged record, rng) of online selection `index` (0-239) of
+    """The logged record of online selection `index` (0-239) of
     `run_full_evaluation(SubjectParams(), seed=seed)`, rebuilt from the
     evaluation's seeds up to the point where its dataset is built."""
     timing = scheduler.TimingConfig()
@@ -405,24 +405,42 @@ def _replayed_selection_record(seed, index):
                                                   sequences=sequences)
     record = subject.simulate_subject(subject.with_targets(blind, target),
                                       params)
-    return session._stream_roundtrip(record, acquisition.DEFAULT_CHUNK,
-                                     rng), rng
+    return session._stream_roundtrip(record, acquisition.DEFAULT_CHUNK, rng)
 
 
 class TestOnlineIcaOnDegenerateIterates:
-    """Online selections whose ICA iterate turned degenerate (evaluation seed
-    1000, selection 64) or not orthonormal (seed 3000, selection 235) used to
-    stop the whole evaluation; the unconverged unmixing is now accepted."""
+    """Online selections whose symmetric ICA iterate turned degenerate
+    (evaluation seed 1000, selection 64) or not orthonormal (seed 3000,
+    selection 235) once stopped the whole evaluation."""
 
     @pytest.mark.parametrize("seed,index", [(1000, 64), (3000, 235)])
-    def test_dataset_is_built_with_a_warning(self, seed, index):
-        logged, rng = _replayed_selection_record(seed, index)
-        with pytest.warns(RuntimeWarning, match="not orthonormal|degenerate"):
-            dataset = features.dataset_from_scenario(
-                logged, pipeline=features.PipelineConfig(use_ica=True),
-                ica_rng=rng)
+    def test_dataset_is_built_finite(self, seed, index):
+        logged = _replayed_selection_record(seed, index)
+        dataset = features.dataset_from_scenario(
+            logged, pipeline=features.PipelineConfig(use_ica=True))
         assert dataset.n_epochs == 36
         assert np.isfinite(dataset.vectors).all()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: scheduler.build_scenario_schedule(scheduler.TimingConfig()),
+    lambda: scheduler.build_online_trial_schedule(scheduler.TimingConfig()),
+    lambda: session.run_offline_training(subject.SubjectParams(),
+                                         scheduler.TimingConfig()),
+    lambda: subject.inject_p300(
+        subject.generate_background(20.0, core.ChannelSet(),
+                                    subject.SubjectParams(),
+                                    np.random.default_rng(0)),
+        scheduler.build_scenario_schedule(
+            scheduler.TimingConfig(sessions_per_scenario=1,
+                                   runs_per_session=1),
+            rng=np.random.default_rng(0)),
+        subject.SubjectParams()),
+], ids=["scenario_schedule", "online_trial_schedule", "offline_training",
+        "inject_p300"])
+def test_rng_is_required(call):
+    with pytest.raises(TypeError):
+        call()
 
 
 class TestRetrainFromOnline:
@@ -686,6 +704,32 @@ class TestFullEvaluation:
             "phase1": (42, [2, 5, 2, 2, 4, 2, 6, 5, 2, 4, 3, 5]),
             "phase2": (118, [10, 10, 10, 10, 9, 10, 10, 10, 10, 10, 9, 10]),
         }
+
+    def test_ica_fits_of_the_seed0_evaluation_converge(self, monkeypatch):
+        fits = []  # (converged, mask non-empty) per fit
+
+        def fit(*args, fit=ica.fit, **kwargs):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", RuntimeWarning)
+                out = fit(*args, **kwargs)
+            fits.append([not any("unconverged" in str(w.message)
+                                 for w in caught), None])
+            return out
+
+        def classify(*args, classify=ica.classify_components, **kwargs):
+            mask = classify(*args, **kwargs)
+            fits[-1][1] = bool(mask.any())
+            return mask
+
+        monkeypatch.setattr(ica, "fit", fit)
+        monkeypatch.setattr(ica, "classify_components", classify)
+        report = session.run_full_evaluation(
+            subject.SubjectParams(), seed=0,
+            pipeline=features.PipelineConfig(use_ica=True))
+        assert len(fits) == 1 + 240 + 120  # training, selections, retraining
+        assert all(converged for converged, flagged in fits if flagged)
+        assert sum(converged for converged, _ in fits) >= 0.9 * len(fits)
+        assert report["phase2"]["correct"] >= 109
 
     def test_ica_retraining_is_seeded_by_the_evaluation_seed(self,
                                                              monkeypatch):

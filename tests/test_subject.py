@@ -230,7 +230,8 @@ class TestInjectP300:
                                            subject.SubjectParams(seed=3),
                                            np.random.default_rng(3))
         base = base.with_markers(sched.events)
-        out = subject.inject_p300(base, sched, subject.SubjectParams(p300_amp=0.0))
+        out = subject.inject_p300(base, sched, subject.SubjectParams(p300_amp=0.0),
+                                  np.random.default_rng(4))
         np.testing.assert_array_equal(out.samples, base.samples)
 
     def test_unknown_targets_rejected(self):
@@ -241,7 +242,8 @@ class TestInjectP300:
                                            subject.SubjectParams(seed=0),
                                            np.random.default_rng(0))
         with pytest.raises(ValueError):
-            subject.inject_p300(base, blind, subject.SubjectParams())
+            subject.inject_p300(base, blind, subject.SubjectParams(),
+                                np.random.default_rng(1))
 
     def test_event_beyond_record_rejected(self):
         sched = self._one_target_schedule()
@@ -249,14 +251,15 @@ class TestInjectP300:
                                             subject.SubjectParams(seed=0),
                                             np.random.default_rng(0))
         with pytest.raises(IndexError):
-            subject.inject_p300(short, sched, subject.SubjectParams())
+            subject.inject_p300(short, sched, subject.SubjectParams(),
+                                np.random.default_rng(1))
 
     def test_jitter_requires_rng(self):
         sched = self._one_target_schedule()
         base = subject.generate_background(sched.span_s + 1.0, core.ChannelSet(),
                                            subject.SubjectParams(seed=0),
                                            np.random.default_rng(0))
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             subject.inject_p300(base, sched,
                                 subject.SubjectParams(latency_jitter_sd=0.01))
 
