@@ -363,16 +363,6 @@ def load_record(path) -> EegRecord:
 
 
 @dataclass(frozen=True)
-class IcaSection:
-    """Serialized ICA model plus the artifact mask used for cleaning."""
-
-    mean: np.ndarray
-    whitening: np.ndarray
-    unmixing: np.ndarray
-    mask: np.ndarray
-
-
-@dataclass(frozen=True)
 class ModelFile:
     """Persistable trained model: weights, bias, scaling, channels, and the
     pipeline configuration it was trained with and is served with."""
@@ -384,7 +374,6 @@ class ModelFile:
     channels: tuple[str, ...]
     pipeline: PipelineConfig
     format_version: int = MODEL_FORMAT_VERSION
-    ica: IcaSection | None = None
 
     @property
     def window(self) -> EpochWindow:
@@ -404,9 +393,6 @@ class ModelFile:
         finite = {"weights": weights, "bias": self.bias, "mins": mins,
                   "maxes": maxes, "nan_threshold": self.pipeline.nan_threshold,
                   "shrinkage": self.pipeline.shrinkage}
-        if self.ica is not None:
-            finite.update({f"ICA {name}": getattr(self.ica, name)
-                           for name in ("mean", "whitening", "unmixing")})
         for name, values in finite.items():
             if not np.isfinite(np.asarray(values, dtype=np.float64)).all():
                 raise FormatError(f"model {name} must be finite")
@@ -426,17 +412,7 @@ class ModelFile:
                 and np.array_equal(self.maxes, other.maxes)
                 and self.channels == other.channels
                 and self.pipeline == other.pipeline
-                and self.format_version == other.format_version
-                and _ica_equal(self.ica, other.ica))
-
-
-def _ica_equal(a: IcaSection | None, b: IcaSection | None) -> bool:
-    if a is None or b is None:
-        return a is b
-    return (np.array_equal(a.mean, b.mean)
-            and np.array_equal(a.whitening, b.whitening)
-            and np.array_equal(a.unmixing, b.unmixing)
-            and np.array_equal(a.mask, b.mask))
+                and self.format_version == other.format_version)
 
 
 def _require(mapping: dict, key: str):
@@ -459,12 +435,7 @@ def save_model(model: ModelFile, path) -> None:
         "nan_threshold": float(model.pipeline.nan_threshold),
         "shrinkage": float(model.pipeline.shrinkage),
         "use_ica": bool(model.pipeline.use_ica),
-        "ica": None if model.ica is None else {
-            "mean": [float(v) for v in model.ica.mean],
-            "whitening": [[float(v) for v in row] for row in model.ica.whitening],
-            "unmixing": [[float(v) for v in row] for row in model.ica.unmixing],
-            "mask": [bool(v) for v in model.ica.mask],
-        },
+        "ica": None,
     }
     Path(path).write_text(json.dumps(doc, allow_nan=False, indent=1) + "\n",
                           encoding="utf-8")
@@ -493,15 +464,9 @@ def load_model(path) -> ModelFile:
             pipeline = replace(pipeline, use_ica=use_ica,
                                nan_threshold=float(_require(doc, "nan_threshold")),
                                shrinkage=float(_require(doc, "shrinkage")))
-        ica_doc = _require(doc, "ica")
-        ica_section = None
-        if ica_doc is not None:
-            ica_section = IcaSection(
-                mean=np.asarray(_require(ica_doc, "mean"), dtype=np.float64),
-                whitening=np.asarray(_require(ica_doc, "whitening"), dtype=np.float64),
-                unmixing=np.asarray(_require(ica_doc, "unmixing"), dtype=np.float64),
-                mask=np.asarray(_require(ica_doc, "mask"), dtype=bool),
-            )
+        if _require(doc, "ica") is not None:
+            raise FormatError("model ica must be null: no format stores a "
+                              "fitted ICA")
         return ModelFile(
             weights=np.asarray(_require(doc, "weights"), dtype=np.float64),
             bias=float(_require(doc, "bias")),
@@ -510,7 +475,6 @@ def load_model(path) -> ModelFile:
             channels=tuple(_require(doc, "channels")),
             pipeline=pipeline,
             format_version=version,
-            ica=ica_section,
         )
     except (TypeError, ValueError) as exc:
         if isinstance(exc, FormatError):

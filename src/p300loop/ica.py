@@ -1,14 +1,15 @@
 """FastICA blind source separation with artifact identification.
 
 Whitening projects mean-centred data onto covariance eigenvectors scaled by
-inverse square-root eigenvalues.  `fit` extracts the blink by the one-unit
-tanh fixed point (Hyvarinen & Oja 1997) from the whitened sample of largest
-norm, the one stable direction over a Gaussian background (Hyvarinen 1999),
-and completes it to an orthonormal basis; `fastica` runs the symmetric
-iteration over all rows.  Each step is one pass over the whitened data in
-column blocks of BLOCK_SAMPLES through one reused buffer.  Components that
-are strongly super-Gaussian and load mostly on frontal channels are flagged
-as blinks and zeroed before reconstruction.
+inverse square-root eigenvalues.  Both estimators run one routine, the
+one-unit tanh fixed point (Hyvarinen & Oja 1997), over the whole whitened
+record.  `fit` runs it once, from the whitened sample of largest norm, to
+extract the blink, the one stable direction over a Gaussian background
+(Hyvarinen 1999), and completes it to an orthonormal basis; `fastica` runs
+it once per row by deflation, each row started from a draw of `rng` and kept
+orthogonal to the rows already found.  Components that are strongly
+super-Gaussian and load mostly on frontal channels are flagged as blinks and
+zeroed before reconstruction.
 """
 from __future__ import annotations
 
@@ -20,11 +21,6 @@ import numpy as np
 from .core import FRONTAL_LABELS, ChannelSet
 
 EIGENVALUE_FLOOR = 1e-12  # relative to the largest eigenvalue
-# Samples per column block of a fixed-point step.  One block of 13 whitened
-# rows is 416 KiB of float64, so it stays in a 2 MiB per-core L2 cache from
-# its matmul through its tanh to its two sums, where whole-record temporaries
-# (4.2 MB on a 318 s record) go out to memory between each of those passes.
-BLOCK_SAMPLES = 4096
 
 
 class RankError(ValueError):
@@ -87,78 +83,59 @@ def whiten(data: np.ndarray):
     return mean, v, v @ centred
 
 
-def _symmetric_orthonormalize(w: np.ndarray) -> np.ndarray:
-    """W <- (W W^T)^(-1/2) W, all rows on equal footing, or LinAlgError when
-    W W^T is too near singular for rows orthonormal within 1e-6."""
-    evals, evecs = np.linalg.eigh(w @ w.T)
-    if evals[0] <= 0:
-        raise np.linalg.LinAlgError("degenerate unmixing iterate")
-    inv_sqrt = evecs @ np.diag(1.0 / np.sqrt(evals)) @ evecs.T
-    w = inv_sqrt @ w
-    if not _orthonormal(w):
-        raise np.linalg.LinAlgError("unmixing iterate not orthonormal")
-    return w
+def _one_unit(z: np.ndarray, w: np.ndarray, rows: np.ndarray, tol: float,
+              max_iter: int):
+    """One-unit tanh fixed point on whitened z from start w, orthogonal to
+    the orthonormal `rows`; returns (w, steps), or (w, None) unconverged.
+
+    Each step is w <- E[z tanh(w z)] - E[1 - tanh(w z)^2] w, with `rows`
+    projected out and the result normalized; it stops once
+    1 - |w_new . w| < tol, a change invariant to the iteration's sign flips.
+    """
+    n = z.shape[1]
+    w = w / np.linalg.norm(w)
+    for step in range(1, max_iter + 1):
+        g = np.tanh(w @ z)
+        w_new = g @ z.T / n - (1.0 - g ** 2).sum() / n * w
+        w_new -= rows.T @ (rows @ w_new)
+        w_new /= np.linalg.norm(w_new)
+        w, w_old = w_new, w
+        if 1.0 - abs(w @ w_old) < tol:
+            return w, step
+    return w, None
+
+
+def _complete(rows: np.ndarray) -> np.ndarray:
+    """Orthonormal k x k matrix whose leading rows are `rows` up to sign."""
+    k = rows.shape[1]
+    return np.linalg.qr(np.column_stack([rows.T, np.eye(k)]))[0].T
 
 
 def fastica(whitened: np.ndarray, rng: np.random.Generator,
             tol: float = 1e-4, max_iter: int = 200):
-    """Symmetric fixed-point estimation of W, started from a draw of `rng`.
+    """Deflation estimate of W: one row at a time, each started from a draw
+    of `rng` and kept orthogonal to the rows before it.
 
     Returns (W, sources); sources are unit-variance rows of W @ whitened with
     each row's sign fixed so its largest-magnitude loading is positive.
-    Each step runs over the samples in blocks of BLOCK_SAMPLES columns (see
-    _fixed_point_step); with at most one block, W is bitwise that of the
-    unblocked step, while longer records sum in a different order.
-    Raises ConvergenceError (carrying the last iterate) after max_iter steps
-    without the maximum row-angle change dropping below tol, or on a step
-    that cannot be orthonormalized (carrying the last iterate that was).
+    Raises ConvergenceError when a row has not converged after max_iter
+    steps; it carries the rows found so far, completed to an orthonormal
+    basis, and that row's step count.
     """
     z = np.asarray(whitened, dtype=np.float64)
     if z.ndim != 2:
         raise ValueError("whitened data must be 2-D")
     k = z.shape[0]
 
-    buf = np.empty(k * min(z.shape[1], BLOCK_SAMPLES))
-    w = _symmetric_orthonormalize(rng.standard_normal((k, k)))
-    for iteration in range(1, max_iter + 1):
-        w_new = _fixed_point_step(w, z, buf)
-        try:
-            w_new = _symmetric_orthonormalize(w_new)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"{exc} at iteration {iteration}",
-                                   w, iteration - 1) from exc
-        # angle change per row, invariant to the sign flips of the iteration
-        change = 1.0 - np.abs(np.sum(w_new * w, axis=1))
-        w = w_new
-        if change.max() < tol:
-            break
-    else:
-        raise ConvergenceError(
-            f"no convergence after {max_iter} iterations", w, max_iter)
-
+    w = np.empty((0, k))
+    for row in range(k):
+        unit, steps = _one_unit(z, rng.standard_normal(k), w, tol, max_iter)
+        if steps is None:
+            raise ConvergenceError(
+                f"row {row} not converged after {max_iter} iterations",
+                _complete(w), max_iter)
+        w = np.vstack([w, unit])
     return _finalize(w, z)
-
-
-def _fixed_point_step(w: np.ndarray, z: np.ndarray,
-                      buf: np.ndarray) -> np.ndarray:
-    """E[z tanh(w z)^T] - E[1 - tanh(w z)^2] w per row of w, unnormalized.
-
-    Runs over column blocks of z (views, not copies) with tanh(w z) of each
-    block held in the flat buffer `buf` of at least len(w) * min(n,
-    BLOCK_SAMPLES) floats.  A single block performs the same operations on
-    the same operands as the unblocked expression: the same result, bitwise.
-    """
-    k, n = z.shape
-    gz = np.zeros((len(w), k))
-    gp = np.zeros(len(w))
-    for start in range(0, n, BLOCK_SAMPLES):
-        zb = z[:, start:start + BLOCK_SAMPLES]
-        g = buf[:len(w) * zb.shape[1]].reshape(len(w), -1)  # contiguous
-        np.matmul(w, zb, out=g)
-        np.tanh(g, out=g)
-        gz += g @ zb.T
-        gp += (1.0 - g ** 2).sum(axis=1)
-    return gz / n - (gp / n)[:, None] * w
 
 
 def _finalize(w: np.ndarray, z: np.ndarray):
@@ -183,19 +160,12 @@ def fit(data: np.ndarray, *, tol: float = 1e-4, max_iter: int = 200):
     after max_iter steps.  Unmixing row 0 is the extracted direction.
     """
     mean, v, z = whiten(data)
-    w = z[:, np.argmax(np.einsum("ij,ij->j", z, z))]
-    w = w / np.linalg.norm(w)
-    buf = np.empty(min(z.shape[1], BLOCK_SAMPLES))
-    for _ in range(max_iter):
-        w, w_old = _fixed_point_step(w[None, :], z, buf)[0], w
-        w /= np.linalg.norm(w)
-        if 1.0 - abs(w @ w_old) < tol:
-            break
-    else:
+    start = z[:, np.argmax(np.einsum("ij,ij->j", z, z))]
+    w, steps = _one_unit(z, start, np.empty((0, len(z))), tol, max_iter)
+    if steps is None:
         warnings.warn("accepting unconverged unmixing (no convergence after "
                       f"{max_iter} iterations)", RuntimeWarning, stacklevel=2)
-    basis, _ = np.linalg.qr(np.column_stack([w, np.eye(len(w))]))
-    w, sources = _finalize(basis.T, z)
+    w, sources = _finalize(_complete(w[None, :]), z)
     return IcaModel(mean=mean, whitening=v, unmixing=w,
                     mixing=np.linalg.pinv(w @ v), k=len(w)), sources
 

@@ -3,7 +3,6 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from p300loop import core, ica
 
@@ -102,94 +101,33 @@ class TestFastIca:
         np.testing.assert_allclose(err.last_w @ err.last_w.T, np.eye(3),
                                    atol=1e-8)
 
+    def test_convergence_error_keeps_the_rows_found(self):
+        # one Laplacian source over a Gaussian subspace: row 0 converges on
+        # it, then row 1 wanders among the Gaussian directions
+        rng = np.random.default_rng(0)
+        sources = np.vstack([rng.laplace(size=5000),
+                             rng.normal(size=(3, 5000))])
+        _, _, z = ica.whiten(rng.normal(size=(4, 4)) @ sources)
+        with pytest.raises(ica.ConvergenceError, match="row 1") as excinfo:
+            ica.fastica(z, tol=1e-10, max_iter=20, rng=np.random.default_rng(0))
+        err = excinfo.value
+        assert err.iterations == 20
+        np.testing.assert_allclose(err.last_w @ err.last_w.T, np.eye(4),
+                                   rtol=0, atol=1e-12)
+        assert abs(np.corrcoef(err.last_w[0] @ z, sources[0])[0, 1]) >= 0.99
+
     def test_argument_validation(self):
         z = np.random.default_rng(6).normal(size=500)
         with pytest.raises(ValueError):
             ica.fastica(z, rng=np.random.default_rng(6))
 
-
-def _unblocked_step(w, z):
-    """The fixed-point update as one whole-record expression (the reference
-    for the blocked pass)."""
-    g = np.tanh(w @ z)
-    g_prime_mean = (1.0 - g ** 2).mean(axis=1)
-    return g @ z.T / z.shape[1] - g_prime_mean[:, None] * w
-
-
-def _unblocked_fastica(z, tol=1e-4, max_iter=200, rng=None):
-    """fastica with the unblocked step; returns (W, sources, iterations) or
-    raises ConvergenceError exactly as fastica does."""
-    k = z.shape[0]
-    w = ica._symmetric_orthonormalize(rng.standard_normal((k, k)))
-    for iteration in range(1, max_iter + 1):
-        w_new = _unblocked_step(w, z)
-        try:
-            w_new = ica._symmetric_orthonormalize(w_new)
-        except np.linalg.LinAlgError as exc:
-            raise ica.ConvergenceError(str(exc), w, iteration - 1) from exc
-        change = 1.0 - np.abs(np.sum(w_new * w, axis=1))
-        w = w_new
-        if change.max() < tol:
-            return (*ica._finalize(w, z), iteration)
-    raise ica.ConvergenceError("no convergence", w, max_iter)
-
-
-def _outcome(fit, z, seed):
-    """("W", W) on convergence, else ("last_w", last iterate, iterations)."""
-    try:
-        return ("W", fit(z, rng=np.random.default_rng(seed))[0])
-    except ica.ConvergenceError as exc:
-        return ("last_w", exc.last_w, exc.iterations)
-
-
-def _whitened_laplace(seed, k, n):
-    rng = np.random.default_rng(seed)
-    return ica.whiten(rng.normal(size=(k, k)) @ rng.laplace(size=(k, n)))[2]
-
-
-class TestBlockedStep:
-    """The fixed-point step runs in column blocks of BLOCK_SAMPLES."""
-
-    @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 6),
-           data=st.data())
-    def test_one_block_is_bitwise_the_unblocked_iteration(self, seed, k, data):
-        n = data.draw(st.integers(k + 1, ica.BLOCK_SAMPLES), label="n")
-        z = _whitened_laplace(seed, k, n)
-        blocked = _outcome(ica.fastica, z, seed)
-        unblocked = _outcome(_unblocked_fastica, z, seed)
-        assert blocked[0] == unblocked[0]
-        assert np.array_equal(blocked[1], unblocked[1])
-        assert blocked[2:] == unblocked[2:]
-
-    @pytest.mark.parametrize("n", [ica.BLOCK_SAMPLES + 1,
-                                   5 * ica.BLOCK_SAMPLES // 2])
-    def test_multi_block_step_agrees(self, n):
-        z = _whitened_laplace(n, 5, n)
-        rng = np.random.default_rng(1)
-        w = ica._symmetric_orthonormalize(rng.standard_normal((5, 5)))
-        buf = np.empty(5 * ica.BLOCK_SAMPLES)
-        np.testing.assert_allclose(ica._fixed_point_step(w, z, buf),
-                                   _unblocked_step(w, z),
-                                   rtol=1e-12, atol=1e-12)
-
-    def test_multi_block_mixture_converges_with_the_unblocked_iteration(
-            self, monkeypatch):
-        _, _, mixed = three_source_mixture(3, n=3 * ica.BLOCK_SAMPLES + 123)
-        _, _, z = ica.whiten(mixed)
-        w_ref, _, iterations = _unblocked_fastica(
-            z, rng=np.random.default_rng(103))
-        original = ica._symmetric_orthonormalize
-        calls = []
-
-        def orthonormalize(w):
-            calls.append(None)
-            return original(w)
-
-        monkeypatch.setattr(ica, "_symmetric_orthonormalize", orthonormalize)
-        w, _ = ica.fastica(z, rng=np.random.default_rng(103))
-        assert len(calls) == iterations + 1  # the random start, then one a step
-        np.testing.assert_allclose(w, w_ref, rtol=0, atol=1e-9)
+    def test_recovers_every_source_of_a_long_record(self):
+        rng = np.random.default_rng(13)
+        sources = rng.laplace(0.0, 1.0 / np.sqrt(2.0), (5, 3 * 4096 + 123))
+        _, _, z = ica.whiten(rng.normal(size=(5, 5)) @ sources)
+        w, recovered = ica.fastica(z, rng=np.random.default_rng(104))
+        assert np.all(greedy_match_correlations(recovered, sources) >= 0.95)
+        np.testing.assert_allclose(w @ w.T, np.eye(5), rtol=0, atol=1e-9)
 
 
 class TestFit:
@@ -213,50 +151,6 @@ class TestFit:
         np.testing.assert_allclose(model.unmixing @ model.unmixing.T,
                                    np.eye(4), atol=1e-6)
         assert srcs.shape == (4, 3000)
-
-
-def _collapse_on_call(monkeypatch, call):
-    """Make the fixed-point step feed a rank-one matrix to the
-    orthonormalization on its `call`-th use (the first use orthonormalizes
-    the random start); return the list of orthonormalized iterates."""
-    original = ica._symmetric_orthonormalize
-    outputs = []
-
-    def orthonormalize(w):
-        if len(outputs) + 1 == call:
-            w = np.tile(w[0], (w.shape[0], 1))
-        outputs.append(original(w))
-        return outputs[-1]
-
-    monkeypatch.setattr(ica, "_symmetric_orthonormalize", orthonormalize)
-    return outputs
-
-
-class TestDegenerateIterate:
-    """A step whose iterate cannot be orthonormalized stops the iteration
-    with ConvergenceError carrying the last orthonormal iterate."""
-
-    @pytest.mark.parametrize("rows", [
-        "singular",       # W W^T has a zero eigenvalue
-        "near singular",  # rounding leaves the rows off orthonormal
-    ])
-    def test_orthonormalize_rejects(self, rows):
-        w = np.random.default_rng(0).standard_normal((4, 4))
-        w[1] = w[0] + (1e-7 * w[2] if rows == "near singular" else 0.0)
-        with pytest.raises(np.linalg.LinAlgError):
-            ica._symmetric_orthonormalize(w)
-
-    def test_fastica_carries_last_orthonormal_iterate(self, monkeypatch):
-        _, _, mixed = three_source_mixture(3)
-        _, _, z = ica.whiten(mixed)
-        outputs = _collapse_on_call(monkeypatch, 4)
-        with pytest.raises(ica.ConvergenceError) as excinfo:
-            ica.fastica(z, rng=np.random.default_rng(103))
-        err = excinfo.value
-        assert err.iterations == 2
-        assert err.last_w is outputs[2]
-        np.testing.assert_allclose(err.last_w @ err.last_w.T, np.eye(3),
-                                   atol=1e-6)
 
 
 class TestIcaModel:
@@ -436,7 +330,7 @@ class TestOneUnitFit:
             assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
         assert sources_a.tobytes() == sources_b.tobytes()
 
-    def test_removed_source_is_the_symmetric_fits_blink(self):
+    def test_removed_source_is_the_deflation_fits_blink(self):
         dirty = _blink_record(120.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)  # it converges
@@ -445,14 +339,14 @@ class TestOneUnitFit:
                                        kurtosis_threshold=5.0)
         _, v, z = ica.whiten(dirty.samples)
         try:
-            w, symmetric = ica.fastica(z, rng=np.random.default_rng(42))
+            w, deflated = ica.fastica(z, rng=np.random.default_rng(42))
         except ica.ConvergenceError as exc:  # the Gaussian background wanders
-            w, symmetric = ica._finalize(exc.last_w, z)
-        symmetric_model = ica.IcaModel(mean=model.mean, whitening=v,
+            w, deflated = ica._finalize(exc.last_w, z)
+        deflation_model = ica.IcaModel(mean=model.mean, whitening=v,
                                        unmixing=w, mixing=np.linalg.pinv(w @ v),
                                        k=model.k)
-        symmetric_mask = ica.classify_components(
-            symmetric_model, symmetric, dirty.channels, kurtosis_threshold=5.0)
-        assert mask.sum() == symmetric_mask.sum() == 1
-        corr = np.corrcoef(sources[mask][0], symmetric[symmetric_mask][0])[0, 1]
+        deflation_mask = ica.classify_components(
+            deflation_model, deflated, dirty.channels, kurtosis_threshold=5.0)
+        assert mask.sum() == deflation_mask.sum() == 1
+        corr = np.corrcoef(sources[mask][0], deflated[deflation_mask][0])[0, 1]
         assert abs(corr) >= 0.98

@@ -1,4 +1,5 @@
-"""Source hygiene: every module-level import of the package is used."""
+"""Source hygiene: every module-level import of the package is used, and
+every module-level private name is read somewhere in the package."""
 import ast
 from pathlib import Path
 
@@ -24,6 +25,34 @@ def unused_imports(source: str) -> list[str]:
                   if name not in read)
 
 
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """'module: name' of each private (`_x`, not dunder) function, class or
+    constant a module defines at module level and no module of `sources`
+    reads, by name or as an attribute."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif (isinstance(node, ast.AnnAssign)
+                  and isinstance(node.target, ast.Name)):
+                names = [node.target.id]
+            else:
+                continue
+            defined += [(module, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(f"{module}: {name}" for module, name in defined
+                  if name not in read)
+
+
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
                          ids=lambda path: path.name)
 def test_no_unused_module_level_import(path):
@@ -36,3 +65,25 @@ def test_guard_flags_unused_imports():
               "import os\nimport numpy as np\nfrom x import a, b\n"
               "print(a, np.pi)\n")
     assert unused_imports(source) == ["b (line 4)", "os (line 2)"]
+
+
+def test_no_unread_module_level_private_name():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert unread_private_names(sources) == []
+
+
+def test_guard_flags_unread_private_names():
+    sources = {
+        "a.py": ("_LIMIT = 3\n_unused: int = 4\n"
+                 "def _helper():\n    return _LIMIT\n"
+                 "def _orphan():\n    return 1\n"
+                 "class _Dead:\n    pass\n"
+                 "def public():\n    return _helper()\n"
+                 "__all__ = ['public']\n"),
+        "b.py": ("from . import a\n_seen = a._from_b\n"
+                 "def _from_b():\n    return 2\n"
+                 "print(_seen)\n"),
+    }
+    assert unread_private_names(sources) == [
+        "a.py: _Dead", "a.py: _orphan", "a.py: _unused"]

@@ -409,9 +409,9 @@ def _replayed_selection_record(seed, index):
 
 
 class TestOnlineIcaOnDegenerateIterates:
-    """Online selections whose symmetric ICA iterate turned degenerate
+    """Online selections whose ICA iterate once turned degenerate
     (evaluation seed 1000, selection 64) or not orthonormal (seed 3000,
-    selection 235) once stopped the whole evaluation."""
+    selection 235) and stopped the whole evaluation."""
 
     @pytest.mark.parametrize("seed,index", [(1000, 64), (3000, 235)])
     def test_dataset_is_built_finite(self, seed, index):
