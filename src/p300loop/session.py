@@ -15,7 +15,6 @@ import time
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
-from scipy.stats import rankdata
 
 from . import acquisition, dsp, features, lda
 from .acquisition import ModelFile
@@ -332,8 +331,15 @@ def _auc(scores: np.ndarray, labels: np.ndarray) -> float:
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC needs both classes")
-    ranks = rankdata(scores)  # exact ties share their average rank
+    ranks = _average_ranks(scores)
     return float((ranks[labels].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
+
+
+def _average_ranks(scores: np.ndarray) -> np.ndarray:
+    """Ranks from 1, exact ties sharing their average: a run of c equal
+    scores that ends at rank r holds ranks r - c + 1 .. r."""
+    _, run, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2)[run]
 
 
 def _phase_sequences(schedule: ScenarioSchedule, target: int,

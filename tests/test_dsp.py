@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy import signal
 
 from p300loop import core, dsp
@@ -214,17 +214,36 @@ def reference_design(spec: dsp.FilterSpec) -> dsp.FilterCoefficients:
 
 
 def reference_filter_rows(coeffs, rows):
-    """The row-at-a-time filter loop that the batched filter replaced."""
+    """Each finite row through scipy.signal.sosfilt, times the gain; rows
+    holding NaN, and rows of no samples, stay as they are."""
     out = np.array(rows, dtype=np.float64, copy=True)
     for i in range(out.shape[0]):
-        if np.isnan(out[i]).any():
+        if out.shape[1] == 0 or np.isnan(out[i]).any():
             continue
         out[i] = coeffs.gain * signal.sosfilt(coeffs.sos, out[i])
     return out
 
 
+def assert_matches_reference(got, want):
+    """NaN rows bitwise, the rest within 1e-12 of the reference's largest
+    magnitude: the block-state filter sums in another order than sosfilt."""
+    assert got.shape == want.shape
+    nan = np.isnan(want).any(axis=-1)
+    assert got[nan].tobytes() == want[nan].tobytes()
+    scale = np.abs(want[~nan]).max(initial=0.0)
+    assert np.abs(got[~nan] - want[~nan]).max(initial=0.0) <= 1e-12 * scale
+
+
+DESIGN_GRID = [dsp.FilterSpec(order, low, high, rate)
+               for order in range(1, 7)
+               for rate in (100.0, 128.0, 256.0, 512.0)
+               for low, high in ((0.1, 20.0), (0.5, 30.0), (1.0, 12.0),
+                                 (8.0, 13.0), (0.1, 40.0))]
+
+
 class TestFastPathsMatchReference:
-    """The cached design and the batched filter are bitwise the old code."""
+    """The design is bitwise scipy's; the filter matches sosfilt to
+    rounding."""
 
     @pytest.mark.parametrize("spec", [
         dsp.FilterSpec(),
@@ -241,6 +260,13 @@ class TestFastPathsMatchReference:
         assert np.array_equal(coeffs.sections, want.sections)
         assert coeffs.gain == want.gain
 
+    def test_design_grid_is_bitwise_scipy(self):
+        assert len(DESIGN_GRID) == 120
+        for spec in DESIGN_GRID:
+            got, want = dsp.design_bandpass(spec), reference_design(spec)
+            assert got.sections.tobytes() == want.sections.tobytes(), spec
+            assert got.gain == want.gain, spec
+
     @pytest.mark.parametrize("nan_rows", [(), (3, 9)])
     def test_matrix(self, coeffs, nan_rows):
         rng = np.random.default_rng(11)
@@ -250,7 +276,7 @@ class TestFastPathsMatchReference:
         kept = data.copy()
         got = dsp.filter_apply(coeffs, data)
         want = reference_filter_rows(coeffs, data)
-        assert got.tobytes() == want.tobytes()
+        assert_matches_reference(got, want)
         np.testing.assert_array_equal(data, kept)  # input left as it was
         assert not np.shares_memory(got, data)
 
@@ -259,7 +285,32 @@ class TestFastPathsMatchReference:
         got = dsp.filter_apply(coeffs, x)
         assert got.shape == x.shape
         want = reference_filter_rows(coeffs, x[None])[0]
-        assert got.tobytes() == want.tobytes()
+        assert_matches_reference(got, want)
+
+    @settings(deadline=None)
+    @given(n_rows=st.integers(1, 14),
+           length=st.one_of(
+               st.integers(0, 700),
+               st.builds(lambda k, d: k * dsp._BLOCK + d,
+                         st.integers(1, 10), st.sampled_from((-1, 0, 1))),
+               st.integers(0, dsp._BLOCK - 1)),
+           nan_rows=st.sets(st.integers(0, 13), max_size=4),
+           onsets=st.lists(st.integers(0, 800), min_size=14, max_size=14),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_any_shape(self, coeffs, n_rows, length, nan_rows, onsets, seed):
+        data = np.random.default_rng(seed).normal(size=(n_rows, length)) * 10.0
+        for row in range(n_rows):
+            data[row, :onsets[row]] = 0.0  # silent until its onset
+        for row in nan_rows & set(range(n_rows)):
+            data[row, onsets[row] % max(length, 1):] = np.nan
+        kept = data.copy()
+        got = dsp.filter_apply(coeffs, data)
+        assert_matches_reference(got, reference_filter_rows(coeffs, data))
+        for row in range(n_rows):
+            if row not in nan_rows:
+                assert not got[row, :onsets[row]].any()  # exactly zero
+        np.testing.assert_array_equal(data, kept)
+        assert not np.shares_memory(got, data)
 
     def test_all_nan_matrix(self, coeffs):
         data = np.full((3, 50), np.nan)

@@ -1,6 +1,10 @@
-"""Source hygiene: every module-level import of the package is used, and
-every module-level private name is read somewhere in the package."""
+"""Source hygiene: every module-level import of the package is used, every
+module-level private name is read somewhere in the package, and the package
+runs without scipy.signal or scipy.stats."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -87,3 +91,39 @@ def test_guard_flags_unread_private_names():
     }
     assert unread_private_names(sources) == [
         "a.py: _Dead", "a.py: _orphan", "a.py: _unused"]
+
+
+# imports every module, then simulates, trains and cross-validates a
+# two-session record; prints the scipy.signal and scipy.stats modules loaded
+_TRAIN_IN_A_FRESH_PROCESS = """
+import importlib, pkgutil, sys
+import numpy as np
+import p300loop
+from p300loop import features, scheduler, session, subject
+for module in pkgutil.iter_modules(p300loop.__path__):
+    importlib.import_module("p300loop." + module.name)
+timing = scheduler.TimingConfig(sessions_per_scenario=2)
+rng = np.random.default_rng(0)
+schedule = scheduler.build_scenario_schedule(timing, rng=rng)
+record = subject.simulate_subject(schedule, subject.SubjectParams(seed=0))
+pipeline = features.PipelineConfig()
+dataset = features.dataset_from_scenario(record, pipeline)
+session.train_on_dataset(dataset, pipeline)
+print(session.cross_validated_auc(dataset, pipeline))
+print(sorted(name for name in sys.modules
+             if name.startswith(("scipy.signal", "scipy.stats"))))
+"""
+
+
+def test_package_runs_without_scipy_signal_or_stats():
+    # a fresh interpreter: the test modules import both as references
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", _TRAIN_IN_A_FRESH_PROCESS],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+        text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    auc, loaded = result.stdout.splitlines()
+    assert 0.5 < float(auc) <= 1.0
+    assert loaded == "[]"

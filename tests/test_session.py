@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.stats import rankdata
 
 from p300loop import (acquisition, core, dsp, features, ica, lda, scheduler,
                       session, subject)
@@ -499,6 +500,25 @@ class TestAuc:
         labels = np.array([label for _, label in pairs])
         labels[:2] = (True, False)
         assert session._auc(scores, labels) == _tie_loop_auc(scores, labels)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(
+        st.one_of(st.sampled_from((-1.5, 0.0, 0.1, 2.0)),
+                  st.integers(-2, 2).map(float),
+                  st.floats(-1e3, 1e3, allow_nan=False)),
+        st.booleans()), min_size=2, max_size=60))
+    def test_ranks_are_rankdata_and_auc_counts_pairs(self, pairs):
+        # drawn mostly from 9 values, so most draws hold runs of exact ties
+        scores = np.array([score for score, _ in pairs])
+        labels = np.array([label for _, label in pairs])
+        labels[:2] = (True, False)
+        ranks = session._average_ranks(scores)
+        assert ranks.tobytes() == rankdata(scores).tobytes()
+        pos, neg = scores[labels], scores[~labels]
+        wins = ((pos[:, None] > neg[None, :]).sum()
+                + 0.5 * (pos[:, None] == neg[None, :]).sum())
+        assert abs(session._auc(scores, labels)
+                   - wins / (len(pos) * len(neg))) <= 1e-12
 
     def test_cross_validated_auc_on_noisy_data(self, training_dataset):
         auc = session.cross_validated_auc(training_dataset)
