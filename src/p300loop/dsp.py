@@ -242,7 +242,7 @@ def minmax_apply(params: ScalingParams, v) -> np.ndarray:
         raise ValueError(
             f"vector length {arr.shape[-1]} != {params.n_features} features")
     span = params.maxes - params.mins
-    safe = np.where(span > 0, span, 1.0)
-    scaled = (arr - params.mins) / safe
-    scaled = np.where(span > 0, scaled, 0.0)
-    return np.clip(scaled, 0.0, 1.0)
+    scaled = arr - params.mins  # the one full-size array
+    scaled /= np.where(span > 0, span, 1.0)
+    np.copyto(scaled, 0.0, where=~(span > 0))
+    return np.clip(scaled, 0.0, 1.0, out=scaled)

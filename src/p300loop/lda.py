@@ -7,9 +7,10 @@ solve S_lambda w = m1 - m2 (class 1 = target), normalized to unit length, with
 the bias placing the decision boundary at the midpoint of the class means.
 
 A fit is two steps: the class statistics (counts, means, pooled centred
-scatter) and the shrinkage solve on them.  Statistics can be downdated and
-rescaled exactly, so cross-validation derives each fold's discriminant from
-the whole sample's statistics instead of refitting from the fold's rows.
+scatter) and the shrinkage solve on them.  Statistics merge and downdate
+blocks of rows exactly, so every fit of the loop is the scaled solve on raw
+statistics: training, retraining merged block by block from the logs, and
+each cross-validation fold downdated from the whole sample's statistics.
 """
 from __future__ import annotations
 
@@ -61,10 +62,10 @@ class ClassStatistics:
     (x - class mean)(x - class mean)^T, not yet divided by n - 2.  An empty
     class has mean zero and adds nothing to the scatter.
 
-    `solve` fits the discriminant of the sample.  `solve_without` fits the
-    one of the rows that stay once some leave, with the rest rescaled, by
-    downdating these statistics in one caller-owned buffer instead of
-    refitting from the rows that stay.
+    `solve` fits the discriminant of the sample, `solve_scaled` the one of
+    its rows rescaled, and `solve_without` the one of the rows that stay once
+    some leave, rescaled, by downdating in a caller-owned buffer instead of
+    refitting from the rows that stay.  `merged` adds rows.
     """
 
     counts: tuple[int, int]
@@ -74,40 +75,75 @@ class ClassStatistics:
     @classmethod
     def of(cls, vectors: np.ndarray, labels: np.ndarray) -> ClassStatistics:
         """Statistics of finite [n x d] vectors with one boolean label each."""
-        if not np.isfinite(vectors).all():
-            raise ValueError("training features must be finite")
-        counts, means, centred = [], [], []
-        for rows in (vectors[labels], vectors[~labels]):
-            mean = (rows.mean(axis=0) if len(rows)
-                    else np.zeros(vectors.shape[1]))
-            counts.append(len(rows))
-            means.append(mean)
-            centred.append(rows - mean)
-        scatter = centred[0].T @ centred[0] + centred[1].T @ centred[1]
-        return cls(counts=tuple(counts), means=np.array(means),
-                   scatter=scatter)
+        d = vectors.shape[1]
+        empty = cls(counts=(0, 0), means=np.zeros((2, d)),
+                    scatter=np.zeros((d, d)))
+        return empty.merged(vectors, labels)
 
     def solve(self, shrinkage: float = DEFAULT_SHRINKAGE) -> LdaModel:
         """The shrinkage discriminant of these statistics."""
         return _shrinkage_solve(self.scatter.copy(), self.means, self.counts,
                                 shrinkage)
 
+    def merged(self, rows: np.ndarray, labels: np.ndarray) -> ClassStatistics:
+        """The statistics of this sample with finite `rows` added.
+
+        Per class, with n rows before, k added and t = n + k, the exact merge
+        of Chan, Golub & LeVeque (1979) adds the added rows' own scatter plus
+        (n k / t) g g^T, g their mean minus the old one: one syrk over them
+        centred on their mean and the row sqrt(n k / t) g, the dual of the
+        downdate in `solve_without`.
+        """
+        if not np.isfinite(rows).all():
+            raise ValueError("training features must be finite")
+        counts, means, scatter = [], [], self.scatter.copy()
+        for n, mean, mask in zip(self.counts, self.means, (labels, ~labels)):
+            k = int(np.count_nonzero(mask))
+            if k:
+                update = np.empty((k + (n > 0), rows.shape[1]))
+                part = np.compress(mask, rows, axis=0, out=update[:k])
+                part_mean = part.mean(axis=0)
+                part -= part_mean
+                gap = part_mean - mean
+                update[k:] = math.sqrt(n * k / (n + k)) * gap  # none if n = 0
+                scatter += update.T @ update  # a syrk, mirrored by numpy
+                mean = mean + (k / (n + k)) * gap if n else part_mean
+            counts.append(n + k)
+            means.append(mean)
+        return ClassStatistics(counts=tuple(counts), means=np.array(means),
+                               scatter=scatter)
+
+    def solve_scaled(self, shift: np.ndarray, factor: np.ndarray,
+                     shrinkage: float = DEFAULT_SHRINKAGE,
+                     out: np.ndarray | None = None) -> LdaModel:
+        """The discriminant of these rows mapped by (x - shift) * factor.
+
+        With D = diag(factor) the means map to D (m - shift) and the scatter
+        to D S D, formed and factored in `out`, a Fortran-order [d x d]
+        buffer (new by default) that may be this scatter: then only its lower
+        triangle is read.
+        """
+        if out is None:
+            out = np.empty_like(self.scatter, order="F")
+        if out is not self.scatter:
+            np.copyto(out.T, self.scatter)  # the scatter is symmetric
+        out *= factor[:, None]
+        out *= factor
+        return _shrinkage_solve(out, (self.means - shift) * factor,
+                                self.counts, shrinkage, lower=True)
+
     def solve_without(self, rows: np.ndarray, labels: np.ndarray,
                       shift: np.ndarray, factor: np.ndarray, shrinkage: float,
                       out: np.ndarray) -> LdaModel:
-        """The discriminant of the rows that stay once `rows` leave, each
-        mapped elementwise by (x - shift) * factor.
+        """`solve_scaled` of the rows that stay once `rows` leave, in `out`.
 
         `out` is a Fortran-order [d x d] buffer, overwritten; nothing else is
         written.  Per class, with n rows in all, k leaving and r = n - k
-        staying, the exact pooled-scatter downdate of Chan, Golub & LeVeque
-        (1979) is scatter_rest = scatter_all - scatter_part - (r k / n) g g^T,
-        where g is the mean of the leaving rows minus the mean of the staying
-        ones.  Both terms are one syrk with alpha = -1 on the lower triangle:
-        its rows are the leaving rows centred on their class means, plus
-        sqrt(r k / n) g for each class that loses rows and keeps some.  With
-        D = diag(factor), the means then map to D (m - shift) and the scatter
-        to D S D, scaled in place before the shared shrinkage solve.
+        staying, the exact downdate of Chan, Golub & LeVeque (1979) is
+        scatter_rest = scatter_all - scatter_part - (r k / n) g g^T, g the
+        leaving rows' mean minus the staying ones': one syrk with alpha = -1
+        on the lower triangle over the leaving rows centred on their class
+        means and sqrt(r k / n) g for each class that loses rows and keeps some.
         """
         counts, means, downdate = [], [], []
         for n, mean_all, part in zip(self.counts, self.means,
@@ -130,10 +166,9 @@ class ClassStatistics:
         if downdate:  # in place unless `out` is not Fortran-ordered
             out = dsyrk(-1.0, np.vstack(downdate).T, beta=1.0, c=out, lower=1,
                         overwrite_c=1)
-        out *= factor[:, None]
-        out *= factor
-        return _shrinkage_solve(out, (np.array(means) - shift) * factor,
-                                tuple(counts), shrinkage, lower=True)
+        rest = ClassStatistics(counts=tuple(counts), means=np.array(means),
+                               scatter=out)
+        return rest.solve_scaled(shift, factor, shrinkage, out=out)
 
 
 def _shrinkage_solve(scatter: np.ndarray, means: np.ndarray,

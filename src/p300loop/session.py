@@ -33,6 +33,7 @@ from .subject import SubjectParams, simulate_subject, with_targets
 DEFAULT_MISMATCH_S = 0.1
 DEFAULT_TRIALS = 3
 DEFAULT_REPS_PER_OBJECT = 10
+_RETRAIN_BLOCK = 1024  # fewest epochs per merge of the retraining statistics
 
 _DEFAULT_OBJECTS = (
     (0, "house", "Take me to my house"),
@@ -151,11 +152,19 @@ def train_on_dataset(dataset: LabeledDataset,
                      pipeline: PipelineConfig) -> ModelFile:
     """Fit scaling on the training vectors, then the discriminant; the model
     stores `pipeline`, which built `dataset`, as the one it is served with."""
-    scaling = dsp.minmax_fit(dataset.vectors)
-    scaled = dsp.minmax_apply(scaling, dataset.vectors)
-    model = lda.train(scaled, dataset.labels, shrinkage=pipeline.shrinkage)
+    return _fit(lda.ClassStatistics.of(dataset.vectors, dataset.labels),
+                dsp.minmax_fit(dataset.vectors), dataset.channels, pipeline)
+
+
+def _fit(stats: lda.ClassStatistics, scaling: dsp.ScalingParams, channels,
+         pipeline: PipelineConfig) -> ModelFile:
+    """The model of raw training rows from their statistics and min-max
+    scaling: their scaled rows lie in [0, 1], where `minmax_apply` clips
+    nothing, so this is the discriminant of the rows it scales."""
+    model = stats.solve_scaled(scaling.mins, scaling.factors,
+                               pipeline.shrinkage)
     return ModelFile(weights=model.w, bias=model.b, mins=scaling.mins,
-                     maxes=scaling.maxes, channels=tuple(dataset.channels),
+                     maxes=scaling.maxes, channels=tuple(channels),
                      pipeline=pipeline)
 
 
@@ -252,25 +261,33 @@ def run_online_selection(model: ModelFile, params: SubjectParams,
 
 def retrain_from_online(logged_records,
                         pipeline: PipelineConfig = PipelineConfig()) -> ModelFile:
-    """Second training phase: rebuild the dataset from online logs and refit."""
+    """Second training phase: fit the model of the online logs' epochs.
+
+    The logs' epochs fold into per-feature mins and maxes and class
+    statistics (`lda.ClassStatistics.merged`) in blocks of at least
+    `_RETRAIN_BLOCK` rows, never all stacked; the model is, up to rounding,
+    `train_on_dataset`'s on the logs' concatenated dataset.
+    """
     logged_records = list(logged_records)
     if not logged_records:
         raise ValueError("no logged records to retrain from")
-    parts = [features.dataset_from_scenario(rec, pipeline=pipeline)
-             for rec in logged_records]
-    channels = parts[0].channels
-    for part in parts:
-        if tuple(part.channels) != tuple(channels):
+    channels, stats, extremes, parts = None, None, [], []
+    for i, record in enumerate(logged_records, 1):
+        parts.append(features.dataset_from_scenario(record, pipeline=pipeline))
+        channels = channels or parts[-1].channels  # a ChannelSet is not empty
+        if tuple(parts[-1].channels) != tuple(channels):
             raise ValueError("logged records disagree on surviving channels")
-    vectors = np.vstack([p.vectors for p in parts])
-    labels = np.concatenate([p.labels for p in parts])
-    provenance = tuple(pv for p in parts for pv in p.provenance)
-    if labels.sum() < 2 or (~labels).sum() < 2:
+        if (sum(p.n_epochs for p in parts) >= _RETRAIN_BLOCK
+                or i == len(logged_records)):
+            vectors = np.concatenate([p.vectors for p in parts])
+            labels = np.concatenate([p.labels for p in parts])
+            parts = []
+            stats = (stats.merged(vectors, labels) if stats
+                     else lda.ClassStatistics.of(vectors, labels))
+            extremes += [vectors.min(axis=0), vectors.max(axis=0)]
+    if min(stats.counts) < 2:
         raise ValueError("need at least two examples of each class to retrain")
-    dataset = LabeledDataset(vectors=vectors, labels=labels,
-                             provenance=provenance, channels=channels,
-                             window=pipeline.window)
-    return train_on_dataset(dataset, pipeline)
+    return _fit(stats, dsp.minmax_fit(extremes), channels, pipeline)
 
 
 def cross_validated_auc(dataset: LabeledDataset,
@@ -294,14 +311,10 @@ def _cross_validated_scores(dataset: LabeledDataset,
     """Held-out discriminant score of every epoch, one fold per session.
 
     The class statistics of the whole dataset are computed once, and one
-    Fortran-order d x d buffer serves every fold.  A fold copies the whole
-    scatter into it, removes its session with one syrk downdate, applies its
-    min-max scaling as the diagonal map D (scatter D S D), the n - 2 divisor
-    and the shrinkage in place, and factors it there
-    (`lda.ClassStatistics.solve_without`).  Training rows lie within their
-    own min and max, so the clip of `minmax_apply` does nothing to them and
-    this is the same algebra as scaling the rows and refitting; the fold's
-    min and max come from per-session ones.
+    Fortran-order d x d buffer serves every fold.  A fold downdates them by
+    its session and solves under its min-max scaling there, in place
+    (`lda.ClassStatistics.solve_without`): the fit `_fit` makes of the other
+    sessions.  The fold's min and max are those of per-session ones.
     """
     session_of = np.array([sess for _run, sess, _img in dataset.provenance])
     sessions = np.unique(session_of)
@@ -311,13 +324,12 @@ def _cross_validated_scores(dataset: LabeledDataset,
     whole = lda.ClassStatistics.of(vectors, labels)
     buffer = np.empty_like(whole.scatter, order="F")
     held_rows = [session_of == sess for sess in sessions]
-    session_mins = np.array([vectors[held].min(axis=0) for held in held_rows])
-    session_maxes = np.array([vectors[held].max(axis=0) for held in held_rows])
+    extremes = np.array([(vectors[held].min(axis=0), vectors[held].max(axis=0))
+                         for held in held_rows])
     scores = np.empty(dataset.n_epochs)
     for i, held in enumerate(held_rows):
         others = np.arange(len(sessions)) != i
-        scaling = dsp.ScalingParams(mins=session_mins[others].min(axis=0),
-                                    maxes=session_maxes[others].max(axis=0))
+        scaling = dsp.minmax_fit(extremes[others].reshape(-1, vectors.shape[1]))
         rows = vectors[held]
         model = whole.solve_without(rows, labels[held], scaling.mins,
                                     scaling.factors, shrinkage, buffer)

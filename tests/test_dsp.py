@@ -320,7 +320,40 @@ class TestFastPathsMatchReference:
         assert got is not data
 
 
+def _minmax_apply_four_arrays(params, v):
+    """Reference: `minmax_apply` as a subtract, a divide, a `where` and a
+    `clip`, each into an array of its own."""
+    arr = np.asarray(v, dtype=np.float64)
+    span = params.maxes - params.mins
+    safe = np.where(span > 0, span, 1.0)
+    scaled = (arr - params.mins) / safe
+    scaled = np.where(span > 0, scaled, 0.0)
+    return np.clip(scaled, 0.0, 1.0)
+
+
 class TestMinMax:
+    @settings(max_examples=150)
+    @given(st.integers(1, 9), st.integers(1, 12), st.integers(0, 2**32 - 1),
+           st.booleans())
+    def test_one_buffer_is_bitwise_the_four_array_expression(
+            self, n_features, n_rows, seed, one_vector):
+        rng = np.random.default_rng(seed)
+        fit = rng.normal(size=(4, n_features)) * 10.0
+        fit[:, rng.random(n_features) < 0.3] = 2.5  # constant features
+        params = dsp.minmax_fit(fit)
+        # twice the fit's spread: many values fall outside [min, max]
+        rows = rng.normal(size=(n_rows, n_features)) * 20.0
+        rows[rng.random(rows.shape) < 0.15] = np.nan
+        if one_vector:
+            rows = rows[0]
+        kept = rows.copy()
+        got = dsp.minmax_apply(params, rows)
+        want = _minmax_apply_four_arrays(params, rows)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()  # NaNs included
+        assert rows.tobytes() == kept.tobytes()
+        assert not np.shares_memory(got, rows)
+
     def test_fit_and_apply(self):
         vectors = np.array([[0.0, 10.0], [4.0, 30.0]])
         params = dsp.minmax_fit(vectors)

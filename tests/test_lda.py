@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
 from p300loop import lda
@@ -159,6 +160,27 @@ def _one_piece_train(vectors, labels, shrinkage):
     return w, -float(w @ (m1 + m2)) / 2.0
 
 
+@st.composite
+def _blocked_rows(draw):
+    """Labelled rows, the cut points of the blocks they are merged in, and a
+    scaling (shift, factor, shrinkage).  The first block is one target row,
+    so it holds no non-target, and the second holds no target."""
+    n = draw(st.integers(4, 60))
+    d = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vectors = (rng.normal(size=(n, d)) * rng.uniform(0.1, 10.0, size=d)
+               + rng.normal(size=d) * 20.0)
+    labels = rng.random(n) < 0.3
+    cuts = sorted(draw(st.sets(st.integers(2, n - 1), max_size=8)) | {1})
+    labels[0] = True
+    labels[1:(cuts + [n])[1]] = False
+    vectors[labels] += 1.0
+    shift = vectors.min(axis=0)
+    factor = rng.uniform(0.1, 2.0, size=d)
+    factor[1:][rng.random(d - 1) < 0.2] = 0.0  # constant features
+    return vectors, labels, cuts, shift, factor, draw(st.floats(0.01, 1.0))
+
+
 class TestClassStatistics:
     @staticmethod
     def _data(seed=4, n=60, d=7):
@@ -218,6 +240,46 @@ class TestClassStatistics:
         want = lda.ClassStatistics.of((vectors - shift) * factor,
                                       labels).solve(0.01)
         self._assert_same_model(got, want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_blocked_rows())
+    def test_merged_blocks_match_statistics_of_all_rows(self, drawn):
+        vectors, labels, cuts, shift, factor, shrinkage = drawn
+        d = vectors.shape[1]
+        merged = lda.ClassStatistics.of(vectors[:0], labels[:0])
+        assert merged.counts == (0, 0)
+        for rows, block_labels in zip(np.split(vectors, cuts),
+                                      np.split(labels, cuts)):
+            merged = merged.merged(rows, block_labels)
+        whole = lda.ClassStatistics.of(vectors, labels)
+        # `of` is the merge of all rows at once: check it against numpy too
+        centred = [rows - rows.mean(axis=0)
+                   for rows in (vectors[labels], vectors[~labels])]
+        assert whole.scatter.tobytes() == (centred[0].T @ centred[0]
+                                           + centred[1].T @ centred[1]).tobytes()
+        assert merged.counts == whole.counts
+        np.testing.assert_allclose(merged.means, whole.means, rtol=0,
+                                   atol=1e-12 * np.abs(vectors).max())
+        np.testing.assert_allclose(merged.scatter, whole.scatter, rtol=0,
+                                   atol=1e-12 * np.abs(whole.scatter).max())
+        assert merged.scatter.tobytes() == merged.scatter.T.tobytes()
+        want = lda.ClassStatistics.of((vectors - shift) * factor,
+                                      labels).solve(shrinkage)
+        self._assert_same_model(
+            merged.solve_scaled(shift, factor, shrinkage), want)
+        # the scaled solve leaves the statistics as they were
+        out = np.empty((d, d), order="F")
+        before = merged.scatter.tobytes()
+        self._assert_same_model(
+            merged.solve_scaled(shift, factor, shrinkage, out=out), want)
+        assert merged.scatter.tobytes() == before
+
+    def test_merge_rejects_non_finite_rows(self):
+        vectors, labels = self._data()
+        stats = lda.ClassStatistics.of(vectors, labels)
+        vectors[3, 2] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            stats.merged(vectors[:5], labels[:5])
 
     def test_downdate_writes_only_its_buffer(self):
         vectors, labels = self._data()

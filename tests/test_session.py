@@ -1,6 +1,7 @@
 """Closed-loop machinery: voting, online selection, retraining, evaluation."""
 import queue
 import threading
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -221,6 +222,13 @@ class TestTrialScoresAndVote:
             session.trial_scores(provenance, np.append(scores, 9.0))
 
 
+def _assert_same_fit(model, weights, bias):
+    """Weights within 1e-11 of the largest one, bias within 1e-12."""
+    np.testing.assert_allclose(model.weights, weights, rtol=0,
+                               atol=1e-11 * np.abs(weights).max())
+    assert model.bias == pytest.approx(bias, rel=0, abs=1e-12)
+
+
 class TestTrainOnDataset:
     def test_bundle_matches_manual_pipeline(self, training_dataset):
         pipeline = session.PipelineConfig()
@@ -234,8 +242,8 @@ class TestTrainOnDataset:
         scaled = dsp.minmax_apply(scaling, training_dataset.vectors)
         direct = lda.train(scaled, training_dataset.labels,
                            shrinkage=pipeline.shrinkage)
-        np.testing.assert_array_equal(model.weights, direct.w)
-        assert model.bias == direct.b
+        # the fit scales the statistics, not the rows: equal up to rounding
+        _assert_same_fit(model, direct.w, direct.b)
 
     def test_score_vectors_applies_training_scaling(self, training_dataset):
         pipeline = session.PipelineConfig()
@@ -444,7 +452,56 @@ def test_rng_is_required(call):
         call()
 
 
+@pytest.fixture(scope="module")
+def seed0_phase1_logs():
+    """The 120 phase-1 logs that the seed-0 evaluation retrains on."""
+    class Retraining(Exception):
+        pass
+
+    def stop(logs, pipeline):
+        raise Retraining(list(logs))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(session, "retrain_from_online", stop)
+        with pytest.raises(Retraining) as caught:
+            session.run_full_evaluation(subject.SubjectParams(), seed=0)
+    (logs,) = caught.value.args
+    assert len(logs) == 120
+    return logs
+
+
 class TestRetrainFromOnline:
+    def test_matches_training_on_the_stacked_logs(self, seed0_phase1_logs):
+        pipeline = features.PipelineConfig()
+        parts = [features.dataset_from_scenario(rec, pipeline=pipeline)
+                 for rec in seed0_phase1_logs]
+        stacked = features.LabeledDataset(
+            vectors=np.vstack([p.vectors for p in parts]),
+            labels=np.concatenate([p.labels for p in parts]),
+            provenance=[pv for p in parts for pv in p.provenance],
+            channels=parts[0].channels, window=pipeline.window)
+        assert stacked.n_epochs > 4 * session._RETRAIN_BLOCK  # 5 merges
+        want = session.train_on_dataset(stacked, pipeline)
+        got = session.retrain_from_online(seed0_phase1_logs, pipeline)
+        assert got.mins.tobytes() == want.mins.tobytes()
+        assert got.maxes.tobytes() == want.maxes.tobytes()
+        _assert_same_fit(got, want.weights, want.bias)
+        assert (got.channels, got.pipeline) == (want.channels, want.pipeline)
+        again = session.retrain_from_online(seed0_phase1_logs, pipeline)
+        assert again.weights.tobytes() == got.weights.tobytes()
+        assert again.bias == got.bias
+
+    def test_peak_memory_is_bounded(self, seed0_phase1_logs):
+        # stacking the 4,320 x 845 epochs and scaling a copy of them peaked
+        # at 176 MB; the streamed statistics need a few blocks and d x d
+        tracemalloc.start()
+        try:
+            session.retrain_from_online(seed0_phase1_logs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 60e6
+
     def test_empty_log_list_rejected(self):
         with pytest.raises(ValueError):
             session.retrain_from_online([])
