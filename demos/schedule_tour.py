@@ -36,9 +36,8 @@ def main() -> None:
 
     # each run flashes every image exactly once, and a run never opens with
     # the image that closed the one before it
-    first = [ev.image_id for ev in schedule.events[:N_IMAGES]]
-    second = [ev.image_id
-              for ev in schedule.events[N_IMAGES:2 * N_IMAGES]]
+    first = schedule.events.image[:N_IMAGES].tolist()
+    second = schedule.events.image[N_IMAGES:2 * N_IMAGES].tolist()
     print(f"run 0 order: {first}")
     print(f"run 1 order: {second}  (cannot open with {first[-1]})")
 

@@ -42,7 +42,7 @@ def main() -> None:
     window = features.EpochWindow()
     row = filtered.channels.index(args.channel)
     epochs = features.segment(filtered, window)[:, row]
-    is_target = np.array([bool(ev.is_target) for ev in filtered.markers])
+    is_target = filtered.markers.target == 1
     target = epochs[is_target].mean(axis=0)
     nontarget = epochs[~is_target].mean(axis=0)
 

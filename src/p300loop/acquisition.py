@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ChannelSet, EegRecord, StimulusEvent
+from .core import ChannelSet, EegRecord, Markers, fields_equal, set_readonly
 from .features import EpochWindow, PipelineConfig
 
 MAGIC = b"EEGS"
@@ -75,18 +75,10 @@ class SamplesFrame:
     samples: np.ndarray  # [k x channel_count] float32
 
     def __post_init__(self) -> None:
-        samples = np.array(self.samples, dtype=np.float32, copy=True)
-        if samples.ndim != 2:
+        if set_readonly(self, "samples", self.samples, np.float32).ndim != 2:
             raise ValueError("samples block must be [k x channels]")
-        samples.flags.writeable = False
-        object.__setattr__(self, "samples", samples)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SamplesFrame):
-            return NotImplemented
-        return (self.first_sample_index == other.first_sample_index
-                and self.samples.shape == other.samples.shape
-                and np.array_equal(self.samples, other.samples, equal_nan=True))
+    __eq__ = fields_equal
 
 
 @dataclass(frozen=True)
@@ -173,20 +165,16 @@ def decode_frame(buffer, offset: int = 0) -> tuple[WireFrame, int]:
                                f"{VERSION[0]}.{VERSION[1]}")
         if not 0 < rate < np.inf:  # NaN too
             raise ProtocolError(f"header rate {rate} is not finite and positive")
-        labels = []
-        pos = 12
+        labels, pos = [], 12
         for _ in range(channel_count):
-            if pos >= len(payload):
-                raise ProtocolError("header label table truncated")
-            n = payload[pos]
-            pos += 1
-            if pos + n > len(payload):
+            end = pos + 1 + (payload[pos] if pos < len(payload) else len(payload))
+            if end > len(payload):
                 raise ProtocolError("header label table truncated")
             try:
-                labels.append(payload[pos:pos + n].decode("utf-8"))
+                labels.append(payload[pos + 1:end].decode("utf-8"))
             except UnicodeDecodeError as exc:
                 raise ProtocolError(f"header label: {exc}") from None
-            pos += n
+            pos = end
         if pos != len(payload):
             raise ProtocolError("trailing bytes in header payload")
         frame = HeaderFrame(channel_count=channel_count, rate=rate,
@@ -266,19 +254,20 @@ def stream_record(record: EegRecord, chunk: int = DEFAULT_CHUNK) -> list[WireFra
     frames: list[WireFrame] = [HeaderFrame(
         channel_count=record.n_channels, rate=record.rate,
         labels=tuple(record.channels))]
-    markers = iter(record.markers)
-    pending = next(markers, None)
-    for start in range(0, record.n_samples, chunk):
-        stop = min(start + chunk, record.n_samples)
-        while pending is not None and pending.onset_sample < stop:
-            frames.append(MarkerFrame(
-                sample_index=pending.onset_sample, image_id=pending.image_id,
-                run=pending.run_index, session=pending.session_index,
-                is_target=pending.is_target))
-            pending = next(markers, None)
+    m = record.markers
+    markers = [MarkerFrame(sample_index=onset, image_id=image, run=run,
+                           session=sess,
+                           is_target=None if target < 0 else bool(target))
+               for onset, image, run, sess, target in zip(*(
+                   column.tolist() for column in (m.onset, m.image, m.run,
+                                                  m.session, m.target)))]
+    starts = range(0, record.n_samples, chunk)
+    ends = np.searchsorted(m.onset, [start + chunk for start in starts])
+    for start, first, end in zip(starts, [0, *ends.tolist()], ends.tolist()):
+        frames += markers[first:end]  # the onsets in this block
         frames.append(SamplesFrame(
             first_sample_index=start,
-            samples=record.samples[:, start:stop].T))
+            samples=record.samples[:, start:start + chunk].T))
     frames.append(EndFrame())
     return frames
 
@@ -319,13 +308,12 @@ def reassemble(frames) -> EegRecord:
     if np.isinf(samples).any():  # NaN is a dropped sample, inf is corruption
         raise ProtocolError("stream carries an infinite sample")
     try:
-        events = tuple(StimulusEvent(
-            image_id=m.image_id, onset_sample=m.sample_index,
-            run_index=m.run, session_index=m.session, is_target=m.is_target)
-            for m in markers)
+        columns = zip(*((m.sample_index, m.image_id, m.run, m.session,
+                         -1 if m.is_target is None else int(m.is_target))
+                        for m in markers))
         return EegRecord(ChannelSet(header.labels), header.rate,
-                         samples.T.astype(np.float64), events)
-    except ValueError as exc:
+                         samples.T.astype(np.float64), Markers(*columns))
+    except (ValueError, OverflowError) as exc:
         raise ProtocolError(f"stream breaks the record contract: {exc}") from None
 
 
@@ -380,9 +368,8 @@ class ModelFile:
         return self.pipeline.window
 
     def __post_init__(self) -> None:
-        weights = np.array(self.weights, dtype=np.float64, copy=True)
-        mins = np.array(self.mins, dtype=np.float64, copy=True)
-        maxes = np.array(self.maxes, dtype=np.float64, copy=True)
+        weights, mins, maxes = (set_readonly(self, name, getattr(self, name))
+                                for name in ("weights", "mins", "maxes"))
         expected = len(self.channels) * self.window.length
         if weights.shape != (expected,):
             raise FormatError(
@@ -396,23 +383,9 @@ class ModelFile:
         for name, values in finite.items():
             if not np.isfinite(np.asarray(values, dtype=np.float64)).all():
                 raise FormatError(f"model {name} must be finite")
-        for arr in (weights, mins, maxes):
-            arr.flags.writeable = False
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "mins", mins)
-        object.__setattr__(self, "maxes", maxes)
         object.__setattr__(self, "channels", tuple(self.channels))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ModelFile):
-            return NotImplemented
-        return (np.array_equal(self.weights, other.weights)
-                and self.bias == other.bias
-                and np.array_equal(self.mins, other.mins)
-                and np.array_equal(self.maxes, other.maxes)
-                and self.channels == other.channels
-                and self.pipeline == other.pipeline
-                and self.format_version == other.format_version)
+    __eq__ = fields_equal
 
 
 def _require(mapping: dict, key: str):

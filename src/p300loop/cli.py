@@ -155,10 +155,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     schedule = build_scenario_schedule(timing, None, rng)
     record = simulate_subject(schedule, params)
     save_record(record, args.out)
-    n_targets = sum(1 for ev in record.markers if ev.is_target)
     print(f"wrote {args.out}: {record.n_channels} channels x "
           f"{record.n_samples} samples, {len(record.markers)} markers "
-          f"({n_targets} targets), seed {args.seed}")
+          f"({(record.markers.target == 1).sum()} targets), seed {args.seed}")
     return EXIT_OK
 
 
@@ -253,15 +252,14 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         raise UsageError("inspect needs --record and/or --model")
     if args.record:
         record = load_record(args.record)
-        n_targets = sum(1 for ev in record.markers if ev.is_target)
-        nan_counts = {
-            lab: int(np.isnan(record.samples[i]).sum())
-            for i, lab in enumerate(record.channels)
-            if np.isnan(record.samples[i]).any()}
+        nan_counts = {lab: count for lab, count in zip(
+            record.channels, np.isnan(record.samples).sum(axis=1).tolist())
+            if count}
         print(f"record {args.record}: {record.n_channels} channels @ "
               f"{record.rate:g} Hz, {record.n_samples} samples "
               f"({record.duration_s:.1f} s)")
-        print(f"  markers: {len(record.markers)} ({n_targets} targets)")
+        print(f"  markers: {len(record.markers)} "
+              f"({(record.markers.target == 1).sum()} targets)")
         print(f"  channels: {', '.join(record.channels)}")
         if nan_counts:
             print(f"  NaN samples: {nan_counts}")

@@ -6,7 +6,7 @@ units. Missing samples are represented as NaN entries directly in the matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
@@ -54,9 +54,26 @@ class ChannelSet:
         return [self.index(lab) for lab in labels]
 
 
+def set_readonly(obj, name: str, value, dtype=np.float64) -> np.ndarray:
+    """Set field `name` of a frozen dataclass to a read-only copy of `value`."""
+    array = np.array(value, dtype=dtype, copy=True)
+    array.flags.writeable = False
+    object.__setattr__(obj, name, array)
+    return array
+
+
+def fields_equal(a, b) -> bool:
+    """Dataclass equality with array fields compared by value, NaN equal to
+    NaN; fields declared with compare=False are skipped."""
+    return type(a) is type(b) and all(
+        np.array_equal(x, y, equal_nan=True) if isinstance(x, np.ndarray)
+        else x == y for x, y in ((getattr(a, f.name), getattr(b, f.name))
+                                 for f in fields(a) if f.compare))
+
+
 @dataclass(frozen=True)
 class StimulusEvent:
-    """One image flash: identity, position in the schedule, and target flag.
+    """One image flash, a row of `Markers`, checked as a one-row table.
 
     is_target is None when unknown (blind online use).  onset_s is carried for
     human-readable exports and excluded from equality; onset_sample is the
@@ -71,12 +88,83 @@ class StimulusEvent:
     onset_s: float = field(default=math.nan, compare=False)
 
     def __post_init__(self) -> None:
-        if not 0 <= self.image_id < N_IMAGES:
-            raise ValueError(f"image_id {self.image_id} outside [0, {N_IMAGES})")
-        if self.onset_sample < 0:
+        Markers.of((self,))
+
+
+@dataclass(frozen=True, eq=False)
+class Markers:
+    """Immutable columnar flash table, one row per flash in onset order.
+
+    Read-only int64 columns `onset` (sample index), `image`, `run`, `session`
+    and `target` (1, 0, or -1 for unknown), and the exact `onset_s` (NaN where
+    unknown), which equality ignores.  The constructor is the one check of
+    the flash invariants.  Indexing, slicing and iteration read rows back as
+    `StimulusEvent`s; a table equals a sequence of equal rows.
+    """
+
+    onset: np.ndarray = ()
+    image: np.ndarray = ()
+    run: np.ndarray = ()
+    session: np.ndarray = ()
+    target: np.ndarray | None = None
+    onset_s: np.ndarray | None = field(default=None, compare=False)
+
+    def __post_init__(self) -> None:
+        n = len(self.onset)
+        target = np.full(n, -1) if self.target is None else self.target
+        onset, image, run, session, target = (  # OverflowError past int64
+            set_readonly(self, name, value, np.int64) for name, value in zip(
+                ("onset", "image", "run", "session", "target"),
+                (self.onset, self.image, self.run, self.session, target)))
+        onset_s = set_readonly(self, "onset_s", np.full(n, math.nan)
+                               if self.onset_s is None else self.onset_s)
+        if any(c.shape != (n,) for c in (image, run, session, target, onset_s)):
+            raise ValueError("marker columns must be vectors of one length")
+        if n and onset[0] < 0:
             raise ValueError("onset_sample must be non-negative")
-        if self.run_index < 0 or self.session_index < 0:
+        if (onset[1:] <= onset[:-1]).any():
+            raise ValueError("marker onset samples must be strictly increasing")
+        outside = (image < 0) | (image >= N_IMAGES)
+        if outside.any():
+            raise ValueError(f"image_id {image[outside][0]} outside [0, {N_IMAGES})")
+        if (run < 0).any() or (session < 0).any():
             raise ValueError("run/session indices must be non-negative")
+        if (np.abs(target) > 1).any():
+            raise ValueError("target must be 1, 0 or -1 (unknown)")
+
+    @classmethod
+    def of(cls, events) -> Markers:
+        """`events` as a table: a Markers as it is, else its rows'."""
+        if isinstance(events, Markers):
+            return events
+        return cls(*zip(*((ev.onset_sample, ev.image_id, ev.run_index,
+                           ev.session_index, -1 if ev.is_target is None
+                           else int(bool(ev.is_target)), ev.onset_s)
+                          for ev in events)))
+
+    @property
+    def provenance(self) -> np.ndarray:
+        """[n x 3] (run, session, image) rows."""
+        return np.stack((self.run, self.session, self.image), axis=1)
+
+    def __len__(self) -> int:
+        return len(self.onset)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self))[i]))
+        row = object.__new__(StimulusEvent)  # a checked table's: not rechecked
+        row.__dict__.update(
+            image_id=int(self.image[i]), onset_sample=int(self.onset[i]),
+            run_index=int(self.run[i]), session_index=int(self.session[i]),
+            is_target=None if self.target[i] < 0 else bool(self.target[i]),
+            onset_s=float(self.onset_s[i]))
+        return row
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (tuple, list)):
+            return tuple(self) == tuple(other)
+        return fields_equal(self, other)
 
 
 @dataclass(frozen=True)
@@ -86,28 +174,22 @@ class EegRecord:
     channels: ChannelSet
     rate: float
     samples: np.ndarray  # [n_channels x n_samples], microvolts, may hold NaN
-    markers: tuple[StimulusEvent, ...] = ()
+    markers: Markers = ()  # or a sequence of StimulusEvent rows
 
     def __post_init__(self) -> None:
         if self.rate <= 0:
             raise ValueError("rate must be positive")
-        samples = np.array(self.samples, dtype=np.float64, copy=True)
+        samples = set_readonly(self, "samples", self.samples)
         if samples.ndim != 2:
             raise ValueError("samples must be a 2-D matrix")
         if samples.shape[0] != len(self.channels):
             raise ValueError(
                 f"samples has {samples.shape[0]} rows, expected {len(self.channels)}"
             )
-        samples.flags.writeable = False
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "markers", tuple(self.markers))
-        last = -1
-        for ev in self.markers:
-            if ev.onset_sample <= last:
-                raise ValueError("marker onset samples must be strictly increasing")
-            if ev.onset_sample >= self.n_samples:
-                raise ValueError("marker onset beyond end of record")
-            last = ev.onset_sample
+        markers = Markers.of(self.markers)
+        if len(markers) and markers.onset[-1] >= samples.shape[1]:
+            raise ValueError("marker onset beyond end of record")
+        object.__setattr__(self, "markers", markers)
 
     @property
     def n_channels(self) -> int:
@@ -126,7 +208,7 @@ class EegRecord:
         return EegRecord(self.channels, self.rate, samples, self.markers)
 
     def with_markers(self, markers) -> "EegRecord":
-        return EegRecord(self.channels, self.rate, self.samples, tuple(markers))
+        return EegRecord(self.channels, self.rate, self.samples, markers)
 
 
 def time_to_sample(t, rate) -> int:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_RATE, EegRecord
+from .core import DEFAULT_RATE, EegRecord, set_readonly
 
 _BLOCK = 64  # samples per block of the filter kernel
 
@@ -46,15 +46,13 @@ class FilterCoefficients:
     gain: float
 
     def __post_init__(self) -> None:
-        sections = np.array(self.sections, dtype=np.float64, copy=True)
+        sections = set_readonly(self, "sections", self.sections)
         if sections.ndim != 2 or sections.shape[1] != 5:
             raise ValueError("sections must be an n x 5 matrix")
         for b0, b1, b2, a1, a2 in sections:
             poles = np.roots([1.0, a1, a2])
             if np.any(np.abs(poles) >= 1.0):
                 raise ValueError("unstable section: pole on or outside unit circle")
-        sections.flags.writeable = False
-        object.__setattr__(self, "sections", sections)
 
     @property
     def n_sections(self) -> int:
@@ -63,11 +61,7 @@ class FilterCoefficients:
     @property
     def sos(self) -> np.ndarray:
         """Sections in (b0, b1, b2, a0=1, a1, a2) layout, gain not included."""
-        out = np.empty((self.n_sections, 6))
-        out[:, 0:3] = self.sections[:, 0:3]
-        out[:, 3] = 1.0
-        out[:, 4:6] = self.sections[:, 3:5]
-        return out
+        return np.insert(self.sections, 3, 1.0, axis=1)
 
     @functools.cached_property
     def _blocks(self) -> tuple[np.ndarray, ...]:
@@ -202,16 +196,12 @@ class ScalingParams:
     maxes: np.ndarray
 
     def __post_init__(self) -> None:
-        mins = np.array(self.mins, dtype=np.float64, copy=True)
-        maxes = np.array(self.maxes, dtype=np.float64, copy=True)
+        mins = set_readonly(self, "mins", self.mins)
+        maxes = set_readonly(self, "maxes", self.maxes)
         if mins.ndim != 1 or mins.shape != maxes.shape:
             raise ValueError("mins and maxes must be 1-D vectors of equal length")
         if np.any(maxes < mins):
             raise ValueError("every max must be >= its min")
-        mins.flags.writeable = False
-        maxes.flags.writeable = False
-        object.__setattr__(self, "mins", mins)
-        object.__setattr__(self, "maxes", maxes)
 
     @property
     def n_features(self) -> int:
@@ -228,8 +218,6 @@ class ScalingParams:
 def minmax_fit(vectors) -> ScalingParams:
     """Elementwise min and max over a set of training feature vectors."""
     arr = np.asarray(vectors, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[0] == 0:
         raise ValueError("need at least one feature vector")
     return ScalingParams(mins=arr.min(axis=0), maxes=arr.max(axis=0))

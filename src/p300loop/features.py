@@ -8,13 +8,14 @@ feature vector.  With the default 14-channel montage and a 20% corrupted FC5,
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import dsp, ica, lda
-from .core import ChannelSet, EegRecord
+from .core import ChannelSet, EegRecord, set_readonly
 
 DEFAULT_NAN_THRESHOLD = 0.05
 
@@ -47,30 +48,34 @@ class LabeledDataset:
 
     vectors: np.ndarray                    # [n_epochs x feature_size]
     labels: np.ndarray                     # boolean, target flag per epoch
-    provenance: tuple                      # (run, session, image_id) per epoch
+    provenance: np.ndarray                 # [n_epochs x 3] (run, session, image_id)
     channels: ChannelSet | None = None
     window: EpochWindow | None = None
 
     def __post_init__(self) -> None:
-        vectors = np.array(self.vectors, dtype=np.float64, copy=True)
-        labels = np.array(self.labels, dtype=bool, copy=True)
+        vectors = set_readonly(self, "vectors", self.vectors)
+        labels = set_readonly(self, "labels", self.labels, bool)
+        provenance = set_readonly(self, "provenance",
+                                  np.reshape(self.provenance, (-1, 3)), np.int64)
         if vectors.ndim != 2:
             raise ValueError("vectors must be a 2-D matrix")
         if labels.shape != (vectors.shape[0],):
             raise ValueError("one label per epoch required")
-        if len(self.provenance) != vectors.shape[0]:
-            raise ValueError("one provenance tuple per epoch required")
+        if len(provenance) != vectors.shape[0]:
+            raise ValueError("one provenance row per epoch required")
         if self.channels is not None and self.window is not None:
             expected = len(self.channels) * self.window.length
             if vectors.shape[1] != expected:
                 raise ValueError(
                     f"feature size {vectors.shape[1]} != "
                     f"{len(self.channels)} channels x {self.window.length} samples")
-        vectors.flags.writeable = False
-        labels.flags.writeable = False
-        object.__setattr__(self, "vectors", vectors)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "provenance", tuple(self.provenance))
+
+    @functools.cached_property
+    def statistics(self) -> lda.ClassStatistics:
+        """Read-only class statistics, shared by training and validation."""
+        stats = lda.ClassStatistics.of(self.vectors, self.labels)
+        stats.means.flags.writeable = stats.scatter.flags.writeable = False
+        return stats
 
     @property
     def n_epochs(self) -> int:
@@ -111,33 +116,28 @@ def prune_channels(record: EegRecord,
 def segment(record: EegRecord,
             window: EpochWindow = EpochWindow()) -> np.ndarray:
     """[n_markers x channels x length] epochs, one per marker, in order."""
-    starts = np.array([ev.onset_sample for ev in record.markers],
-                      dtype=np.intp) + window.start_offset
-    for ev, start in zip(record.markers, starts.tolist()):
-        if start < 0 or start + window.length > record.n_samples:
-            raise IndexError(
-                f"epoch for image {ev.image_id} (session {ev.session_index}, "
-                f"run {ev.run_index}) at samples [{start}, "
-                f"{start + window.length}) exceeds the record")
+    starts = record.markers.onset + window.start_offset
+    outside = (starts < 0) | (starts + window.length > record.n_samples)
+    if outside.any():
+        first = int(np.argmax(outside))
+        ev, start = record.markers[first], int(starts[first])
+        raise IndexError(
+            f"epoch for image {ev.image_id} (session {ev.session_index}, "
+            f"run {ev.run_index}) at samples [{start}, "
+            f"{start + window.length}) exceeds the record")
     windows = sliding_window_view(record.samples, window.length, axis=1)
     return windows.transpose(1, 0, 2)[starts]
 
 
-def dataset_from_scenario(record: EegRecord,
-                          pipeline: PipelineConfig = PipelineConfig(),
-                          ) -> LabeledDataset:
+def epoch_features(record: EegRecord,
+                   pipeline: PipelineConfig = PipelineConfig()):
     """Prune, filter, optionally ICA-clean, segment, and vectorize a recording.
 
-    There is one epoch per marker of the record, and every marker must carry
-    a target flag.
+    Returns ([n_markers x feature_size] vectors, surviving channels), one row
+    per marker of the record; no target flag is read.
     """
-    events = record.markers
-    if not events:
+    if not len(record.markers):
         raise ValueError("no stimulus events to segment")
-    for ev in events:
-        if ev.is_target is None:
-            raise ValueError("events must carry target labels")
-
     pruned, _ = prune_channels(record, pipeline.nan_threshold)
     coeffs = dsp.design_bandpass(dsp.FilterSpec(rate=pruned.rate))
     filtered = dsp.filter_apply(coeffs, pruned)
@@ -149,9 +149,16 @@ def dataset_from_scenario(record: EegRecord,
         filtered = filtered.with_samples(cleaned)
 
     epochs = segment(filtered, pipeline.window)
-    labels = np.array([bool(ev.is_target) for ev in events])
-    provenance = tuple((ev.run_index, ev.session_index, ev.image_id)
-                       for ev in events)
-    return LabeledDataset(vectors=epochs.reshape(len(events), -1),
-                          labels=labels, provenance=provenance,
-                          channels=filtered.channels, window=pipeline.window)
+    return epochs.reshape(len(epochs), -1), filtered.channels
+
+
+def dataset_from_scenario(record: EegRecord,
+                          pipeline: PipelineConfig = PipelineConfig(),
+                          ) -> LabeledDataset:
+    """The `epoch_features` of a recording, labelled by its markers, every
+    one of which must carry a target flag."""
+    if (record.markers.target < 0).any():
+        raise ValueError("events must carry target labels")
+    vectors, channels = epoch_features(record, pipeline)
+    return LabeledDataset(vectors, record.markers.target == 1,
+                          record.markers.provenance, channels, pipeline.window)

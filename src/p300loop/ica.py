@@ -50,12 +50,8 @@ class IcaModel:
         w = np.asarray(self.unmixing)
         if w.shape != (self.k, self.k):
             raise ValueError("unmixing must be k x k")
-        if not _orthonormal(w):
+        if not np.allclose(w @ w.T, np.eye(self.k), atol=1e-6):
             raise ValueError("unmixing rows must be orthonormal within 1e-6")
-
-
-def _orthonormal(w: np.ndarray) -> bool:
-    return np.allclose(w @ w.T, np.eye(w.shape[0]), atol=1e-6)
 
 
 def whiten(data: np.ndarray):
@@ -140,13 +136,9 @@ def fastica(whitened: np.ndarray, rng: np.random.Generator,
 
 def _finalize(w: np.ndarray, z: np.ndarray):
     """Sign-fix rows (largest loading positive) and unit-variance the sources."""
-    w = w.copy()
+    largest = w[np.arange(len(w)), np.argmax(np.abs(w), axis=1)]
+    w = np.where(largest[:, None] < 0, -w, w)
     sources = w @ z
-    for i in range(w.shape[0]):
-        j = int(np.argmax(np.abs(w[i])))
-        if w[i, j] < 0:
-            w[i] = -w[i]
-            sources[i] = -sources[i]
     std = sources.std(axis=1, ddof=1)
     std[std == 0] = 1.0
     sources = sources / std[:, None]
@@ -186,20 +178,12 @@ def classify_components(model: IcaModel, sources: np.ndarray,
     squared = centred ** 2
     var = squared.mean(axis=1)
     fourth = (squared ** 2).mean(axis=1)  # not centred ** 4: pow is slow
-    varying = var > 0
-    kurtosis = np.zeros(model.k)
-    kurtosis[varying] = fourth[varying] / var[varying] ** 2 - 3.0
-    mask = np.zeros(model.k, dtype=bool)
-    for i in range(model.k):
-        column = model.mixing[:, i]
-        energy = float(np.sum(column ** 2))
-        if energy == 0:
-            continue
-        frontal_energy = float(np.sum(column[frontal_rows] ** 2))
-        if (kurtosis[i] > kurtosis_threshold
-                and frontal_energy / energy >= frontal_fraction):
-            mask[i] = True
-    return mask
+    energy = np.sum(model.mixing ** 2, axis=0)
+    frontal = np.sum(model.mixing[frontal_rows] ** 2, axis=0)
+    with np.errstate(invalid="ignore", divide="ignore"):  # 0/0 flags nothing
+        kurtosis = np.where(var > 0, fourth / var ** 2 - 3.0, 0.0)
+        return ((kurtosis > kurtosis_threshold) & (energy > 0)
+                & (frontal / energy >= frontal_fraction))
 
 
 def reconstruct(model: IcaModel, data: np.ndarray,

@@ -21,6 +21,8 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.blas import dsyrk
 
+from .core import set_readonly
+
 DEFAULT_SHRINKAGE = 1e-3
 
 
@@ -35,14 +37,12 @@ class LdaModel:
     shrinkage: float | None = None
 
     def __post_init__(self) -> None:
-        w = np.array(self.w, dtype=np.float64, copy=True)
+        w = set_readonly(self, "w", self.w)
         if w.ndim != 1:
             raise ValueError("w must be a vector")
         norm = np.linalg.norm(w)
         if not np.isfinite(norm) or norm == 0:
             raise ValueError("w must be finite with positive norm")
-        w.flags.writeable = False
-        object.__setattr__(self, "w", w)
 
 
 def _as_arrays(vectors, labels):

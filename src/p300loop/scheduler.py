@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import DEFAULT_RATE, N_IMAGES, StimulusEvent, time_to_sample
+from .core import DEFAULT_RATE, N_IMAGES, Markers, time_to_sample
 
 
 def _fr(x) -> Fraction:
@@ -55,21 +55,16 @@ def _exact_durations(timing: TimingConfig) -> tuple[Fraction, ...]:
     return isi, d_run, d_session, d_scenario
 
 
-def _run_grid(timing: TimingConfig, n_runs: int, base: Fraction):
-    """(onset_sample, onset_s) of every flash slot of `n_runs` runs.
-
-    Run r starts at base + r * (d_run + d_run_interval) exact seconds, and
-    its j-th flash j * isi after that; grid[r][j] is that slot.
+def _run_grid(timing: TimingConfig, run_starts):
+    """(onset samples, onset seconds) of the flashes of runs that start at
+    the exact seconds `run_starts`, a run's j-th flash j * isi after its
+    start: flash 12 r + j is run r's j-th.
     """
-    isi, d_run, _, _ = _exact_durations(timing)
+    isi = _exact_durations(timing)[0]
+    onsets = [start + j * isi for start in run_starts for j in range(N_IMAGES)]
     rate = _fr(DEFAULT_RATE)
-    grid = []
-    for run in range(n_runs):
-        run_base = base + run * (d_run + _fr(timing.d_run_interval))
-        onsets = [run_base + j * isi for j in range(N_IMAGES)]
-        grid.append(tuple((time_to_sample(t, rate), float(t))
-                          for t in onsets))
-    return tuple(grid)
+    return (tuple(time_to_sample(t, rate) for t in onsets),
+            tuple(map(float, onsets)))
 
 
 def durations(timing: TimingConfig) -> tuple[float, float, float]:
@@ -85,29 +80,24 @@ def durations(timing: TimingConfig) -> tuple[float, float, float]:
 
 @dataclass(frozen=True)
 class ScenarioSchedule:
-    """Ordered stimulus events plus the timing they were generated from."""
+    """Ordered flash table plus the timing it was generated from."""
 
     timing: TimingConfig
-    events: tuple[StimulusEvent, ...]
+    events: Markers  # or a sequence of StimulusEvent rows
     session_targets: tuple[int, ...] = ()
     span_s: float = 0.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "events", tuple(self.events))
+        events = Markers.of(self.events)
+        object.__setattr__(self, "events", events)
         object.__setattr__(self, "session_targets", tuple(self.session_targets))
-        seen: dict[tuple[int, int], set[int]] = {}
-        last = -1
-        for ev in self.events:
-            if ev.onset_sample <= last:
-                raise ValueError("event onsets must be strictly increasing")
-            last = ev.onset_sample
-            imgs = seen.setdefault((ev.session_index, ev.run_index), set())
-            if ev.image_id in imgs:
-                raise ValueError(
-                    f"image {ev.image_id} flashes twice in session "
-                    f"{ev.session_index} run {ev.run_index}"
-                )
-            imgs.add(ev.image_id)
+        keys = np.stack((events.session, events.run, events.image))
+        keys = keys[:, np.lexsort(keys[::-1])]  # by session, run, image
+        twice = np.flatnonzero((keys[:, 1:] == keys[:, :-1]).all(axis=0))
+        if len(twice):
+            sess, run, image = keys[:, twice[0]].tolist()
+            raise ValueError(f"image {image} flashes twice in session "
+                             f"{sess} run {run}")
 
     @property
     def n_events(self) -> int:
@@ -115,7 +105,30 @@ class ScenarioSchedule:
 
     @property
     def n_targets(self) -> int:
-        return sum(1 for ev in self.events if ev.is_target)
+        return int((self.events.target == 1).sum())
+
+
+def _markers(grid, runs_per_session: int, rng, sequences=None,
+             session_targets=None) -> Markers:
+    """The flash table of consecutive runs at `_run_grid` slots: run k is
+    run k % runs_per_session of session k // runs_per_session and shows
+    `sequences[k]`, or else a `generate_run_sequence` draw from `rng` that
+    does not open with the image that closed run k - 1.  Flashes of their
+    session's `session_targets` entry are targets; without it none is known.
+    """
+    n_runs = len(grid[0]) // N_IMAGES
+    if sequences is None:
+        sequences = []
+        for _ in range(n_runs):
+            sequences.append(generate_run_sequence(
+                rng, sequences[-1][-1] if sequences else None))
+    k = np.repeat(np.arange(n_runs), N_IMAGES)
+    image = np.concatenate(sequences)
+    session = k // runs_per_session
+    target = (None if session_targets is None
+              else image == np.asarray(session_targets)[session])
+    return Markers(onset=grid[0], image=image, run=k % runs_per_session,
+                   session=session, target=target, onset_s=grid[1])
 
 
 def generate_run_sequence(rng: np.random.Generator,
@@ -147,24 +160,17 @@ def build_scenario_schedule(timing: TimingConfig,
     if rng is None:
         raise TypeError("a scenario schedule needs rng")
 
-    _, _, d_session, d_scenario = _exact_durations(timing)
-
-    events: list[StimulusEvent] = []
-    prev_last: int | None = None
-    for sess, target in enumerate(session_targets):
-        session_base = _fr(timing.d_adapt) + sess * d_session + _fr(timing.d_inf)
-        grid = _run_grid(timing, timing.runs_per_session, session_base)
-        for run, slots in enumerate(grid):
-            seq = generate_run_sequence(rng, prev_last)
-            prev_last = seq[-1]
-            events.extend(StimulusEvent(image_id=img, onset_sample=sample,
-                                        run_index=run, session_index=sess,
-                                        is_target=(img == target),
-                                        onset_s=onset_s)
-                          for img, (sample, onset_s) in zip(seq, slots))
-    return ScenarioSchedule(timing=timing, events=tuple(events),
-                            session_targets=tuple(session_targets),
-                            span_s=float(d_scenario))
+    _, d_run, d_session, d_scenario = _exact_durations(timing)
+    run_step = d_run + _fr(timing.d_run_interval)
+    grid = _run_grid(timing, [
+        _fr(timing.d_adapt) + sess * d_session + _fr(timing.d_inf)
+        + run * run_step for sess in range(timing.sessions_per_scenario)
+        for run in range(timing.runs_per_session)])
+    return ScenarioSchedule(
+        timing=timing, session_targets=tuple(session_targets),
+        events=_markers(grid, timing.runs_per_session, rng,
+                        session_targets=session_targets),
+        span_s=float(d_scenario))
 
 
 def build_online_trial_schedule(timing: TimingConfig,
@@ -184,49 +190,38 @@ def build_online_trial_schedule(timing: TimingConfig,
         sequences = [list(map(int, s)) for s in sequences]
         if len(sequences) != n_trials:
             raise ValueError("need one sequence per trial")
-        for s in sequences:
-            if sorted(s) != list(range(N_IMAGES)):
-                raise ValueError("each trial sequence must permute all image ids")
+        if any(sorted(s) != list(range(N_IMAGES)) for s in sequences):
+            raise ValueError("each trial sequence must permute all image ids")
     if rng is None and sequences is None:
         raise TypeError("an online schedule without sequences needs rng")
 
     grid, span_s = online_grid(timing, n_trials)
-    events: list[StimulusEvent] = []
-    prev_last: int | None = None
-    for trial, slots in enumerate(grid):
-        if sequences is not None:
-            seq = sequences[trial]
-        else:
-            seq = generate_run_sequence(rng, prev_last)
-        prev_last = seq[-1]
-        events.extend(StimulusEvent(image_id=img, onset_sample=sample,
-                                    run_index=trial, session_index=0,
-                                    onset_s=onset_s)
-                      for img, (sample, onset_s) in zip(seq, slots))
-    return ScenarioSchedule(timing=timing, events=tuple(events),
-                            session_targets=(), span_s=span_s)
+    return ScenarioSchedule(timing=timing, span_s=span_s,
+                            events=_markers(grid, n_trials, rng, sequences))
 
 
 @functools.lru_cache(maxsize=32)
 def online_grid(timing: TimingConfig, n_trials: int):
     """(grid, span_s) of `n_trials` back-to-back online runs, computed exactly.
 
-    grid[trial][j] is the (onset_sample, onset_s) of the trial's j-th flash.
-    span_s is n_trials * d_run + (n_trials - 1) * d_run_interval: the
-    simulated latency of one selection.
+    grid is the trials' `_run_grid` (onset samples, onset seconds).  span_s
+    is n_trials * d_run + (n_trials - 1) * d_run_interval: the simulated
+    latency of one selection.
     """
     d_run = _exact_durations(timing)[1]
-    span = n_trials * d_run + (n_trials - 1) * _fr(timing.d_run_interval)
-    return _run_grid(timing, n_trials, Fraction(0)), float(span)
+    step = d_run + _fr(timing.d_run_interval)
+    grid = _run_grid(timing, [trial * step for trial in range(n_trials)])
+    return grid, float(n_trials * step - _fr(timing.d_run_interval))
 
 
 def event_table(schedule: ScenarioSchedule) -> str:
     """Human-readable event table, one line per event."""
     lines = ["onset_s\tonset_sample\timage_id\trun\tsession\tis_target"]
-    for ev in schedule.events:
-        flag = "?" if ev.is_target is None else str(int(ev.is_target))
-        lines.append(
-            f"{ev.onset_s:.6f}\t{ev.onset_sample}\t{ev.image_id}"
-            f"\t{ev.run_index}\t{ev.session_index}\t{flag}"
-        )
+    events = schedule.events
+    for onset_s, onset, image, run, sess, target in zip(*(
+            column.tolist() for column in (events.onset_s, events.onset,
+                                           events.image, events.run,
+                                           events.session, events.target))):
+        flag = "?" if target < 0 else str(target)
+        lines.append(f"{onset_s:.6f}\t{onset}\t{image}\t{run}\t{sess}\t{flag}")
     return "\n".join(lines) + "\n"

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import acquisition, dsp, features, lda
 from .acquisition import ModelFile
-from .core import N_IMAGES, EegRecord
+from .core import N_IMAGES, EegRecord, set_readonly
 from .features import LabeledDataset, PipelineConfig
 from .scheduler import (
     ScenarioSchedule,
@@ -86,9 +86,7 @@ class SelectionResult:
     message: str
 
     def __post_init__(self) -> None:
-        scores = np.array(self.per_image_scores, dtype=np.float64, copy=True)
-        scores.flags.writeable = False
-        object.__setattr__(self, "per_image_scores", scores)
+        set_readonly(self, "per_image_scores", self.per_image_scores)
         object.__setattr__(self, "trial_winners", tuple(self.trial_winners))
 
 
@@ -125,21 +123,21 @@ def majority_vote(trial_winners, per_image_scores) -> int:
 def trial_scores(provenance, scores) -> np.ndarray:
     """[n_runs x 12] per-image score table, one row per (session, run).
 
-    `provenance` holds the (run, session, image_id) of each score, as in
-    `LabeledDataset.provenance`; rows come in (session, run) order.  Raises
-    ValueError unless every run flashed each image exactly once.
+    `provenance` holds the (run, session, image_id) of each score in any
+    order, as in `LabeledDataset.provenance`; rows come in (session, run)
+    order.  Raises ValueError unless every run flashed each image exactly once.
     """
-    by_run: dict[tuple[int, int], list] = {}
-    values = np.asarray(scores, dtype=np.float64).tolist()
-    for (run, sess, image_id), value in zip(provenance, values):
-        by_run.setdefault((sess, run), []).append((image_id, value))
-    rows = []
-    for key in sorted(by_run):
-        pairs = sorted(by_run[key])
-        if [image_id for image_id, _ in pairs] != list(range(N_IMAGES)):
-            raise ValueError(f"run {key} is not one flash per image")
-        rows.append([value for _, value in pairs])
-    return np.array(rows).reshape(-1, N_IMAGES)
+    keys = np.asarray(provenance, dtype=np.int64).reshape(-1, 3)
+    order = np.lexsort((keys[:, 2], keys[:, 0], keys[:, 1]))
+    keys, slot = keys[order], np.arange(len(keys))
+    opens = keys[slot - slot % N_IMAGES]  # the row that opens each run
+    bad = ((keys[:, 2] != slot % N_IMAGES)
+           | (keys[:, :2] != opens[:, :2]).any(axis=1))
+    bad[-1:] |= len(keys) % N_IMAGES != 0
+    if bad.any():
+        run, sess, _ = opens[np.argmax(bad)].tolist()
+        raise ValueError(f"run {(sess, run)} is not one flash per image")
+    return np.asarray(scores, dtype=np.float64)[order].reshape(-1, N_IMAGES)
 
 
 def vote(table) -> tuple[tuple[int, ...], int]:
@@ -152,8 +150,8 @@ def train_on_dataset(dataset: LabeledDataset,
                      pipeline: PipelineConfig) -> ModelFile:
     """Fit scaling on the training vectors, then the discriminant; the model
     stores `pipeline`, which built `dataset`, as the one it is served with."""
-    return _fit(lda.ClassStatistics.of(dataset.vectors, dataset.labels),
-                dsp.minmax_fit(dataset.vectors), dataset.channels, pipeline)
+    return _fit(dataset.statistics, dsp.minmax_fit(dataset.vectors),
+                dataset.channels, pipeline)
 
 
 def _fit(stats: lda.ClassStatistics, scaling: dsp.ScalingParams, channels,
@@ -179,22 +177,17 @@ def score_table(model: ModelFile, record: EegRecord) -> np.ndarray:
     """[n_runs x 12] score table of a record under a trained model.
 
     The record runs through the pipeline the model was trained with.
-    Scoring reads no labels, so markers with an unknown target flag (a live
-    stream's) count as non-targets.  Raises ValueError unless the record's
-    surviving channels are the model's; rows are as `trial_scores` builds
-    them.
+    Scoring reads no target flag, so a live stream's unknown ones are fine.
+    Raises ValueError unless the record's surviving channels are the model's;
+    rows are as `trial_scores` builds them.
     """
-    if any(ev.is_target is None for ev in record.markers):
-        record = record.with_markers(tuple(
-            replace(ev, is_target=False) if ev.is_target is None else ev
-            for ev in record.markers))
-    dataset = features.dataset_from_scenario(record, pipeline=model.pipeline)
-    if tuple(dataset.channels) != model.channels:
+    vectors, channels = features.epoch_features(record, model.pipeline)
+    if tuple(channels) != model.channels:
         raise ValueError(
             f"model was trained on channels {model.channels}, "
-            f"online data yields {tuple(dataset.channels)}")
-    return trial_scores(dataset.provenance,
-                        score_vectors(model, dataset.vectors))
+            f"online data yields {tuple(channels)}")
+    return trial_scores(record.markers.provenance,
+                        score_vectors(model, vectors))
 
 
 def run_offline_training(params: SubjectParams, timing: TimingConfig,
@@ -310,18 +303,17 @@ def _cross_validated_scores(dataset: LabeledDataset,
                             shrinkage: float) -> np.ndarray:
     """Held-out discriminant score of every epoch, one fold per session.
 
-    The class statistics of the whole dataset are computed once, and one
-    Fortran-order d x d buffer serves every fold.  A fold downdates them by
-    its session and solves under its min-max scaling there, in place
+    The whole dataset's class statistics (`LabeledDataset.statistics`, which
+    training shares) and one Fortran-order d x d buffer serve every fold.  A
+    fold downdates them by its session and solves under its min-max scaling there, in place
     (`lda.ClassStatistics.solve_without`): the fit `_fit` makes of the other
     sessions.  The fold's min and max are those of per-session ones.
     """
-    session_of = np.array([sess for _run, sess, _img in dataset.provenance])
+    session_of = dataset.provenance[:, 1]
     sessions = np.unique(session_of)
     if len(sessions) < 2:
         raise ValueError("need at least two sessions for cross-validation")
-    vectors, labels = dataset.vectors, dataset.labels
-    whole = lda.ClassStatistics.of(vectors, labels)
+    vectors, labels, whole = dataset.vectors, dataset.labels, dataset.statistics
     buffer = np.empty_like(whole.scatter, order="F")
     held_rows = [session_of == sess for sess in sessions]
     extremes = np.array([(vectors[held].min(axis=0), vectors[held].max(axis=0))
@@ -362,14 +354,11 @@ def _phase_sequences(schedule: ScenarioSchedule, target: int,
     runs_per_session, wrapping cyclically, so consecutive rounds walk through
     the recorded flashing orders exactly as they were acquired.
     """
+    events = schedule.events  # in onset order, a session's runs in turn
     position = list(schedule.session_targets).index(target)
-    runs_per_session = schedule.timing.runs_per_session
-    sequences: list[list[int]] = [[] for _ in range(runs_per_session)]
-    for ev in schedule.events:  # in onset order
-        if ev.session_index == position:
-            sequences[ev.run_index].append(ev.image_id)
-    start = (round_index * n_trials) % runs_per_session
-    return [sequences[(start + i) % runs_per_session] for i in range(n_trials)]
+    runs = events.image[events.session == position].reshape(-1, N_IMAGES)
+    first = round_index * n_trials
+    return runs.take(range(first, first + n_trials), axis=0, mode="wrap").tolist()
 
 
 @dataclass(frozen=True)
@@ -394,33 +383,24 @@ def _run_phase(model: ModelFile, base_params: SubjectParams,
                collect_logs: bool):
     """reps rounds over all 12 objects in turn; returns (phase, logs)."""
     per_correct = [0] * N_IMAGES
-    per_total = [0] * N_IMAGES
     logs: list[EegRecord] = []
-    round_seeds = seed_seq.spawn(reps * N_IMAGES)
-    i = 0
-    for round_index in range(reps):
-        for target in range(N_IMAGES):
-            child = round_seeds[i]
-            i += 1
-            subject_seed, stream_seed = child.spawn(2)
-            params = replace(base_params, constant_offset=mismatch,
-                             seed=subject_seed)
-            sequences = None
-            if training_schedule is not None:
-                sequences = _phase_sequences(training_schedule, target,
-                                             round_index, n_trials)
-            result, logged = run_online_selection(
-                model, params, catalog, target, n_trials=n_trials,
-                rng=np.random.default_rng(stream_seed), timing=timing,
-                sequences=sequences)
-            per_total[target] += 1
-            if result.selected == target:
-                per_correct[target] += 1
-            if collect_logs:
-                logs.append(logged)
-    phase = EvaluationPhase(correct=sum(per_correct), total=sum(per_total),
+    for i, child in enumerate(seed_seq.spawn(reps * N_IMAGES)):
+        round_index, target = divmod(i, N_IMAGES)
+        subject_seed, stream_seed = child.spawn(2)
+        params = replace(base_params, constant_offset=mismatch,
+                         seed=subject_seed)
+        sequences = None if training_schedule is None else _phase_sequences(
+            training_schedule, target, round_index, n_trials)
+        result, logged = run_online_selection(
+            model, params, catalog, target, n_trials=n_trials,
+            rng=np.random.default_rng(stream_seed), timing=timing,
+            sequences=sequences)
+        per_correct[target] += int(result.selected == target)
+        if collect_logs:
+            logs.append(logged)
+    phase = EvaluationPhase(correct=sum(per_correct), total=reps * N_IMAGES,
                             per_object_correct=tuple(per_correct),
-                            per_object_total=tuple(per_total))
+                            per_object_total=(reps,) * N_IMAGES)
     return phase, logs
 
 
@@ -459,19 +439,15 @@ def run_full_evaluation(params: SubjectParams,
         model2, params, catalog, timing, n_trials, reps_per_object,
         mismatch, phase2_seq, training_schedule=None, collect_logs=False)
 
-    d_run, d_session, d_scenario = durations(timing)
-    report = {
+    return {
         "phase1": _phase_dict(phase1, catalog),
         "phase2": _phase_dict(phase2, catalog),
         "latency": {
             "per_selection_s": online_grid(timing, n_trials)[1],
             "n_trials": n_trials,
         },
-        "timing": {
-            "d_run_s": d_run,
-            "d_session_s": d_session,
-            "d_scenario_s": d_scenario,
-        },
+        "timing": dict(zip(("d_run_s", "d_session_s", "d_scenario_s"),
+                           durations(timing))),
         "config": {
             "seed": seed,
             "mismatch_s": mismatch,
@@ -482,7 +458,6 @@ def run_full_evaluation(params: SubjectParams,
         },
         "wall_clock_seconds": time.perf_counter() - started,
     }
-    return report
 
 
 def _phase_dict(phase: EvaluationPhase, catalog: ObjectCatalog) -> dict:

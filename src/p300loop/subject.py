@@ -10,7 +10,7 @@ stream.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .core import (
     TEMPORAL_LABELS,
     ChannelSet,
     EegRecord,
+    Markers,
 )
 from .scheduler import ScenarioSchedule
 
@@ -73,15 +74,9 @@ class SubjectParams:
 
 def default_topography(channels: ChannelSet) -> np.ndarray:
     """Posterior-weighted P300 gain: 1.0 posterior, 0.6 temporal, 0.3 elsewhere."""
-    gains = []
-    for lab in channels:
-        if lab in POSTERIOR_LABELS:
-            gains.append(1.0)
-        elif lab in TEMPORAL_LABELS:
-            gains.append(0.6)
-        else:
-            gains.append(0.3)
-    return np.array(gains)
+    return np.array([1.0 if lab in POSTERIOR_LABELS
+                     else 0.6 if lab in TEMPORAL_LABELS else 0.3
+                     for lab in channels])
 
 
 def stage_generators(seed) -> tuple[np.random.Generator, ...]:
@@ -133,13 +128,13 @@ def inject_p300(record: EegRecord, schedule: ScenarioSchedule,
     Each target event contributes amp * topography[ch] * Gaussian centred at
     onset + peak latency + constant offset (+ jitter when enabled).
     """
-    for ev in schedule.events:
-        if ev.onset_sample >= record.n_samples:
-            raise IndexError(
-                f"event at sample {ev.onset_sample} beyond record of "
-                f"{record.n_samples} samples")
-        if ev.is_target is None:
-            raise ValueError("is_target flags must be set before injection")
+    events = schedule.events
+    if len(events) and events.onset[-1] >= record.n_samples:
+        raise IndexError(
+            f"event at sample {events.onset[-1]} beyond record of "
+            f"{record.n_samples} samples")
+    if (events.target < 0).any():
+        raise ValueError("is_target flags must be set before injection")
     if params.p300_amp == 0:
         return record.with_samples(record.samples)
 
@@ -151,11 +146,9 @@ def inject_p300(record: EegRecord, schedule: ScenarioSchedule,
 
     t = np.arange(record.n_samples) / record.rate
     train = np.zeros(record.n_samples)
-    for ev in schedule.events:
-        if not ev.is_target:
-            continue
+    for onset in events.onset[events.target == 1].tolist():
         jitter = rng.normal(0.0, params.latency_jitter_sd) if params.latency_jitter_sd > 0 else 0.0
-        centre = (ev.onset_sample / record.rate + params.p300_peak_latency
+        centre = (onset / record.rate + params.p300_peak_latency
                   + params.constant_offset + jitter)
         train += np.exp(-0.5 * ((t - centre) / params.p300_width) ** 2)
     samples = record.samples + params.p300_amp * np.outer(topo, train)
@@ -213,8 +206,9 @@ def simulate_subject(schedule: ScenarioSchedule,
 
 def with_targets(schedule: ScenarioSchedule, target: int) -> ScenarioSchedule:
     """Copy of a blind schedule with is_target set against one attended image."""
-    events = tuple(replace(ev, is_target=(ev.image_id == target))
-                   for ev in schedule.events)
-    return ScenarioSchedule(timing=schedule.timing, events=events,
-                            session_targets=schedule.session_targets,
-                            span_s=schedule.span_s)
+    events = schedule.events
+    return ScenarioSchedule(
+        timing=schedule.timing, session_targets=schedule.session_targets,
+        events=Markers(events.onset, events.image, events.run, events.session,
+                       events.image == target, events.onset_s),
+        span_s=schedule.span_s)

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from p300loop import acquisition, cli, features, session
+from p300loop import acquisition, cli, core, features, lda, session
 
 
 def _free_port():
@@ -168,6 +168,35 @@ class TestTrain:
         model = acquisition.load_model(model_path)
         assert model.window.length == 64
         assert model.weights.shape == (14 * 64,)
+
+    def test_class_statistics_are_built_once(self, stream_assets, tmp_path,
+                                             monkeypatch):
+        # training and cross-validation share the dataset's statistics
+        calls = []
+        of = lda.ClassStatistics.of
+        monkeypatch.setattr(lda.ClassStatistics, "of", classmethod(
+            lambda cls, vectors, labels: calls.append(len(vectors))
+            or of(vectors, labels)))
+        model_path = tmp_path / "once.json"
+        assert _run(["train", "--record", str(stream_assets["record"]),
+                     "--model", str(model_path)]) == 0
+        assert calls == [144]
+        assert model_path.read_bytes() == stream_assets["model"].read_bytes()
+
+    def test_unknown_targets_are_a_data_error(self, stream_assets, tmp_path,
+                                              capsys):
+        # a blind online record carries no target flags to train from
+        record = acquisition.load_record(stream_assets["record"])
+        markers = record.markers
+        blind = tmp_path / "blind.eegs"
+        acquisition.save_record(record.with_markers(core.Markers(
+            markers.onset, markers.image, markers.run, markers.session)),
+            blind)
+        assert acquisition.load_record(blind).markers[0].is_target is None
+        assert _run(["train", "--record", str(blind),
+                     "--model", str(tmp_path / "m.json")]) == 2
+        assert "target labels" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
 
 
 class TestEvaluate:

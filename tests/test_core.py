@@ -1,11 +1,12 @@
 """Core data-structure behaviour: channels, events, records, sample math."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from p300loop import core, features
+from p300loop import acquisition, core, features, scheduler, subject
 
 
 class TestChannelSet:
@@ -70,6 +71,179 @@ class TestStimulusEvent:
         b = core.StimulusEvent(image_id=0, onset_sample=10, run_index=0,
                                session_index=0, is_target=False, onset_s=0.7)
         assert a == b
+
+
+def _old_event_check(onset, image, run, session):
+    """The checks `StimulusEvent.__post_init__` made of each event."""
+    if not 0 <= image < core.N_IMAGES:
+        raise ValueError("image_id outside [0, 12)")
+    if onset < 0:
+        raise ValueError("onset_sample must be non-negative")
+    if run < 0 or session < 0:
+        raise ValueError("run/session indices must be non-negative")
+
+
+def _old_record_check(rows, n_samples):
+    """The onset loop of `EegRecord.__post_init__`, after each event's own."""
+    last = -1
+    for onset, image, run, session, _ in rows:
+        _old_event_check(onset, image, run, session)
+        if onset <= last:
+            raise ValueError("marker onset samples must be strictly increasing")
+        if onset >= n_samples:
+            raise ValueError("marker onset beyond end of record")
+        last = onset
+
+
+def _old_schedule_check(rows):
+    """The once-per-run loop of `ScenarioSchedule.__post_init__`, after each
+    event's own checks."""
+    seen = {}
+    last = -1
+    for onset, image, run, session, _ in rows:
+        _old_event_check(onset, image, run, session)
+        if onset <= last:
+            raise ValueError("event onsets must be strictly increasing")
+        last = onset
+        images = seen.setdefault((session, run), set())
+        if image in images:
+            raise ValueError("image flashes twice in a run")
+        images.add(image)
+
+
+def _accepts(check, *args):
+    try:
+        check(*args)
+    except ValueError:
+        return False
+    return True
+
+
+_BREAKS = ("none", "duplicate", "decreasing onset", "image out of range",
+           "negative field", "onset past the end", "image twice in a run")
+
+
+@st.composite
+def _flash_lists(draw):
+    """(rows, n_samples): increasing flashes, then at most one break."""
+    n = draw(st.integers(0, 14))
+    onsets = np.cumsum(draw(st.lists(st.integers(1, 6), min_size=n,
+                                     max_size=n))) - 1
+    rows = [[int(onset), draw(st.integers(0, 11)), draw(st.integers(0, 2)),
+             draw(st.integers(0, 1)), draw(st.sampled_from((None, False, True)))]
+            for onset in onsets]
+    n_samples = int(onsets[-1]) + draw(st.integers(1, 3)) if n else 1
+    where = draw(st.integers(0, max(n - 1, 0)))
+    broken = draw(st.sampled_from(_BREAKS)) if n else "none"
+    if broken == "duplicate":
+        rows.insert(where, list(rows[where]))
+    elif broken == "decreasing onset" and n > 1:
+        rows[where], rows[-1] = rows[-1], rows[where]
+    elif broken == "image out of range":
+        rows[where][1] = draw(st.sampled_from((-1, 12, 99)))
+    elif broken == "negative field":
+        rows[where][draw(st.sampled_from((0, 2, 3)))] = -1
+    elif broken == "onset past the end":
+        n_samples = rows[-1][0]
+    elif broken == "image twice in a run" and n > 1:
+        rows[-1][1:4] = rows[0][1:4]
+    return [tuple(row) for row in rows], n_samples
+
+
+def _markers_of(rows):
+    onset, image, run, session, flag = zip(*rows) if rows else ((),) * 5
+    return core.Markers(onset, image, run, session,
+                        target=[-1 if f is None else int(f) for f in flag])
+
+
+class TestMarkersChecks:
+    """`Markers` with the one check each container adds accepts and rejects
+    exactly what the three per-event loops it replaced did."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_flash_lists())
+    def test_same_verdicts_as_the_per_event_loops(self, drawn):
+        rows, n_samples = drawn
+
+        def record():
+            core.EegRecord(core.ChannelSet(("A",)), 128.0,
+                           np.zeros((1, n_samples)), _markers_of(rows))
+
+        def schedule():
+            scheduler.ScenarioSchedule(scheduler.TimingConfig(),
+                                       _markers_of(rows))
+
+        assert _accepts(record) == _accepts(_old_record_check, rows, n_samples)
+        assert _accepts(schedule) == _accepts(_old_schedule_check, rows)
+
+    @pytest.mark.parametrize("column, value", [
+        ("target", 2), ("target", -2), ("onset", -1), ("image", 12),
+        ("run", -1), ("session", -1)])
+    def test_each_field_is_checked(self, column, value):
+        fields = dict(onset=[0, 5], image=[1, 2], run=[0, 0], session=[0, 0],
+                      target=[0, 1])
+        core.Markers(**fields)
+        fields[column] = [value, *fields[column][1:]]
+        with pytest.raises(ValueError):
+            core.Markers(**fields)
+
+    def test_columns_are_read_only_and_equal_length(self):
+        markers = core.Markers([3], [4], [0], [1])
+        assert markers.target.tolist() == [-1]
+        with pytest.raises(ValueError):
+            markers.onset[0] = 0
+        with pytest.raises(ValueError):
+            core.Markers([3, 4], [4], [0], [1])
+
+
+class TestMarkerRows:
+    """The row view of `EegRecord.markers` that callers outside the package
+    rely on: sequence protocol, `dataclasses.replace`, and equality."""
+
+    @pytest.fixture(scope="class")
+    def saved_and_loaded(self, tmp_path_factory):
+        timing = scheduler.TimingConfig(sessions_per_scenario=1)
+        schedule = scheduler.build_scenario_schedule(
+            timing, rng=np.random.default_rng(3))
+        record = subject.simulate_subject(schedule,
+                                          subject.SubjectParams(seed=3))
+        path = tmp_path_factory.mktemp("rows") / "record.eegs"
+        acquisition.save_record(record, path)
+        return record, acquisition.load_record(path)
+
+    def test_len_and_iteration(self, saved_and_loaded):
+        markers = saved_and_loaded[0].markers
+        rows = list(markers)
+        assert len(markers) == len(rows) == 72
+        assert all(isinstance(ev, core.StimulusEvent) for ev in rows)
+        assert [ev.onset_sample for ev in rows] == markers.onset.tolist()
+        assert rows[-1] == markers[-1] == markers[71]
+        assert tuple(markers[2:5]) == tuple(rows[2:5])
+
+    def test_replace_moves_a_row(self, saved_and_loaded):
+        markers = saved_and_loaded[1].markers
+        late = dataclasses.replace(markers[4],
+                                   onset_sample=markers[4].onset_sample + 1)
+        assert late != markers[4]
+        moved = list(markers)
+        moved[4] = late
+        assert tuple(moved) != tuple(markers)
+        with pytest.raises(ValueError):
+            dataclasses.replace(markers[4], image_id=12)
+
+    def test_saved_and_loaded_rows_are_equal(self, saved_and_loaded):
+        saved, loaded = saved_and_loaded
+        assert not np.isnan(saved.markers.onset_s).any()
+        assert np.isnan(loaded.markers.onset_s).all()  # not on the wire
+        assert tuple(loaded.markers) == tuple(saved.markers)
+        assert loaded.markers == saved.markers
+
+    def test_unknown_target_reads_back_as_none(self, saved_and_loaded):
+        markers = saved_and_loaded[1].markers
+        blind = core.Markers(markers.onset, markers.image, markers.run,
+                             markers.session)
+        assert {ev.is_target for ev in blind} == {None}
+        assert {ev.is_target for ev in markers} == {False, True}
 
 
 class TestEegRecord:

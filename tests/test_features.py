@@ -151,9 +151,9 @@ class TestDatasetFromScenario:
 
     def test_events_can_come_from_markers(self, training_record,
                                           training_dataset):
-        assert training_dataset.provenance == tuple(
+        np.testing.assert_array_equal(training_dataset.provenance, [
             (ev.run_index, ev.session_index, ev.image_id)
-            for ev in training_record.markers)
+            for ev in training_record.markers])
         np.testing.assert_array_equal(
             training_dataset.labels,
             [ev.is_target for ev in training_record.markers])

@@ -1,4 +1,7 @@
 """Closed-loop machinery: voting, online selection, retraining, evaluation."""
+import cProfile
+import dataclasses
+import pstats
 import queue
 import threading
 import tracemalloc
@@ -12,6 +15,11 @@ from scipy.stats import rankdata
 
 from p300loop import (acquisition, core, dsp, features, ica, lda, scheduler,
                       session, subject)
+
+
+def _code_key(code):
+    """A function's key in `pstats.Stats.stats`."""
+    return code.co_filename, code.co_firstlineno, code.co_name
 
 
 def _noiseless_params(**overrides):
@@ -327,6 +335,22 @@ class TestOnlineSelection:
         for ev in logged.markers:
             got.setdefault(ev.run_index, []).append(ev.image_id)
         assert [got[t] for t in range(3)] == seqs
+
+    def test_builds_no_row_objects(self, noiseless_training):
+        # the flash table stays columnar from schedule to vote: no
+        # StimulusEvent row is read or checked, and nothing is replaced
+        model, _, _ = noiseless_training
+        watched = {_code_key(f.__code__): name for f, name in (
+            (core.StimulusEvent.__post_init__, "row check"),
+            (core.Markers.__getitem__, "row read"),
+            (dataclasses.replace, "dataclasses.replace"))}
+        profiler = cProfile.Profile()
+        profiler.runcall(session.run_online_selection, model,
+                         _noiseless_params(), session.ObjectCatalog(), 3,
+                         rng=np.random.default_rng(0))
+        stats = pstats.Stats(profiler).stats
+        assert {name: stats[key][1] for key, name in watched.items()
+                if key in stats} == {}
 
 
 class TestScoreTable:
@@ -727,11 +751,13 @@ class TestCrossValidationDowndate:
         monkeypatch.setattr(lda.ClassStatistics, "of", classmethod(
             lambda cls, vectors, labels: made.append(of(vectors, labels))
             or made[-1]))
-        vectors = training_dataset.vectors.copy()
-        labels = training_dataset.labels.copy()
-        session._cross_validated_scores(training_dataset, 0.01)
-        assert training_dataset.vectors.tobytes() == vectors.tobytes()
-        assert training_dataset.labels.tobytes() == labels.tobytes()
+        # a fresh dataset: the shared fixture's statistics may be cached
+        dataset = _relabelled(training_dataset, training_dataset.labels)
+        vectors = dataset.vectors.copy()
+        labels = dataset.labels.copy()
+        session._cross_validated_scores(dataset, 0.01)
+        assert dataset.vectors.tobytes() == vectors.tobytes()
+        assert dataset.labels.tobytes() == labels.tobytes()
         (whole,) = made
         fresh = of(vectors, labels)
         assert whole.counts == fresh.counts
