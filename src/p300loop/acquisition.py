@@ -43,6 +43,7 @@ MAX_PAYLOAD = 1 << 24
 
 MODEL_FORMAT_VERSION = 2
 DEFAULT_CHUNK = 128
+RECV_BYTES = 1 << 16  # the largest read the stream consumer asks `recv` for
 
 
 class ProtocolError(ValueError):
@@ -311,8 +312,8 @@ def reassemble(frames) -> EegRecord:
         columns = zip(*((m.sample_index, m.image_id, m.run, m.session,
                          -1 if m.is_target is None else int(m.is_target))
                         for m in markers))
-        return EegRecord(ChannelSet(header.labels), header.rate,
-                         samples.T.astype(np.float64), Markers(*columns))
+        return EegRecord(ChannelSet(header.labels), header.rate, samples.T,
+                         Markers(*columns))
     except (ValueError, OverflowError) as exc:
         raise ProtocolError(f"stream breaks the record contract: {exc}") from None
 

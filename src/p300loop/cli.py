@@ -16,6 +16,7 @@ import numpy as np
 
 from . import acquisition, ica, session
 from .acquisition import (
+    RECV_BYTES,
     FormatError,
     ProtocolError,
     decode_record,
@@ -28,7 +29,7 @@ from .acquisition import (
 )
 from .features import EpochWindow, PipelineConfig, dataset_from_scenario
 from .scheduler import TimingConfig, build_scenario_schedule, durations
-from .session import ObjectCatalog, run_full_evaluation, score_table, vote
+from .session import ObjectCatalog, run_full_evaluation, score_table, votes
 from .subject import SubjectParams, simulate_subject
 
 EXIT_OK = 0
@@ -234,13 +235,11 @@ def _stream_consume(args) -> int:
     model = load_model(args.model)
     catalog = ObjectCatalog()
     with socket.create_connection((args.host, args.port)) as conn:
-        record = decode_record(iter(lambda: conn.recv(65536), b""))
+        record = decode_record(iter(lambda: conn.recv(RECV_BYTES), b""))
     print(f"received {record.n_samples} samples, {len(record.markers)} markers")
-    table = score_table(model, record)
-    n_votes, n_left = divmod(len(table), args.trials)
-    for i in range(n_votes):
-        _, chosen = vote(table[i * args.trials:(i + 1) * args.trials])
-        print(f"selection {i + 1}: image {chosen} "
+    selections, n_left = votes(score_table(model, record), args.trials)
+    for i, (_, chosen) in enumerate(selections, 1):
+        print(f"selection {i}: image {chosen} "
               f"({catalog.label(chosen)}) -> {catalog.message(chosen)}")
     if n_left:
         print(f"ignored {n_left} trailing trial(s) short of a vote")

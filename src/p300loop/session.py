@@ -3,11 +3,14 @@ retraining, and the 120-selection evaluation.
 
 Online selections run the acquisition protocol end to end: the simulated
 amplifier output is encoded to wire bytes (`acquisition.encode_record`) and
-decoded back from byte chunks of random sizes (`acquisition.decode_record`),
-and `score_table` turns the record into one row of 12 image scores per
-trial, through the pipeline stored in the model, as the stream consumer of
-the CLI does.  A selection is the majority vote over per-trial argmax
-winners; its simulated latency is the flashing time of the trials themselves.
+decoded back from slices cut at `acquisition.RECV_BYTES`, the stream
+consumer's largest read (`acquisition.decode_record`).  The cut is chosen,
+not a model of live traffic; in a default selection it falls inside a
+frame, so the reader's carry-over is exercised.  `score_table` turns the record into one row of 12
+image scores per trial, through the pipeline stored in the model, and
+`votes`, the consumer's rule too, makes the selection.  A selection is the
+majority vote over per-trial argmax winners; its simulated latency is the
+flashing time of the trials themselves.
 """
 from __future__ import annotations
 
@@ -146,6 +149,15 @@ def vote(table) -> tuple[tuple[int, ...], int]:
     return winners, majority_vote(winners, table)
 
 
+def votes(table, n_trials: int):
+    """([(trial winners, selected image)], trailing rows left over): one
+    `vote` per `n_trials` consecutive rows of a score table, in its
+    (session, run) order; the last rows too few to vote are only counted."""
+    n_votes, n_left = divmod(len(table), n_trials)
+    return [vote(table[i:i + n_trials])
+            for i in range(0, n_votes * n_trials, n_trials)], n_left
+
+
 def train_on_dataset(dataset: LabeledDataset,
                      pipeline: PipelineConfig) -> ModelFile:
     """Fit scaling on the training vectors, then the discriminant; the model
@@ -206,25 +218,6 @@ def run_offline_training(params: SubjectParams, timing: TimingConfig,
     return model, record, schedule
 
 
-def _stream_roundtrip(record: EegRecord, chunk: int,
-                      rng: np.random.Generator) -> EegRecord:
-    """Record -> wire bytes -> byte chunks -> record.
-
-    The bytes are decoded from slices of random sizes (1 to 2047 bytes,
-    drawn from `rng` as they are consumed): decoding must not depend on them.
-    """
-    payload = acquisition.encode_record(record, chunk)
-
-    def slices():
-        pos = 0
-        while pos < len(payload):
-            size = int(rng.integers(1, 2048))
-            yield payload[pos:pos + size]
-            pos += size
-
-    return acquisition.decode_record(slices())
-
-
 def run_online_selection(model: ModelFile, params: SubjectParams,
                          catalog: ObjectCatalog, target: int,
                          n_trials: int = DEFAULT_TRIALS, *,
@@ -235,16 +228,20 @@ def run_online_selection(model: ModelFile, params: SubjectParams,
     """One live selection: simulate, stream, classify, vote.
 
     The subject attends `target`; the decision pipeline never sees that, but
-    the returned logged record keeps ground-truth labels for retraining.
-    Every draw of the flashing orders and of the stream comes from `rng`.
+    the returned logged record keeps ground-truth labels for retraining.  The
+    wire bytes are decoded from slices cut every `RECV_BYTES`; `rng` draws
+    only the flashing orders, and nothing when `sequences` gives them.
     """
     blind = build_online_trial_schedule(timing, n_trials, rng,
                                         sequences=sequences)
     schedule = with_targets(blind, target)
     record = simulate_subject(schedule, params)
-    logged = _stream_roundtrip(record, acquisition.DEFAULT_CHUNK, rng)
+    payload = acquisition.encode_record(record, acquisition.DEFAULT_CHUNK)
+    logged = acquisition.decode_record(
+        payload[i:i + acquisition.RECV_BYTES]
+        for i in range(0, len(payload), acquisition.RECV_BYTES))
     per_image = score_table(model, logged)
-    winners, selected = vote(per_image)
+    [(winners, selected)], _ = votes(per_image, n_trials)
 
     result = SelectionResult(trial_winners=winners, per_image_scores=per_image,
                              selected=selected, latency_s=blind.span_s,

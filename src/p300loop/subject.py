@@ -22,6 +22,7 @@ from .core import (
     ChannelSet,
     EegRecord,
     Markers,
+    time_to_sample,
 )
 from .scheduler import ScenarioSchedule
 
@@ -99,7 +100,7 @@ def generate_background(duration: float, channels: ChannelSet,
     """
     if duration <= 0:
         raise ValueError("duration must be positive")
-    n = int(round(duration * DEFAULT_RATE))
+    n = time_to_sample(duration, DEFAULT_RATE)
     white = np.empty((len(channels), n))
     phases = np.empty((len(channels), 1))
     for i in range(len(channels)):

@@ -203,9 +203,8 @@ class TestTrialScoresAndVote:
         provenance, scores = _shuffled_flashes(n_sessions, n_runs, seed, ties)
         table = session.trial_scores(provenance, scores)
         assert table.shape == (n_sessions * n_runs, 12)
-        n_votes, n_left = divmod(len(table), trials)
-        chosen = [session.vote(table[i * trials:(i + 1) * trials])[1]
-                  for i in range(n_votes)]
+        selections, n_left = session.votes(table, trials)
+        chosen = [selected for _, selected in selections]
         assert (chosen, n_left) == reference_stream_votes(provenance, scores,
                                                           trials)
 
@@ -336,6 +335,47 @@ class TestOnlineSelection:
             got.setdefault(ev.run_index, []).append(ev.image_id)
         assert [got[t] for t in range(3)] == seqs
 
+    def test_replayed_sequences_leave_rng_untouched(self, noiseless_training):
+        # with the flashing orders given, nothing of the selection draws
+        # from rng: neither the schedule nor the stream
+        model, _, _ = noiseless_training
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        session.run_online_selection(
+            model, _noiseless_params(), session.ObjectCatalog(), 4, rng=rng,
+            sequences=[list(range(12))] * 3)
+        assert rng.bit_generator.state == before
+
+    def test_decodes_in_recv_bytes_cuts(self, noiseless_training, monkeypatch):
+        # the wire bytes reach the decoder cut every RECV_BYTES, and the
+        # logged record is the one the threaded random-slice stream decodes
+        model, _, _ = noiseless_training
+        records, sizes = [], []
+        encode, decode = acquisition.encode_record, acquisition.decode_record
+
+        def encode_spy(record, chunk):
+            records.append(record)
+            return encode(record, chunk)
+
+        def decode_spy(chunks):
+            chunks = list(chunks)
+            sizes.extend(len(c) for c in chunks)
+            return decode(chunks)
+
+        monkeypatch.setattr(acquisition, "encode_record", encode_spy)
+        monkeypatch.setattr(acquisition, "decode_record", decode_spy)
+        _, logged = session.run_online_selection(
+            model, _noiseless_params(), session.ObjectCatalog(), 4,
+            rng=np.random.default_rng(0))
+        [record] = records
+        n_bytes = len(encode(record, acquisition.DEFAULT_CHUNK))
+        assert sizes == [acquisition.RECV_BYTES, n_bytes - acquisition.RECV_BYTES]
+        want = reference_threaded_roundtrip(record, acquisition.DEFAULT_CHUNK,
+                                            np.random.default_rng(4))
+        assert logged.samples.tobytes() == want.samples.tobytes()
+        assert logged.markers == want.markers
+        assert logged.channels == want.channels and logged.rate == want.rate
+
     def test_builds_no_row_objects(self, noiseless_training):
         # the flash table stays columnar from schedule to vote: no
         # StimulusEvent row is read or checked, and nothing is replaced
@@ -397,21 +437,53 @@ def reference_threaded_roundtrip(record, chunk, rng):
     return acquisition.reassemble(frames)
 
 
+def _served(record, chunk=acquisition.DEFAULT_CHUNK):
+    """The record as an online selection logs it: its wire bytes decoded
+    from slices cut every `RECV_BYTES`."""
+    payload = acquisition.encode_record(record, chunk)
+    size = acquisition.RECV_BYTES
+    return acquisition.decode_record(
+        payload[i:i + size] for i in range(0, len(payload), size))
+
+
+def _online_record():
+    """A default 3-trial online record, the subject attending image 2."""
+    blind = scheduler.build_online_trial_schedule(
+        scheduler.TimingConfig(), 3, np.random.default_rng(1))
+    return subject.simulate_subject(subject.with_targets(blind, 2),
+                                    subject.SubjectParams(seed=3))
+
+
 class TestInlineStreamRoundTrip:
     @pytest.mark.parametrize("chunk", [acquisition.DEFAULT_CHUNK, 7])
-    def test_same_record_and_rng_state_as_threaded(self, chunk):
-        timing = scheduler.TimingConfig()
-        blind = scheduler.build_online_trial_schedule(
-            timing, 3, np.random.default_rng(1))
-        record = subject.simulate_subject(subject.with_targets(blind, 2),
-                                          subject.SubjectParams(seed=3))
-        got_rng, want_rng = np.random.default_rng(4), np.random.default_rng(4)
-        got = session._stream_roundtrip(record, chunk, got_rng)
-        want = reference_threaded_roundtrip(record, chunk, want_rng)
+    def test_same_record_as_threaded(self, chunk):
+        record = _online_record()
+        got = _served(record, chunk)
+        want = reference_threaded_roundtrip(record, chunk,
+                                            np.random.default_rng(4))
         assert got.samples.tobytes() == want.samples.tobytes()
         assert got.markers == want.markers
         assert got.channels == want.channels and got.rate == want.rate
-        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_default_payload_is_cut_inside_a_frame(self):
+        # the one cut of a default online payload falls inside a samples
+        # frame, so every selection decodes through the reader's carry-over
+        record = _online_record()
+        payload = acquisition.encode_record(record, acquisition.DEFAULT_CHUNK)
+        cut = acquisition.RECV_BYTES
+        assert cut < len(payload) < 2 * cut
+        pos = 0
+        while True:
+            frame, used = acquisition.decode_frame(payload, pos)
+            if pos + used > cut:
+                break
+            pos += used
+        assert pos < cut and isinstance(frame, acquisition.SamplesFrame)
+        whole = acquisition.decode_record([payload])
+        got = _served(record)
+        assert got.samples.tobytes() == whole.samples.tobytes()
+        assert got.markers == whole.markers
+        assert got.channels == whole.channels and got.rate == whole.rate
 
 
 def _replayed_selection_record(seed, index):
@@ -438,7 +510,7 @@ def _replayed_selection_record(seed, index):
                                                   sequences=sequences)
     record = subject.simulate_subject(subject.with_targets(blind, target),
                                       params)
-    return session._stream_roundtrip(record, acquisition.DEFAULT_CHUNK, rng)
+    return _served(record)
 
 
 class TestOnlineIcaOnDegenerateIterates:

@@ -116,6 +116,14 @@ class TestBackground:
         high = spec[(freqs > 40) & (freqs < 60)].mean()
         assert low > 10 * high
 
+    def test_half_sample_duration_rounds_away_from_zero(self):
+        # the one seconds-to-samples rule, not Python's round half to even
+        duration = 10.0 + 0.5 / 128.0
+        rec = subject.generate_background(duration, core.ChannelSet(),
+                                          subject.SubjectParams(seed=0),
+                                          np.random.default_rng(0))
+        assert rec.n_samples == core.time_to_sample(duration, 128.0) == 1281
+
     def test_duration_validated(self):
         with pytest.raises(ValueError):
             subject.generate_background(0.0, core.ChannelSet(),
