@@ -65,7 +65,7 @@ class ClassStatistics:
     `solve` fits the discriminant of the sample, `solve_scaled` the one of
     its rows rescaled, and `solve_without` the one of the rows that stay once
     some leave, rescaled, by downdating in a caller-owned buffer instead of
-    refitting from the rows that stay.  `merged` adds rows.
+    refitting from the rows that stay.  `merged` adds rows in place.
     """
 
     counts: tuple[int, int]
@@ -92,11 +92,13 @@ class ClassStatistics:
         of Chan, Golub & LeVeque (1979) adds the added rows' own scatter plus
         (n k / t) g g^T, g their mean minus the old one: one syrk over them
         centred on their mean and the row sqrt(n k / t) g, the dual of the
-        downdate in `solve_without`.
+        downdate in `solve_without`.  The products add into this scatter in
+        place, with no d x d copy: the returned statistics own it, and
+        these are spent.
         """
         if not np.isfinite(rows).all():
             raise ValueError("training features must be finite")
-        counts, means, scatter = [], [], self.scatter.copy()
+        counts, means, scatter = [], [], self.scatter
         for n, mean, mask in zip(self.counts, self.means, (labels, ~labels)):
             k = int(np.count_nonzero(mask))
             if k:

@@ -253,28 +253,38 @@ def retrain_from_online(logged_records,
                         pipeline: PipelineConfig = PipelineConfig()) -> ModelFile:
     """Second training phase: fit the model of the online logs' epochs.
 
-    The logs' epochs fold into per-feature mins and maxes and class
-    statistics (`lda.ClassStatistics.merged`) in blocks of at least
-    `_RETRAIN_BLOCK` rows, never all stacked; the model is, up to rounding,
+    `logged_records` is any iterable, consumed once and lazily, and no log
+    is kept: each log's epochs wait for their block of at least
+    `_RETRAIN_BLOCK` rows, which is copied into one reused buffer and folded
+    into per-feature mins and maxes and class statistics, merged in place
+    (`lda.ClassStatistics.merged`).  The model is, up to rounding,
     `train_on_dataset`'s on the logs' concatenated dataset.
     """
-    logged_records = list(logged_records)
-    if not logged_records:
-        raise ValueError("no logged records to retrain from")
-    channels, stats, extremes, parts = None, None, [], []
-    for i, record in enumerate(logged_records, 1):
+    channels, stats, extremes, parts, buffer = None, None, [], [], None
+
+    def fold():
+        nonlocal stats, buffer
+        n = sum(p.n_epochs for p in parts)
+        if buffer is None or len(buffer) < n:
+            buffer = np.empty((n, parts[0].feature_size))
+        vectors = np.concatenate([p.vectors for p in parts], out=buffer[:n])
+        labels = np.concatenate([p.labels for p in parts])
+        parts.clear()
+        stats = (stats.merged(vectors, labels) if stats
+                 else lda.ClassStatistics.of(vectors, labels))
+        extremes.extend((vectors.min(axis=0), vectors.max(axis=0)))
+
+    for record in logged_records:
         parts.append(features.dataset_from_scenario(record, pipeline=pipeline))
         channels = channels or parts[-1].channels  # a ChannelSet is not empty
         if tuple(parts[-1].channels) != tuple(channels):
             raise ValueError("logged records disagree on surviving channels")
-        if (sum(p.n_epochs for p in parts) >= _RETRAIN_BLOCK
-                or i == len(logged_records)):
-            vectors = np.concatenate([p.vectors for p in parts])
-            labels = np.concatenate([p.labels for p in parts])
-            parts = []
-            stats = (stats.merged(vectors, labels) if stats
-                     else lda.ClassStatistics.of(vectors, labels))
-            extremes += [vectors.min(axis=0), vectors.max(axis=0)]
+        if sum(p.n_epochs for p in parts) >= _RETRAIN_BLOCK:
+            fold()
+    if parts:
+        fold()
+    if stats is None:
+        raise ValueError("no logged records to retrain from")
     if min(stats.counts) < 2:
         raise ValueError("need at least two examples of each class to retrain")
     return _fit(stats, dsp.minmax_fit(extremes), channels, pipeline)
@@ -377,10 +387,9 @@ def _run_phase(model: ModelFile, base_params: SubjectParams,
                n_trials: int, reps: int,
                mismatch: float, seed_seq: np.random.SeedSequence,
                training_schedule: ScenarioSchedule | None,
-               collect_logs: bool):
-    """reps rounds over all 12 objects in turn; returns (phase, logs)."""
-    per_correct = [0] * N_IMAGES
-    logs: list[EegRecord] = []
+               per_correct: list[int]):
+    """reps rounds over all 12 objects in turn: yields each selection's
+    logged record as soon as it ends, and counts its hit in `per_correct`."""
     for i, child in enumerate(seed_seq.spawn(reps * N_IMAGES)):
         round_index, target = divmod(i, N_IMAGES)
         subject_seed, stream_seed = child.spawn(2)
@@ -393,12 +402,13 @@ def _run_phase(model: ModelFile, base_params: SubjectParams,
             rng=np.random.default_rng(stream_seed), timing=timing,
             sequences=sequences)
         per_correct[target] += int(result.selected == target)
-        if collect_logs:
-            logs.append(logged)
-    phase = EvaluationPhase(correct=sum(per_correct), total=reps * N_IMAGES,
-                            per_object_correct=tuple(per_correct),
-                            per_object_total=(reps,) * N_IMAGES)
-    return phase, logs
+        yield logged
+
+
+def _phase(per_correct: list[int], reps: int) -> EvaluationPhase:
+    return EvaluationPhase(correct=sum(per_correct), total=reps * N_IMAGES,
+                           per_object_correct=tuple(per_correct),
+                           per_object_total=(reps,) * N_IMAGES)
 
 
 def run_full_evaluation(params: SubjectParams,
@@ -413,8 +423,11 @@ def run_full_evaluation(params: SubjectParams,
     Phase 1 trains offline, then runs reps_per_object selections per object
     under the timing mismatch while replaying the training flashing orders.
     Phase 2 retrains on those logs and repeats the selections with fresh
-    random orders.  Everything derives from `seed`, so reports are identical
-    across runs (wall_clock_seconds aside).
+    random orders.  Phase 1 is a generator that `retrain_from_online`
+    consumes once: each logged record is folded as its selection ends, and
+    none is kept, so memory does not grow with the number of selections.
+    Everything derives from `seed`, so reports are identical across runs
+    (wall_clock_seconds aside).
     """
     catalog = ObjectCatalog()
     started = time.perf_counter()
@@ -422,23 +435,22 @@ def run_full_evaluation(params: SubjectParams,
     schedule_seq, subject_seq = train_seq.spawn(2)
 
     train_params = replace(params, constant_offset=0.0, seed=subject_seq)
-    model1, _record, training_schedule = run_offline_training(
+    model1, record, training_schedule = run_offline_training(
         train_params, timing, rng=np.random.default_rng(schedule_seq),
         pipeline=pipeline)
+    del record  # the offline record is not needed past training
 
-    phase1, logs = _run_phase(
+    hits1, hits2 = [0] * N_IMAGES, [0] * N_IMAGES
+    model2 = retrain_from_online(_run_phase(
         model1, params, catalog, timing, n_trials, reps_per_object,
-        mismatch, phase1_seq, training_schedule, collect_logs=True)
-
-    model2 = retrain_from_online(logs, pipeline)
-
-    phase2, _ = _run_phase(
-        model2, params, catalog, timing, n_trials, reps_per_object,
-        mismatch, phase2_seq, training_schedule=None, collect_logs=False)
+        mismatch, phase1_seq, training_schedule, hits1), pipeline)
+    for _ in _run_phase(model2, params, catalog, timing, n_trials,
+                        reps_per_object, mismatch, phase2_seq, None, hits2):
+        pass
 
     return {
-        "phase1": _phase_dict(phase1, catalog),
-        "phase2": _phase_dict(phase2, catalog),
+        "phase1": _phase_dict(_phase(hits1, reps_per_object), catalog),
+        "phase2": _phase_dict(_phase(hits2, reps_per_object), catalog),
         "latency": {
             "per_selection_s": online_grid(timing, n_trials)[1],
             "n_trials": n_trials,

@@ -34,6 +34,10 @@ TAIL_S = 0.8
 BLINK_SIGMA_S = 0.075
 BLINK_LEAKAGE = 0.05
 
+# Reach of a Gaussian bump, in widths: past z = 38.6 the float64
+# exp(-z**2 / 2) is exactly 0.0, so no sample farther out changes.
+BUMP_REACH = 40.0
+
 
 @dataclass(frozen=True)
 class SubjectParams:
@@ -96,7 +100,8 @@ def generate_background(duration: float, channels: ChannelSet,
     """Markerless background record: pink noise plus random-phase alpha.
 
     Each row draws its white noise, then its alpha phase; the 1/f shaping
-    (DC removed, exact target RMS) and the alpha run over all rows at once.
+    (DC removed, exact target RMS) and the alpha run over all rows at once,
+    in place on the spectrum and then on the samples.
     """
     if duration <= 0:
         raise ValueError("duration must be positive")
@@ -110,15 +115,20 @@ def generate_background(duration: float, channels: ChannelSet,
     freq = np.fft.rfftfreq(n)
     shape = np.zeros_like(freq)
     shape[1:] = 1.0 / np.sqrt(freq[1:])
-    x = np.fft.irfft(np.fft.rfft(white) * shape, n)
-    scale = np.sqrt(np.mean(x * x, axis=1, keepdims=True))
+    spectrum = np.fft.rfft(white)
+    del white
+    spectrum *= shape
+    samples = np.fft.irfft(spectrum, n)
+    del spectrum
+    scale = np.sqrt(np.mean(samples * samples, axis=1, keepdims=True))
     ok = (scale > 0) & (params.background_rms > 0)
-    gain = params.background_rms / np.where(ok, scale, 1.0)
-    samples = np.where(ok, x * gain, 0.0)
+    samples *= params.background_rms / np.where(ok, scale, 1.0)
+    samples[~ok[:, 0]] = 0.0
     if params.alpha_amp > 0:
-        t = np.arange(n) / DEFAULT_RATE
-        samples = samples + params.alpha_amp * np.sin(
-            2.0 * np.pi * 10.0 * t + phases)
+        wave = 2.0 * np.pi * 10.0 * (np.arange(n) / DEFAULT_RATE) + phases
+        np.sin(wave, out=wave)
+        wave *= params.alpha_amp
+        samples += wave
     return EegRecord(channels, DEFAULT_RATE, samples)
 
 
@@ -151,9 +161,19 @@ def inject_p300(record: EegRecord, schedule: ScenarioSchedule,
         jitter = rng.normal(0.0, params.latency_jitter_sd) if params.latency_jitter_sd > 0 else 0.0
         centre = (onset / record.rate + params.p300_peak_latency
                   + params.constant_offset + jitter)
-        train += np.exp(-0.5 * ((t - centre) / params.p300_width) ** 2)
+        _add_bump(train, t, centre, params.p300_width)
     samples = record.samples + params.p300_amp * np.outer(topo, train)
     return record.with_samples(samples)
+
+
+def _add_bump(train: np.ndarray, t: np.ndarray, centre: float,
+              width: float) -> None:
+    """Add exp(-((t - centre) / width)**2 / 2) to `train` at the sorted
+    times `t` within `BUMP_REACH` widths of `centre`: bitwise the sum over
+    all of `t`, since every term farther out is 0.0."""
+    lo, hi = np.searchsorted(t, (centre - BUMP_REACH * width,
+                                 centre + BUMP_REACH * width))
+    train[lo:hi] += np.exp(-0.5 * ((t[lo:hi] - centre) / width) ** 2)
 
 
 def inject_blinks(record: EegRecord, params: SubjectParams,
@@ -167,7 +187,7 @@ def inject_blinks(record: EegRecord, params: SubjectParams,
     t = np.arange(record.n_samples) / record.rate
     train = np.zeros(record.n_samples)
     for tc in times:
-        train += np.exp(-0.5 * ((t - tc) / BLINK_SIGMA_S) ** 2)
+        _add_bump(train, t, tc, BLINK_SIGMA_S)
     weights = np.array([1.0 if lab in FRONTAL_LABELS else BLINK_LEAKAGE
                         for lab in record.channels])
     samples = record.samples + params.blink_amp * np.outer(weights, train)

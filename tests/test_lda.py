@@ -281,6 +281,15 @@ class TestClassStatistics:
         with pytest.raises(ValueError, match="finite"):
             stats.merged(vectors[:5], labels[:5])
 
+    def test_merge_adds_into_the_scatter_in_place(self):
+        # no d x d copy per merge: the merged statistics own the old buffer
+        vectors, labels = self._data()
+        stats = lda.ClassStatistics.of(vectors[:20], labels[:20])
+        scatter = stats.scatter
+        merged = stats.merged(vectors[20:], labels[20:])
+        assert merged.scatter is scatter
+        assert merged.counts == (labels.sum(), (~labels).sum())
+
     def test_downdate_writes_only_its_buffer(self):
         vectors, labels = self._data()
         d = vectors.shape[1]

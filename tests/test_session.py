@@ -6,6 +6,7 @@ import queue
 import threading
 import tracemalloc
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -602,6 +603,18 @@ class TestRetrainFromOnline:
         with pytest.raises(ValueError):
             session.retrain_from_online([])
 
+    def test_generator_fits_the_model_of_the_list(self, seed0_phase1_logs):
+        want = session.retrain_from_online(seed0_phase1_logs)
+        got = session.retrain_from_online(rec for rec in seed0_phase1_logs)
+        for name in ("weights", "mins", "maxes"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert got.bias == want.bias
+        assert got.channels == want.channels
+
+    def test_empty_generator_rejected(self):
+        with pytest.raises(ValueError, match="no logged records"):
+            session.retrain_from_online(rec for rec in [])
+
     def test_needs_two_examples_per_class(self, noiseless_training):
         model, _, _ = noiseless_training
         catalog = session.ObjectCatalog()
@@ -626,6 +639,33 @@ class TestRetrainFromOnline:
             _noiseless_params(nan_fraction=0.2))
         with pytest.raises(ValueError, match="disagree"):
             session.retrain_from_online([clean, dirty])
+
+
+class TestEvaluationKeepsNoLogs:
+    def test_at_most_two_earlier_records_alive_at_any_selection(
+            self, monkeypatch):
+        # phase 1 feeds the retraining as it runs: each logged record, and
+        # the offline training record, dies long before the evaluation ends
+        refs, alive = [], []
+
+        def train(*args, train=session.run_offline_training, **kwargs):
+            model, record, schedule = train(*args, **kwargs)
+            refs.append(weakref.ref(record))
+            return model, record, schedule
+
+        def select(*args, select=session.run_online_selection, **kwargs):
+            alive.append(sum(ref() is not None for ref in refs))
+            result, logged = select(*args, **kwargs)
+            refs.append(weakref.ref(logged))
+            return result, logged
+
+        monkeypatch.setattr(session, "run_offline_training", train)
+        monkeypatch.setattr(session, "run_online_selection", select)
+        report = session.run_full_evaluation(subject.SubjectParams(), seed=0)
+        assert (report["phase1"]["correct"], report["phase2"]["correct"]) \
+            == (42, 118)
+        assert len(alive) == 240
+        assert max(alive) <= 2
 
 
 class TestAuc:

@@ -1,6 +1,7 @@
 """Synthetic subject: background spectra, evoked bumps, blinks, dropouts."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from p300loop import core, scheduler, subject
 
@@ -176,6 +177,148 @@ class TestBatchedBackgroundMatchesReference:
                                     want_rng)
         assert got.samples.tobytes() == want.tobytes()
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def reference_batched_background(duration, channels, params, rng):
+    """The all-rows background before it was built in place."""
+    n = core.time_to_sample(duration, 128.0)
+    white = np.empty((len(channels), n))
+    phases = np.empty((len(channels), 1))
+    for i in range(len(channels)):
+        rng.standard_normal(out=white[i])
+        if params.alpha_amp > 0:
+            phases[i] = rng.uniform(0.0, 2.0 * np.pi)
+    freq = np.fft.rfftfreq(n)
+    shape = np.zeros_like(freq)
+    shape[1:] = 1.0 / np.sqrt(freq[1:])
+    x = np.fft.irfft(np.fft.rfft(white) * shape, n)
+    scale = np.sqrt(np.mean(x * x, axis=1, keepdims=True))
+    ok = (scale > 0) & (params.background_rms > 0)
+    gain = params.background_rms / np.where(ok, scale, 1.0)
+    samples = np.where(ok, x * gain, 0.0)
+    if params.alpha_amp > 0:
+        t = np.arange(n) / 128.0
+        samples = samples + params.alpha_amp * np.sin(
+            2.0 * np.pi * 10.0 * t + phases)
+    return samples
+
+
+class TestInPlaceBackgroundMatchesReference:
+    """Shaping, gain and alpha in place: bitwise the whole-array formula."""
+
+    @pytest.mark.parametrize("overrides,duration", [
+        ({}, 11.2 + subject.TAIL_S),
+        ({}, 317.2 + subject.TAIL_S),
+        ({"alpha_amp": 0.0}, 20.0),
+        ({"background_rms": 0.0}, 7.3),
+        ({"background_rms": 0.0, "alpha_amp": 0.0}, 3.0),
+        ({}, 1.0 / 128.0),
+    ])
+    def test_bitwise_equal_and_same_rng_state(self, overrides, duration):
+        params = subject.SubjectParams(seed=0, **overrides)
+        got_rng, want_rng = np.random.default_rng(7), np.random.default_rng(7)
+        got = subject.generate_background(duration, core.ChannelSet(), params,
+                                          got_rng)
+        want = reference_batched_background(duration, core.ChannelSet(),
+                                             params, want_rng)
+        assert got.samples.tobytes() == want.tobytes()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def reference_bumps(n, rate, centres, width):
+    """Unit Gaussians summed over every sample, the far tails included."""
+    t = np.arange(n) / rate
+    train = np.zeros(n)
+    for centre in centres:
+        train += np.exp(-0.5 * ((t - centre) / width) ** 2)
+    return train
+
+
+def reference_inject_p300(record, schedule, params, rng):
+    """`inject_p300`'s samples with every bump summed over the whole record."""
+    onsets = schedule.events.onset[schedule.events.target == 1].tolist()
+    centres = []
+    for onset in onsets:
+        jitter = (rng.normal(0.0, params.latency_jitter_sd)
+                  if params.latency_jitter_sd > 0 else 0.0)
+        centres.append(onset / record.rate + params.p300_peak_latency
+                       + params.constant_offset + jitter)
+    train = reference_bumps(record.n_samples, record.rate, centres,
+                            params.p300_width)
+    topo = subject.default_topography(record.channels)
+    return record.samples + params.p300_amp * np.outer(topo, train)
+
+
+def reference_inject_blinks(record, params, rng):
+    """`inject_blinks`'s samples with every bump summed over the record."""
+    duration = record.n_samples / record.rate
+    n_blinks = int(rng.poisson(params.blink_rate * duration / 60.0))
+    times = rng.uniform(0.0, duration, size=n_blinks)
+    train = reference_bumps(record.n_samples, record.rate, times,
+                            subject.BLINK_SIGMA_S)
+    weights = np.array([1.0 if lab in core.FRONTAL_LABELS
+                        else subject.BLINK_LEAKAGE for lab in record.channels])
+    return record.samples + params.blink_amp * np.outer(weights, train)
+
+
+class TestBumpsWithinReach:
+    """Each bump is added only within `BUMP_REACH` widths of its centre;
+    the samples are bitwise those of the sum over the whole record."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 3000),
+           width=st.floats(1e-3, 5.0),
+           centres=st.lists(st.floats(-300.0, 330.0), max_size=6),
+           near_ends=st.lists(st.tuples(st.booleans(), st.floats(-3.0, 3.0)),
+                              max_size=4))
+    def test_train_is_the_full_length_sum(self, n, width, centres, near_ends):
+        rate = 128.0
+        # centres just before the start, or just past the end of the record
+        centres += [(n / rate if at_end else 0.0) + shift * subject.BUMP_REACH * width
+                    for at_end, shift in near_ends]
+        t = np.arange(n) / rate
+        train = np.zeros(n)
+        for centre in centres:
+            subject._add_bump(train, t, centre, width)
+        assert train.tobytes() == reference_bumps(n, rate, centres,
+                                                  width).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_trials=st.integers(1, 3),
+           width=st.floats(0.005, 1.5),
+           offset=st.floats(-12.0, 12.0),
+           jitter_sd=st.sampled_from([0.0, 0.01, 0.5, 5.0]))
+    def test_inject_p300_is_the_full_length_sum(self, seed, n_trials, width,
+                                                 offset, jitter_sd):
+        rng = np.random.default_rng(seed)
+        blind = scheduler.build_online_trial_schedule(
+            scheduler.TimingConfig(), n_trials, rng)
+        sched = subject.with_targets(blind, int(rng.integers(12)))
+        n = core.time_to_sample(sched.span_s + subject.TAIL_S, 128.0)
+        base = core.EegRecord(core.ChannelSet(), 128.0,
+                              rng.standard_normal((14, n)), sched.events)
+        params = subject.SubjectParams(p300_width=width,
+                                       constant_offset=offset,
+                                       latency_jitter_sd=jitter_sd)
+        got_rng, want_rng = (np.random.default_rng(seed + 1) for _ in "ab")
+        got = subject.inject_p300(base, sched, params, got_rng)
+        want = reference_inject_p300(base, sched, params, want_rng)
+        assert got.samples.tobytes() == want.tobytes()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), seconds=st.floats(0.5, 60.0),
+           rate=st.floats(1.0, 120.0))
+    def test_inject_blinks_is_the_full_length_sum(self, seed, seconds, rate):
+        rng = np.random.default_rng(seed)
+        n = core.time_to_sample(seconds, 128.0)
+        base = core.EegRecord(core.ChannelSet(), 128.0,
+                              rng.standard_normal((14, n)))
+        params = subject.SubjectParams(blink_rate=rate)
+        got = subject.inject_blinks(base, params, np.random.default_rng(seed))
+        want = reference_inject_blinks(base, params,
+                                       np.random.default_rng(seed))
+        assert got.samples.tobytes() == want.tobytes()
 
 
 class TestInjectP300:
