@@ -42,6 +42,7 @@ _TARGET_UNKNOWN = 255
 MAX_PAYLOAD = 1 << 24
 
 MODEL_FORMAT_VERSION = 2
+_NUMBER = (int, float)  # the JSON number types of a model file's scalars
 DEFAULT_CHUNK = 128
 RECV_BYTES = 1 << 16  # the largest read the stream consumer asks `recv` for
 
@@ -371,6 +372,11 @@ class ModelFile:
     def __post_init__(self) -> None:
         weights, mins, maxes = (set_readonly(self, name, getattr(self, name))
                                 for name in ("weights", "mins", "maxes"))
+        channels = tuple(self.channels)
+        if not (all(isinstance(label, str) and label for label in channels)
+                and 0 < len(set(channels)) == len(channels)):
+            raise FormatError("model channels must be unique, non-empty strings")
+        object.__setattr__(self, "channels", channels)
         expected = len(self.channels) * self.window.length
         if weights.shape != (expected,):
             raise FormatError(
@@ -384,14 +390,18 @@ class ModelFile:
         for name, values in finite.items():
             if not np.isfinite(np.asarray(values, dtype=np.float64)).all():
                 raise FormatError(f"model {name} must be finite")
-        object.__setattr__(self, "channels", tuple(self.channels))
+        if not 0 <= self.pipeline.shrinkage <= 1:
+            raise FormatError("model shrinkage must lie in [0, 1]")
 
     __eq__ = fields_equal
 
 
-def _require(mapping: dict, key: str):
+def _require(mapping: dict, key: str, kinds: tuple = ()):
     if key not in mapping:
         raise FormatError(f"model file missing field {key!r}")
+    if kinds and type(mapping[key]) not in kinds:  # a bool is no JSON number
+        names = " or ".join(kind.__name__ for kind in kinds)
+        raise FormatError(f"model {key} must be a JSON {names}")
     return mapping[key]
 
 
@@ -427,23 +437,20 @@ def load_model(path) -> ModelFile:
     if type(version) is not int or not 1 <= version <= MODEL_FORMAT_VERSION:
         raise FormatError(f"unsupported model format version {version!r}")
     try:
-        window_doc = _require(doc, "epoch_window")
-        pipeline = PipelineConfig(window=EpochWindow(
-            start_offset=int(_require(window_doc, "start_offset")),
-            length=int(_require(window_doc, "length"))))
+        window = {key: _require(_require(doc, "epoch_window"), key, (int,))
+                  for key in ("start_offset", "length")}
+        pipeline = PipelineConfig(window=EpochWindow(**window))
         if version >= 2:
-            use_ica = _require(doc, "use_ica")
-            if not isinstance(use_ica, bool):
-                raise FormatError("model use_ica must be true or false")
-            pipeline = replace(pipeline, use_ica=use_ica,
-                               nan_threshold=float(_require(doc, "nan_threshold")),
-                               shrinkage=float(_require(doc, "shrinkage")))
+            pipeline = replace(
+                pipeline, use_ica=_require(doc, "use_ica", (bool,)),
+                nan_threshold=float(_require(doc, "nan_threshold", _NUMBER)),
+                shrinkage=float(_require(doc, "shrinkage", _NUMBER)))
         if _require(doc, "ica") is not None:
             raise FormatError("model ica must be null: no format stores a "
                               "fitted ICA")
         return ModelFile(
             weights=np.asarray(_require(doc, "weights"), dtype=np.float64),
-            bias=float(_require(doc, "bias")),
+            bias=float(_require(doc, "bias", _NUMBER)),
             mins=np.asarray(_require(doc, "mins"), dtype=np.float64),
             maxes=np.asarray(_require(doc, "maxes"), dtype=np.float64),
             channels=tuple(_require(doc, "channels")),

@@ -168,7 +168,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     dataset = dataset_from_scenario(record, pipeline=pipeline)
     model = session.train_on_dataset(dataset, pipeline)
     save_model(model, args.model)
-    scores = session.score_vectors(model, dataset.vectors)
+    scores = session.score_vectors(model, dataset.vectors, dataset.channels)
     auc = session.cross_validated_auc(dataset, pipeline)
     print(f"trained on {dataset.n_epochs} epochs "
           f"({dataset.n_targets} targets), {dataset.feature_size} features")

@@ -6,11 +6,10 @@ amplifier output is encoded to wire bytes (`acquisition.encode_record`) and
 decoded back from slices cut at `acquisition.RECV_BYTES`, the stream
 consumer's largest read (`acquisition.decode_record`).  The cut is chosen,
 not a model of live traffic; in a default selection it falls inside a
-frame, so the reader's carry-over is exercised.  `score_table` turns the record into one row of 12
-image scores per trial, through the pipeline stored in the model, and
-`votes`, the consumer's rule too, makes the selection.  A selection is the
-majority vote over per-trial argmax winners; its simulated latency is the
-flashing time of the trials themselves.
+frame, so the reader's carry-over is exercised.  The record runs once
+through the model's pipeline; its labelled epochs are scored, one row of 12
+image scores per trial, and logged, so retraining extracts nothing.  `votes`,
+the consumer's rule too, selects; the latency is the trials' flashing time.
 """
 from __future__ import annotations
 
@@ -178,8 +177,13 @@ def _fit(stats: lda.ClassStatistics, scaling: dsp.ScalingParams, channels,
                      pipeline=pipeline)
 
 
-def score_vectors(model: ModelFile, vectors: np.ndarray) -> np.ndarray:
-    """Scale raw feature vectors with the model's training scaling and score."""
+def score_vectors(model: ModelFile, vectors, channels) -> np.ndarray:
+    """Scale raw feature vectors with the model's training scaling and score;
+    raises ValueError unless `channels`, the vectors' own, are the model's."""
+    if tuple(channels) != model.channels:
+        raise ValueError(
+            f"model was trained on channels {model.channels}, "
+            f"online data yields {tuple(channels)}")
     scaling = dsp.ScalingParams(mins=model.mins, maxes=model.maxes)
     scaled = dsp.minmax_apply(scaling, vectors)
     return scaled @ model.weights + model.bias
@@ -194,12 +198,8 @@ def score_table(model: ModelFile, record: EegRecord) -> np.ndarray:
     rows are as `trial_scores` builds them.
     """
     vectors, channels = features.epoch_features(record, model.pipeline)
-    if tuple(channels) != model.channels:
-        raise ValueError(
-            f"model was trained on channels {model.channels}, "
-            f"online data yields {tuple(channels)}")
     return trial_scores(record.markers.provenance,
-                        score_vectors(model, vectors))
+                        score_vectors(model, vectors, channels))
 
 
 def run_offline_training(params: SubjectParams, timing: TimingConfig,
@@ -224,23 +224,25 @@ def run_online_selection(model: ModelFile, params: SubjectParams,
                          rng: np.random.Generator,
                          timing: TimingConfig = TimingConfig(),
                          sequences=None,
-                         ) -> tuple[SelectionResult, EegRecord]:
+                         ) -> tuple[SelectionResult, LabeledDataset]:
     """One live selection: simulate, stream, classify, vote.
 
     The subject attends `target`; the decision pipeline never sees that, but
-    the returned logged record keeps ground-truth labels for retraining.  The
-    wire bytes are decoded from slices cut every `RECV_BYTES`; `rng` draws
-    only the flashing orders, and nothing when `sequences` gives them.
+    the returned log, the epochs it scored, carries the labels to retrain on.
+    The wire bytes are decoded from slices cut every `RECV_BYTES`; `rng`
+    draws only the flashing orders, and nothing when `sequences` gives them.
     """
     blind = build_online_trial_schedule(timing, n_trials, rng,
                                         sequences=sequences)
     schedule = with_targets(blind, target)
     record = simulate_subject(schedule, params)
     payload = acquisition.encode_record(record, acquisition.DEFAULT_CHUNK)
-    logged = acquisition.decode_record(
+    logged = features.dataset_from_scenario(acquisition.decode_record(
         payload[i:i + acquisition.RECV_BYTES]
-        for i in range(0, len(payload), acquisition.RECV_BYTES))
-    per_image = score_table(model, logged)
+        for i in range(0, len(payload), acquisition.RECV_BYTES)),
+        model.pipeline)
+    per_image = trial_scores(logged.provenance, score_vectors(
+        model, logged.vectors, logged.channels))
     [(winners, selected)], _ = votes(per_image, n_trials)
 
     result = SelectionResult(trial_winners=winners, per_image_scores=per_image,
@@ -249,45 +251,42 @@ def run_online_selection(model: ModelFile, params: SubjectParams,
     return result, logged
 
 
-def retrain_from_online(logged_records,
-                        pipeline: PipelineConfig = PipelineConfig()) -> ModelFile:
-    """Second training phase: fit the model of the online logs' epochs.
+def retrain_from_online(model: ModelFile, logs) -> ModelFile:
+    """Second training phase: refit `model` on the logs of its selections.
 
-    `logged_records` is any iterable, consumed once and lazily, and no log
-    is kept: each log's epochs wait for their block of at least
-    `_RETRAIN_BLOCK` rows, which is copied into one reused buffer and folded
-    into per-feature mins and maxes and class statistics, merged in place
-    (`lda.ClassStatistics.merged`).  The model is, up to rounding,
-    `train_on_dataset`'s on the logs' concatenated dataset.
-    """
-    channels, stats, extremes, parts, buffer = None, None, [], [], None
+    `logs`, the `run_online_selection` datasets, is any iterable, consumed
+    once and lazily, and no log is kept: its rows are copied into one reused
+    buffer, whose blocks of at least `_RETRAIN_BLOCK` rows fold into
+    per-feature extremes and class statistics (`lda.ClassStatistics.merged`).
+    The model is, up to rounding, `train_on_dataset`'s on the stacked logs,
+    with `model`'s channels and pipeline; other channels raise ValueError."""
+    stats, extremes, n = None, [], 0
+    rows, flags = np.empty((0, len(model.weights))), np.empty(0, bool)
 
     def fold():
-        nonlocal stats, buffer
-        n = sum(p.n_epochs for p in parts)
-        if buffer is None or len(buffer) < n:
-            buffer = np.empty((n, parts[0].feature_size))
-        vectors = np.concatenate([p.vectors for p in parts], out=buffer[:n])
-        labels = np.concatenate([p.labels for p in parts])
-        parts.clear()
-        stats = (stats.merged(vectors, labels) if stats
-                 else lda.ClassStatistics.of(vectors, labels))
-        extremes.extend((vectors.min(axis=0), vectors.max(axis=0)))
+        nonlocal stats, n
+        block, labels = rows[:n], flags[:n]
+        stats = (stats.merged(block, labels) if stats
+                 else lda.ClassStatistics.of(block, labels))
+        extremes.extend((block.min(axis=0), block.max(axis=0)))
+        n = 0
 
-    for record in logged_records:
-        parts.append(features.dataset_from_scenario(record, pipeline=pipeline))
-        channels = channels or parts[-1].channels  # a ChannelSet is not empty
-        if tuple(parts[-1].channels) != tuple(channels):
-            raise ValueError("logged records disagree on surviving channels")
-        if sum(p.n_epochs for p in parts) >= _RETRAIN_BLOCK:
+    for log in logs:
+        if tuple(log.channels or ()) != model.channels:
+            raise ValueError(f"a log is not of the channels {model.channels}")
+        end = n + log.n_epochs
+        if end > len(rows):  # room for a whole block more; keeps rows[:n]
+            rows = np.resize(rows, (end + _RETRAIN_BLOCK, rows.shape[1]))
+            flags = np.resize(flags, end + _RETRAIN_BLOCK)
+        rows[n:end], flags[n:end] = log.vectors, log.labels
+        n = end
+        if n >= _RETRAIN_BLOCK:
             fold()
-    if parts:
+    if n:
         fold()
-    if stats is None:
-        raise ValueError("no logged records to retrain from")
-    if min(stats.counts) < 2:
+    if stats is None or min(stats.counts) < 2:
         raise ValueError("need at least two examples of each class to retrain")
-    return _fit(stats, dsp.minmax_fit(extremes), channels, pipeline)
+    return _fit(stats, dsp.minmax_fit(extremes), model.channels, model.pipeline)
 
 
 def cross_validated_auc(dataset: LabeledDataset,
@@ -389,7 +388,7 @@ def _run_phase(model: ModelFile, base_params: SubjectParams,
                training_schedule: ScenarioSchedule | None,
                per_correct: list[int]):
     """reps rounds over all 12 objects in turn: yields each selection's
-    logged record as soon as it ends, and counts its hit in `per_correct`."""
+    log as soon as it ends, and counts its hit in `per_correct`."""
     for i, child in enumerate(seed_seq.spawn(reps * N_IMAGES)):
         round_index, target = divmod(i, N_IMAGES)
         subject_seed, stream_seed = child.spawn(2)
@@ -424,8 +423,8 @@ def run_full_evaluation(params: SubjectParams,
     under the timing mismatch while replaying the training flashing orders.
     Phase 2 retrains on those logs and repeats the selections with fresh
     random orders.  Phase 1 is a generator that `retrain_from_online`
-    consumes once: each logged record is folded as its selection ends, and
-    none is kept, so memory does not grow with the number of selections.
+    consumes once: each selection's scored epochs are folded as it ends,
+    and none is kept, so memory does not grow with the number of selections.
     Everything derives from `seed`, so reports are identical across runs
     (wall_clock_seconds aside).
     """
@@ -441,9 +440,9 @@ def run_full_evaluation(params: SubjectParams,
     del record  # the offline record is not needed past training
 
     hits1, hits2 = [0] * N_IMAGES, [0] * N_IMAGES
-    model2 = retrain_from_online(_run_phase(
+    model2 = retrain_from_online(model1, _run_phase(
         model1, params, catalog, timing, n_trials, reps_per_object,
-        mismatch, phase1_seq, training_schedule, hits1), pipeline)
+        mismatch, phase1_seq, training_schedule, hits1))
     for _ in _run_phase(model2, params, catalog, timing, n_trials,
                         reps_per_object, mismatch, phase2_seq, None, hits2):
         pass

@@ -573,6 +573,32 @@ class TestModelFile:
         with pytest.raises(acq.FormatError):
             acq.load_model(path)
 
+    @pytest.mark.parametrize("field,value,match", [
+        ("shrinkage", 5.0, "shrinkage"), ("shrinkage", -0.5, "shrinkage"),
+        ("shrinkage", "0.5", "shrinkage"), ("nan_threshold", True, "nan"),
+        ("bias", "1", "bias"),
+        ("epoch_window", {"start_offset": 1, "length": 3.9}, "length"),
+        ("epoch_window", {"start_offset": 1, "length": "3"}, "length"),
+        ("epoch_window", {"start_offset": True, "length": 3}, "start_offset"),
+        ("channels", ["AF3", "AF3"], "channels"),
+        ("channels", [1, 2], "channels"), ("channels", ["AF3", ""], "channels")],
+        ids=["shrinkage_above_1", "shrinkage_below_0", "string_shrinkage",
+             "bool_nan_threshold", "string_bias", "float_length",
+             "string_length", "bool_start", "repeated_channel",
+             "integer_channels", "empty_channel_label"])
+    def test_what_train_never_writes_rejected(self, tmp_path, field, value,
+                                              match):
+        # each value once loaded: float() and int() converted strings and
+        # bools and truncated floats, and neither the shrinkage range nor
+        # the channel labels were checked
+        path = tmp_path / "model.json"
+        acq.save_model(_model(), path)
+        doc = json.loads(path.read_text())
+        doc[field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(acq.FormatError, match=match):
+            acq.load_model(path)
+
     def test_nan_weights_cannot_be_saved(self, tmp_path):
         model = _model()
         object.__setattr__(model, "bias", float("nan"))

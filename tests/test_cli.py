@@ -332,6 +332,28 @@ class TestExitCodes:
         assert _run(["inspect", "--model", str(bad)]) == 2
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,value", [
+        ("shrinkage", 5.0),
+        ("epoch_window", {"start_offset": 0, "length": 65.9}),
+        ("epoch_window", {"start_offset": 0, "length": "65"}),
+        ("epoch_window", {"start_offset": True, "length": 65}),
+        ("channels", lambda labels: [labels[0]] * len(labels)),
+        ("channels", lambda labels: list(range(len(labels))))],
+        ids=["shrinkage", "float_length", "string_length", "bool_start",
+             "repeated_channel", "integer_channels"])
+    def test_model_train_never_writes_is_a_data_error(
+            self, workspace, tmp_path, capsys, field, value):
+        doc = json.loads(workspace["model"].read_text())
+        doc[field] = value(doc[field]) if callable(value) else value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        # the consumer loads its model before it connects
+        for argv in (["inspect", "--model", str(bad)],
+                     ["stream", "consumer", "--port", str(_free_port()),
+                      "--model", str(bad)]):
+            assert _run(argv) == 2
+            assert "error: model" in capsys.readouterr().err
+
     def test_bad_magic_is_a_protocol_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.eegs"
         bad.write_bytes(b"XXXX" + bytes(32))
@@ -466,7 +488,8 @@ class TestStreamLoopback:
         trained = session.train_on_dataset(dataset, pipeline)
         assert trained == model
         want = session.trial_scores(
-            dataset.provenance, session.score_vectors(trained, dataset.vectors))
+            dataset.provenance,
+            session.score_vectors(trained, dataset.vectors, dataset.channels))
         got = session.score_table(model, record)
         assert got.tobytes() == want.tobytes()
 

@@ -256,7 +256,8 @@ class TestTrainOnDataset:
     def test_score_vectors_applies_training_scaling(self, training_dataset):
         pipeline = session.PipelineConfig()
         model = session.train_on_dataset(training_dataset, pipeline)
-        scores = session.score_vectors(model, training_dataset.vectors)
+        scores = session.score_vectors(model, training_dataset.vectors,
+                                       training_dataset.channels)
         scaling = dsp.ScalingParams(mins=model.mins, maxes=model.maxes)
         want = (dsp.minmax_apply(scaling, training_dataset.vectors)
                 @ model.weights + model.bias)
@@ -276,7 +277,8 @@ class TestOfflineTraining:
             self, noiseless_training):
         model, record, schedule = noiseless_training
         dataset = features.dataset_from_scenario(record)
-        scores = session.score_vectors(model, dataset.vectors)
+        scores = session.score_vectors(model, dataset.vectors,
+                                       dataset.channels)
         correct = 0
         by_run = {}
         for (run, sess, img), value in zip(dataset.provenance, scores):
@@ -301,7 +303,9 @@ class TestOnlineSelection:
             assert result.latency_s == 11.2
             assert result.per_image_scores.shape == (3, 12)
             assert np.isfinite(result.per_image_scores).all()
-            assert logged.markers[0].is_target is not None
+            # the log is the labelled epochs that were scored
+            assert (logged.n_epochs, logged.n_targets) == (36, 3)
+            assert tuple(logged.channels) == model.channels
 
     def test_logged_record_supports_retraining(self, noiseless_training):
         model, _, _ = noiseless_training
@@ -312,7 +316,7 @@ class TestOnlineSelection:
                 model, _noiseless_params(seed=100 + target), catalog, target,
                 rng=np.random.default_rng(200 + target))
             logs.append(logged)
-        retrained = session.retrain_from_online(logs)
+        retrained = session.retrain_from_online(model, logs)
         assert retrained.weights.shape == model.weights.shape
 
     def test_channel_mismatch_detected(self, noiseless_training):
@@ -332,8 +336,8 @@ class TestOnlineSelection:
             model, _noiseless_params(), catalog, 4,
             rng=np.random.default_rng(0), sequences=seqs)
         got = {}
-        for ev in logged.markers:
-            got.setdefault(ev.run_index, []).append(ev.image_id)
+        for run, _sess, image_id in logged.provenance.tolist():
+            got.setdefault(run, []).append(image_id)
         assert [got[t] for t in range(3)] == seqs
 
     def test_replayed_sequences_leave_rng_untouched(self, noiseless_training):
@@ -349,9 +353,9 @@ class TestOnlineSelection:
 
     def test_decodes_in_recv_bytes_cuts(self, noiseless_training, monkeypatch):
         # the wire bytes reach the decoder cut every RECV_BYTES, and the
-        # logged record is the one the threaded random-slice stream decodes
+        # decoded record is the one the threaded random-slice stream decodes
         model, _, _ = noiseless_training
-        records, sizes = [], []
+        records, sizes, decoded = [], [], []
         encode, decode = acquisition.encode_record, acquisition.decode_record
 
         def encode_spy(record, chunk):
@@ -361,14 +365,15 @@ class TestOnlineSelection:
         def decode_spy(chunks):
             chunks = list(chunks)
             sizes.extend(len(c) for c in chunks)
-            return decode(chunks)
+            decoded.append(decode(chunks))
+            return decoded[-1]
 
         monkeypatch.setattr(acquisition, "encode_record", encode_spy)
         monkeypatch.setattr(acquisition, "decode_record", decode_spy)
-        _, logged = session.run_online_selection(
+        session.run_online_selection(
             model, _noiseless_params(), session.ObjectCatalog(), 4,
             rng=np.random.default_rng(0))
-        [record] = records
+        [record], [logged] = records, decoded
         n_bytes = len(encode(record, acquisition.DEFAULT_CHUNK))
         assert sizes == [acquisition.RECV_BYTES, n_bytes - acquisition.RECV_BYTES]
         want = reference_threaded_roundtrip(record, acquisition.DEFAULT_CHUNK,
@@ -551,69 +556,73 @@ def test_rng_is_required(call):
 
 @pytest.fixture(scope="module")
 def seed0_phase1_logs():
-    """The 120 phase-1 logs that the seed-0 evaluation retrains on."""
+    """(phase-1 model, its 120 logs) that the seed-0 evaluation retrains."""
     class Retraining(Exception):
         pass
 
-    def stop(logs, pipeline):
-        raise Retraining(list(logs))
+    def stop(model, logs):
+        raise Retraining(model, list(logs))
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(session, "retrain_from_online", stop)
         with pytest.raises(Retraining) as caught:
             session.run_full_evaluation(subject.SubjectParams(), seed=0)
-    (logs,) = caught.value.args
+    model, logs = caught.value.args
     assert len(logs) == 120
-    return logs
+    return model, logs
 
 
 class TestRetrainFromOnline:
     def test_matches_training_on_the_stacked_logs(self, seed0_phase1_logs):
+        model, logs = seed0_phase1_logs
         pipeline = features.PipelineConfig()
-        parts = [features.dataset_from_scenario(rec, pipeline=pipeline)
-                 for rec in seed0_phase1_logs]
+        assert model.pipeline == pipeline
         stacked = features.LabeledDataset(
-            vectors=np.vstack([p.vectors for p in parts]),
-            labels=np.concatenate([p.labels for p in parts]),
-            provenance=[pv for p in parts for pv in p.provenance],
-            channels=parts[0].channels, window=pipeline.window)
+            vectors=np.vstack([log.vectors for log in logs]),
+            labels=np.concatenate([log.labels for log in logs]),
+            provenance=[pv for log in logs for pv in log.provenance],
+            channels=logs[0].channels, window=pipeline.window)
         assert stacked.n_epochs > 4 * session._RETRAIN_BLOCK  # 5 merges
         want = session.train_on_dataset(stacked, pipeline)
-        got = session.retrain_from_online(seed0_phase1_logs, pipeline)
+        got = session.retrain_from_online(model, logs)
         assert got.mins.tobytes() == want.mins.tobytes()
         assert got.maxes.tobytes() == want.maxes.tobytes()
         _assert_same_fit(got, want.weights, want.bias)
         assert (got.channels, got.pipeline) == (want.channels, want.pipeline)
-        again = session.retrain_from_online(seed0_phase1_logs, pipeline)
+        again = session.retrain_from_online(model, logs)
         assert again.weights.tobytes() == got.weights.tobytes()
         assert again.bias == got.bias
 
     def test_peak_memory_is_bounded(self, seed0_phase1_logs):
         # stacking the 4,320 x 845 epochs and scaling a copy of them peaked
         # at 176 MB; the streamed statistics need a few blocks and d x d
+        model, logs = seed0_phase1_logs
         tracemalloc.start()
         try:
-            session.retrain_from_online(seed0_phase1_logs)
+            session.retrain_from_online(model, logs)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= 60e6
 
-    def test_empty_log_list_rejected(self):
+    def test_empty_log_list_rejected(self, noiseless_training):
+        model, _, _ = noiseless_training
         with pytest.raises(ValueError):
-            session.retrain_from_online([])
+            session.retrain_from_online(model, [])
 
     def test_generator_fits_the_model_of_the_list(self, seed0_phase1_logs):
-        want = session.retrain_from_online(seed0_phase1_logs)
-        got = session.retrain_from_online(rec for rec in seed0_phase1_logs)
+        model, logs = seed0_phase1_logs
+        want = session.retrain_from_online(model, logs)
+        got = session.retrain_from_online(model, (log for log in logs))
         for name in ("weights", "mins", "maxes"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
         assert got.bias == want.bias
         assert got.channels == want.channels
 
-    def test_empty_generator_rejected(self):
-        with pytest.raises(ValueError, match="no logged records"):
-            session.retrain_from_online(rec for rec in [])
+    def test_empty_generator_rejected(self, noiseless_training):
+        model, _, _ = noiseless_training
+        with pytest.raises(ValueError, match="two examples"):
+            session.retrain_from_online(model, (log for log in []))
 
     def test_needs_two_examples_per_class(self, noiseless_training):
         model, _, _ = noiseless_training
@@ -623,7 +632,7 @@ class TestRetrainFromOnline:
             rng=np.random.default_rng(1))
         # a single run holds one target flash: not enough to refit
         with pytest.raises(ValueError):
-            session.retrain_from_online([logged])
+            session.retrain_from_online(model, [logged])
 
     def test_channel_disagreement_rejected(self, noiseless_training):
         model, _, _ = noiseless_training
@@ -634,38 +643,49 @@ class TestRetrainFromOnline:
         t = scheduler.TimingConfig()
         blind = scheduler.build_online_trial_schedule(
             t, n_trials=3, rng=np.random.default_rng(3))
-        dirty = subject.simulate_subject(
+        dirty = features.dataset_from_scenario(subject.simulate_subject(
             subject.with_targets(blind, 1),
-            _noiseless_params(nan_fraction=0.2))
-        with pytest.raises(ValueError, match="disagree"):
-            session.retrain_from_online([clean, dirty])
+            _noiseless_params(nan_fraction=0.2)))
+        # FC5 is pruned from the dirty log; the model has all 14 channels
+        assert len(dirty.channels) == 13
+        with pytest.raises(ValueError, match="channels"):
+            session.retrain_from_online(model, [clean, dirty])
 
 
 class TestEvaluationKeepsNoLogs:
     def test_at_most_two_earlier_records_alive_at_any_selection(
             self, monkeypatch):
-        # phase 1 feeds the retraining as it runs: each logged record, and
-        # the offline training record, dies long before the evaluation ends
-        refs, alive = [], []
+        # phase 1 feeds the retraining as it runs: each decoded record, each
+        # log of scored epochs, and the offline training record die long
+        # before the evaluation ends
+        records, logs, alive = [], [], []
+        decode = acquisition.decode_record
 
         def train(*args, train=session.run_offline_training, **kwargs):
             model, record, schedule = train(*args, **kwargs)
-            refs.append(weakref.ref(record))
+            records.append(weakref.ref(record))
             return model, record, schedule
 
+        def decode_spy(chunks):
+            record = decode(chunks)
+            records.append(weakref.ref(record))
+            return record
+
         def select(*args, select=session.run_online_selection, **kwargs):
-            alive.append(sum(ref() is not None for ref in refs))
+            alive.append([sum(ref() is not None for ref in refs)
+                          for refs in (records, logs)])
             result, logged = select(*args, **kwargs)
-            refs.append(weakref.ref(logged))
+            logs.append(weakref.ref(logged))
             return result, logged
 
         monkeypatch.setattr(session, "run_offline_training", train)
+        monkeypatch.setattr(acquisition, "decode_record", decode_spy)
         monkeypatch.setattr(session, "run_online_selection", select)
         report = session.run_full_evaluation(subject.SubjectParams(), seed=0)
         assert (report["phase1"]["correct"], report["phase2"]["correct"]) \
             == (42, 118)
-        assert len(alive) == 240
-        assert max(alive) <= 2
+        assert len(alive) == len(records) - 1 == len(logs) == 240
+        assert max(max(counts) for counts in alive) <= 2
 
 
 class TestAuc:
@@ -920,6 +940,21 @@ class TestFullEvaluation:
             "phase2": (118, [10, 10, 10, 10, 9, 10, 10, 10, 10, 10, 9, 10]),
         }
 
+    def test_one_feature_extraction_per_recording(self, monkeypatch):
+        # the offline record and each selection's decoded record run through
+        # the pipeline once: retraining folds the epochs that were scored
+        calls = []
+
+        def extract(*args, extract=features.epoch_features, **kwargs):
+            calls.append(1)
+            return extract(*args, **kwargs)
+
+        monkeypatch.setattr(features, "epoch_features", extract)
+        report = session.run_full_evaluation(subject.SubjectParams(), seed=0)
+        assert (report["phase1"]["correct"], report["phase2"]["correct"]) \
+            == (42, 118)
+        assert len(calls) == 1 + 240
+
     def test_ica_fits_of_the_seed0_evaluation_converge(self, monkeypatch):
         fits = []  # (converged, mask non-empty) per fit
 
@@ -941,7 +976,7 @@ class TestFullEvaluation:
         report = session.run_full_evaluation(
             subject.SubjectParams(), seed=0,
             pipeline=features.PipelineConfig(use_ica=True))
-        assert len(fits) == 1 + 240 + 120  # training, selections, retraining
+        assert len(fits) == 1 + 240  # training, selections: retraining fits none
         assert all(converged for converged, flagged in fits if flagged)
         assert sum(converged for converged, _ in fits) >= 0.9 * len(fits)
         assert report["phase2"]["correct"] >= 109
