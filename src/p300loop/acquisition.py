@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import ChannelSet, EegRecord, Markers, fields_equal, set_readonly
+from .dsp import ScalingParams
 from .features import EpochWindow, PipelineConfig
 
 MAGIC = b"EEGS"
@@ -115,6 +116,8 @@ def encode_frame(frame: WireFrame) -> bytes:
         kind = KIND_HEADER
     elif isinstance(frame, SamplesFrame):
         block = frame.samples
+        if np.isinf(block).any():  # what `reassemble` refuses to read
+            raise ValueError("samples block holds a value infinite as float32")
         payload = struct.pack("<QI", frame.first_sample_index, block.shape[0])
         payload += block.astype("<f4", copy=False).tobytes(order="C")
         kind = KIND_SAMPLES
@@ -339,9 +342,9 @@ def decode_record(chunks) -> EegRecord:
     return reassemble(frames)
 
 
-def save_record(record: EegRecord, path, chunk: int = DEFAULT_CHUNK) -> None:
-    """Write the wire format to a file."""
-    Path(path).write_bytes(encode_record(record, chunk))
+def save_record(record: EegRecord, path) -> None:
+    """Write the wire format, in `DEFAULT_CHUNK` sample blocks, to a file."""
+    Path(path).write_bytes(encode_record(record, DEFAULT_CHUNK))
 
 
 def load_record(path) -> EegRecord:
@@ -359,8 +362,7 @@ class ModelFile:
 
     weights: np.ndarray
     bias: float
-    mins: np.ndarray
-    maxes: np.ndarray
+    scaling: ScalingParams
     channels: tuple[str, ...]
     pipeline: PipelineConfig
     format_version: int = MODEL_FORMAT_VERSION
@@ -370,8 +372,7 @@ class ModelFile:
         return self.pipeline.window
 
     def __post_init__(self) -> None:
-        weights, mins, maxes = (set_readonly(self, name, getattr(self, name))
-                                for name in ("weights", "mins", "maxes"))
+        weights = set_readonly(self, "weights", self.weights)
         channels = tuple(self.channels)
         if not (all(isinstance(label, str) and label for label in channels)
                 and 0 < len(set(channels)) == len(channels)):
@@ -382,16 +383,10 @@ class ModelFile:
             raise FormatError(
                 f"weights length {weights.shape[0]} != "
                 f"{len(self.channels)} channels x {self.window.length} samples")
-        if mins.shape != weights.shape or maxes.shape != weights.shape:
+        if self.scaling.mins.shape != weights.shape:
             raise FormatError("scaling vectors must match the weight length")
-        finite = {"weights": weights, "bias": self.bias, "mins": mins,
-                  "maxes": maxes, "nan_threshold": self.pipeline.nan_threshold,
-                  "shrinkage": self.pipeline.shrinkage}
-        for name, values in finite.items():
-            if not np.isfinite(np.asarray(values, dtype=np.float64)).all():
-                raise FormatError(f"model {name} must be finite")
-        if not 0 <= self.pipeline.shrinkage <= 1:
-            raise FormatError("model shrinkage must lie in [0, 1]")
+        if not (np.isfinite(weights).all() and np.isfinite(self.bias)):
+            raise FormatError("model weights and bias must be finite")
 
     __eq__ = fields_equal
 
@@ -405,14 +400,21 @@ def _require(mapping: dict, key: str, kinds: tuple = ()):
     return mapping[key]
 
 
+def _numbers(doc: dict, key: str) -> list:
+    values = _require(doc, key, (list,))
+    if not all(type(value) in _NUMBER for value in values):
+        raise FormatError(f"model {key} must be a JSON array of numbers")
+    return values
+
+
 def save_model(model: ModelFile, path) -> None:
     """Write the model as versioned JSON; floats round-trip exactly."""
     doc = {
         "format_version": model.format_version,
         "weights": [float(v) for v in model.weights],
         "bias": float(model.bias),
-        "mins": [float(v) for v in model.mins],
-        "maxes": [float(v) for v in model.maxes],
+        "mins": [float(v) for v in model.scaling.mins],
+        "maxes": [float(v) for v in model.scaling.maxes],
         "channels": list(model.channels),
         "epoch_window": {"start_offset": model.window.start_offset,
                          "length": model.window.length},
@@ -449,15 +451,15 @@ def load_model(path) -> ModelFile:
             raise FormatError("model ica must be null: no format stores a "
                               "fitted ICA")
         return ModelFile(
-            weights=np.asarray(_require(doc, "weights"), dtype=np.float64),
+            weights=_numbers(doc, "weights"),
             bias=float(_require(doc, "bias", _NUMBER)),
-            mins=np.asarray(_require(doc, "mins"), dtype=np.float64),
-            maxes=np.asarray(_require(doc, "maxes"), dtype=np.float64),
-            channels=tuple(_require(doc, "channels")),
+            scaling=ScalingParams(mins=_numbers(doc, "mins"),
+                                  maxes=_numbers(doc, "maxes")),
+            channels=tuple(_require(doc, "channels", (list,))),
             pipeline=pipeline,
             format_version=version,
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, FormatError):
             raise
-        raise FormatError(f"malformed model file: {exc}") from None
+        raise FormatError(f"model file is malformed: {exc}") from None

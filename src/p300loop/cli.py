@@ -179,8 +179,11 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    if args.trials < 1:
-        raise UsageError("evaluate needs --trials of at least 1")
+    if min(args.trials, args.reps_per_object) < 1:
+        raise UsageError("evaluate needs --trials and --reps-per-object of "
+                         "at least 1")
+    if not np.isfinite(args.mismatch):
+        raise UsageError("evaluate needs a finite --mismatch")
     timing = _overridden(TimingConfig, vars(args))
     params = _overridden(SubjectParams, vars(args), seed=args.seed)
     pipeline = _pipeline_from(args)
@@ -188,9 +191,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         params, seed=args.seed, timing=timing, pipeline=pipeline,
         n_trials=args.trials, reps_per_object=args.reps_per_object,
         mismatch=args.mismatch)
+    text = json.dumps(report, indent=1, allow_nan=False) + "\n"
     with open(args.report, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=1, allow_nan=False)
-        fh.write("\n")
+        fh.write(text)  # dumped first: a failed dump leaves no partial file
     p1, p2 = report["phase1"], report["phase2"]
     print(f"phase 1 (mismatch, training orders): {p1['correct']}/{p1['total']} "
           f"correct ({100 * p1['accuracy']:.2f}%)")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_RATE, EegRecord, set_readonly
+from .core import DEFAULT_RATE, EegRecord, fields_equal, set_readonly
 
 _BLOCK = 64  # samples per block of the filter kernel
 
@@ -200,8 +200,10 @@ class ScalingParams:
         maxes = set_readonly(self, "maxes", self.maxes)
         if mins.ndim != 1 or mins.shape != maxes.shape:
             raise ValueError("mins and maxes must be 1-D vectors of equal length")
-        if np.any(maxes < mins):
-            raise ValueError("every max must be >= its min")
+        if not (mins <= maxes).all() or not np.isfinite([mins, maxes]).all():
+            raise ValueError("every min and max must be finite, max >= min")
+
+    __eq__ = fields_equal
 
     @property
     def n_features(self) -> int:

@@ -34,12 +34,19 @@ class EpochWindow:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Feature-pipeline knobs shared by training and online use."""
+    """Feature-pipeline knobs shared by training and online use, and the one
+    check of their values, for flags and model files alike."""
 
     window: EpochWindow = EpochWindow()
     nan_threshold: float = DEFAULT_NAN_THRESHOLD
     shrinkage: float = lda.DEFAULT_SHRINKAGE
     use_ica: bool = False
+
+    def __post_init__(self) -> None:
+        if not np.isfinite(self.nan_threshold):
+            raise ValueError("nan_threshold must be finite")
+        if not 0 <= self.shrinkage <= 1:  # NaN fails too
+            raise ValueError("shrinkage must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -103,7 +110,7 @@ def prune_channels(record: EegRecord,
     if not keep.any():
         raise ValueError("all channels exceed the NaN threshold")
     dropped = [lab for lab, k in zip(record.channels, keep) if not k]
-    samples = np.array(record.samples[keep], copy=True)
+    samples = record.samples[keep]  # a new, writable array
     for row in samples:
         bad = np.isnan(row)
         if bad.any():

@@ -21,6 +21,7 @@ import numpy as np
 from .core import FRONTAL_LABELS, ChannelSet
 
 EIGENVALUE_FLOOR = 1e-12  # relative to the largest eigenvalue
+FRONTAL_FRACTION = 0.6  # least share of a blink's mixing energy on the front
 
 
 class RankError(ValueError):
@@ -164,12 +165,11 @@ def fit(data: np.ndarray, *, tol: float = 1e-4, max_iter: int = 200):
 
 def classify_components(model: IcaModel, sources: np.ndarray,
                         channels: ChannelSet,
-                        kurtosis_threshold: float = 10.0,
-                        frontal_fraction: float = 0.6) -> np.ndarray:
+                        kurtosis_threshold: float = 10.0) -> np.ndarray:
     """Boolean artifact mask: super-Gaussian AND frontally concentrated.
 
     A component is a blink candidate when its excess kurtosis exceeds
-    kurtosis_threshold and at least frontal_fraction of its mixing-column
+    kurtosis_threshold and at least FRONTAL_FRACTION of its mixing-column
     energy lies on the frontal channels.  A constant component has excess
     kurtosis 0.
     """
@@ -183,7 +183,7 @@ def classify_components(model: IcaModel, sources: np.ndarray,
     with np.errstate(invalid="ignore", divide="ignore"):  # 0/0 flags nothing
         kurtosis = np.where(var > 0, fourth / var ** 2 - 3.0, 0.0)
         return ((kurtosis > kurtosis_threshold) & (energy > 0)
-                & (frontal / energy >= frontal_fraction))
+                & (frontal / energy >= FRONTAL_FRACTION))
 
 
 def reconstruct(model: IcaModel, data: np.ndarray,

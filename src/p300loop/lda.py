@@ -28,13 +28,10 @@ DEFAULT_SHRINKAGE = 1e-3
 
 @dataclass(frozen=True)
 class LdaModel:
-    """Trained discriminant: weights, bias, and projected-mean diagnostics."""
+    """Trained discriminant: weights and bias; score is w.v + b."""
 
     w: np.ndarray
     b: float
-    mu1: float | None = None  # projected target-class mean
-    mu2: float | None = None  # projected non-target-class mean
-    shrinkage: float | None = None
 
     def __post_init__(self) -> None:
         w = set_readonly(self, "w", self.w)
@@ -197,8 +194,7 @@ def _shrinkage_solve(scatter: np.ndarray, means: np.ndarray,
         raise ValueError("degenerate training set: identical class means")
     w = w / norm
     b = -float(w @ (m1 + m2)) / 2.0
-    return LdaModel(w=w, b=b, mu1=float(w @ m1), mu2=float(w @ m2),
-                    shrinkage=shrinkage)
+    return LdaModel(w=w, b=b)
 
 
 def train(vectors, labels, shrinkage: float = DEFAULT_SHRINKAGE) -> LdaModel:

@@ -35,8 +35,8 @@ class TimingConfig:
 
     def __post_init__(self) -> None:
         for name in ("d_flash", "d_no_flash", "d_run_interval", "d_inf", "d_adapt"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < np.inf:  # NaN fails too
+                raise ValueError(f"{name} must be finite and positive")
         for name in ("runs_per_session", "sessions_per_scenario"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
@@ -80,9 +80,8 @@ def durations(timing: TimingConfig) -> tuple[float, float, float]:
 
 @dataclass(frozen=True)
 class ScenarioSchedule:
-    """Ordered flash table plus the timing it was generated from."""
+    """Ordered flash table, the sessions' prescribed images, and its span."""
 
-    timing: TimingConfig
     events: Markers  # or a sequence of StimulusEvent rows
     session_targets: tuple[int, ...] = ()
     span_s: float = 0.0
@@ -167,7 +166,7 @@ def build_scenario_schedule(timing: TimingConfig,
         + run * run_step for sess in range(timing.sessions_per_scenario)
         for run in range(timing.runs_per_session)])
     return ScenarioSchedule(
-        timing=timing, session_targets=tuple(session_targets),
+        session_targets=tuple(session_targets),
         events=_markers(grid, timing.runs_per_session, rng,
                         session_targets=session_targets),
         span_s=float(d_scenario))
@@ -196,7 +195,7 @@ def build_online_trial_schedule(timing: TimingConfig,
         raise TypeError("an online schedule without sequences needs rng")
 
     grid, span_s = online_grid(timing, n_trials)
-    return ScenarioSchedule(timing=timing, span_s=span_s,
+    return ScenarioSchedule(span_s=span_s,
                             events=_markers(grid, n_trials, rng, sequences))
 
 

@@ -172,9 +172,8 @@ def _fit(stats: lda.ClassStatistics, scaling: dsp.ScalingParams, channels,
     nothing, so this is the discriminant of the rows it scales."""
     model = stats.solve_scaled(scaling.mins, scaling.factors,
                                pipeline.shrinkage)
-    return ModelFile(weights=model.w, bias=model.b, mins=scaling.mins,
-                     maxes=scaling.maxes, channels=tuple(channels),
-                     pipeline=pipeline)
+    return ModelFile(weights=model.w, bias=model.b, scaling=scaling,
+                     channels=tuple(channels), pipeline=pipeline)
 
 
 def score_vectors(model: ModelFile, vectors, channels) -> np.ndarray:
@@ -184,8 +183,7 @@ def score_vectors(model: ModelFile, vectors, channels) -> np.ndarray:
         raise ValueError(
             f"model was trained on channels {model.channels}, "
             f"online data yields {tuple(channels)}")
-    scaling = dsp.ScalingParams(mins=model.mins, maxes=model.maxes)
-    scaled = dsp.minmax_apply(scaling, vectors)
+    scaled = dsp.minmax_apply(model.scaling, vectors)
     return scaled @ model.weights + model.bias
 
 
@@ -367,20 +365,6 @@ def _phase_sequences(schedule: ScenarioSchedule, target: int,
     return runs.take(range(first, first + n_trials), axis=0, mode="wrap").tolist()
 
 
-@dataclass(frozen=True)
-class EvaluationPhase:
-    """Accuracy bookkeeping for one online phase."""
-
-    correct: int
-    total: int
-    per_object_correct: tuple[int, ...]
-    per_object_total: tuple[int, ...]
-
-    @property
-    def accuracy(self) -> float:
-        return self.correct / self.total if self.total else 0.0
-
-
 def _run_phase(model: ModelFile, base_params: SubjectParams,
                catalog: ObjectCatalog, timing: TimingConfig,
                n_trials: int, reps: int,
@@ -402,12 +386,6 @@ def _run_phase(model: ModelFile, base_params: SubjectParams,
             sequences=sequences)
         per_correct[target] += int(result.selected == target)
         yield logged
-
-
-def _phase(per_correct: list[int], reps: int) -> EvaluationPhase:
-    return EvaluationPhase(correct=sum(per_correct), total=reps * N_IMAGES,
-                           per_object_correct=tuple(per_correct),
-                           per_object_total=(reps,) * N_IMAGES)
 
 
 def run_full_evaluation(params: SubjectParams,
@@ -448,8 +426,8 @@ def run_full_evaluation(params: SubjectParams,
         pass
 
     return {
-        "phase1": _phase_dict(_phase(hits1, reps_per_object), catalog),
-        "phase2": _phase_dict(_phase(hits2, reps_per_object), catalog),
+        "phase1": _phase_dict(hits1, reps_per_object, catalog),
+        "phase2": _phase_dict(hits2, reps_per_object, catalog),
         "latency": {
             "per_selection_s": online_grid(timing, n_trials)[1],
             "n_trials": n_trials,
@@ -468,15 +446,16 @@ def run_full_evaluation(params: SubjectParams,
     }
 
 
-def _phase_dict(phase: EvaluationPhase, catalog: ObjectCatalog) -> dict:
+def _phase_dict(hits: list[int], reps: int, catalog: ObjectCatalog) -> dict:
+    """One phase's report: its hits per object, of `reps` selections each."""
+    correct, total = sum(hits), reps * N_IMAGES
     return {
-        "correct": phase.correct,
-        "total": phase.total,
-        "accuracy": phase.accuracy,
+        "correct": correct,
+        "total": total,
+        "accuracy": correct / total,
         "per_object": [
-            {"image_id": i, "label": catalog.label(i),
-             "correct": phase.per_object_correct[i],
-             "total": phase.per_object_total[i]}
+            {"image_id": i, "label": catalog.label(i), "correct": hits[i],
+             "total": reps}
             for i in range(N_IMAGES)
         ],
     }

@@ -65,12 +65,15 @@ class SubjectParams:
     def __post_init__(self) -> None:
         for name in ("background_rms", "alpha_amp", "p300_amp", "blink_amp",
                      "blink_rate", "latency_jitter_sd"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-        if self.p300_width <= 0:
-            raise ValueError("p300_width must be positive")
+            if not 0 <= getattr(self, name) < np.inf:  # NaN fails too
+                raise ValueError(f"{name} must be finite and non-negative")
+        if not 0 < self.p300_width < np.inf:
+            raise ValueError("p300_width must be finite and positive")
         if not 0 <= self.nan_fraction <= 1:
             raise ValueError("nan_fraction must lie in [0, 1]")
+        for name in ("p300_peak_latency", "constant_offset"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not 0.25 <= self.p300_peak_latency <= 0.5:
             warnings.warn(
                 f"p300_peak_latency {self.p300_peak_latency} s outside the "
@@ -229,7 +232,6 @@ def with_targets(schedule: ScenarioSchedule, target: int) -> ScenarioSchedule:
     """Copy of a blind schedule with is_target set against one attended image."""
     events = schedule.events
     return ScenarioSchedule(
-        timing=schedule.timing, session_targets=schedule.session_targets,
         events=Markers(events.onset, events.image, events.run, events.session,
                        events.image == target, events.onset_s),
-        span_s=schedule.span_s)
+        session_targets=schedule.session_targets, span_s=schedule.span_s)

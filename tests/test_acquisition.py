@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from p300loop import acquisition as acq
-from p300loop import core, features
+from p300loop import core, dsp, features
 
 
 def _sample_record(n=300, with_nan=True):
@@ -170,6 +170,17 @@ class TestDecodeErrors:
             acq.decode_frame(wire)
 
 
+def _with_sample_bytes(record, channel, index, value) -> bytes:
+    """The wire bytes of `record` with one sample's float32 bytes replaced
+    by those of `value`, which the encoder itself refuses to write."""
+    samples = record.samples.copy()
+    samples[channel, index] = 12345.5  # exact in float32
+    wire = acq.encode_record(record.with_samples(samples), 64)
+    marker = np.float32(12345.5).tobytes()
+    assert wire.count(marker) == 1
+    return wire.replace(marker, np.array(value, "<f4").tobytes())
+
+
 class TestHostileBytes:
     """Bytes that decode to values no record may hold are protocol errors."""
 
@@ -183,11 +194,23 @@ class TestHostileBytes:
     @pytest.mark.parametrize("value", [np.inf, -np.inf])
     def test_infinite_sample_rejected(self, value):
         rec = _sample_record()  # its NaN sample still decodes
-        samples = rec.samples.copy()
-        samples[2, 100] = value
-        wire = acq.encode_record(rec.with_samples(samples), 64)
+        wire = _with_sample_bytes(rec, 2, 100, value)
         with pytest.raises(acq.ProtocolError, match="infinite"):
             acq.decode_record([wire])
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, 1e308, -3.5e38])
+    def test_encoder_refuses_what_the_decoder_rejects(self, value, tmp_path):
+        # a value past float32's range is infinite on the wire; it once
+        # encoded, and save_record wrote a file that load_record refused
+        samples = _sample_record().samples.copy()
+        samples[2, 100] = value
+        rec = _sample_record().with_samples(samples)
+        with np.errstate(over="ignore"):  # the frames' float32 cast
+            with pytest.raises(ValueError, match="infinite as float32"):
+                acq.encode_record(rec, 64)
+            with pytest.raises(ValueError, match="infinite as float32"):
+                acq.save_record(rec, tmp_path / "rec.eegs")
+        assert not (tmp_path / "rec.eegs").exists()
 
     def test_undecodable_label_rejected(self):
         wire = bytearray(acq.encode_record(_sample_record(), 64))
@@ -451,20 +474,23 @@ def _model(pipeline=features.PipelineConfig(window=_WINDOW),
     rng = np.random.default_rng(3)
     return acq.ModelFile(
         weights=rng.normal(size=n), bias=-0.3125,
-        mins=np.zeros(n), maxes=np.ones(n),
+        scaling=dsp.ScalingParams(mins=np.zeros(n), maxes=np.ones(n)),
         channels=("AF3", "P8"), pipeline=pipeline,
         format_version=format_version)
+
+
+_UNIT5 = dsp.ScalingParams(mins=np.zeros(5), maxes=np.ones(5))
 
 
 class TestModelFile:
     def test_weight_geometry_enforced(self):
         with pytest.raises(acq.FormatError):
-            acq.ModelFile(weights=np.zeros(5), bias=0.0, mins=np.zeros(5),
-                          maxes=np.ones(5), channels=("A", "B"),
+            acq.ModelFile(weights=np.zeros(5), bias=0.0, scaling=_UNIT5,
+                          channels=("A", "B"),
                           pipeline=features.PipelineConfig(window=_WINDOW))
         with pytest.raises(acq.FormatError):
-            acq.ModelFile(weights=np.zeros(6), bias=0.0, mins=np.zeros(5),
-                          maxes=np.ones(5), channels=("A", "B"),
+            acq.ModelFile(weights=np.zeros(6), bias=0.0, scaling=_UNIT5,
+                          channels=("A", "B"),
                           pipeline=features.PipelineConfig(window=_WINDOW))
 
     def test_save_load_is_exact(self, tmp_path):
@@ -504,7 +530,8 @@ class TestModelFile:
         n = 6
         weights = np.sqrt(np.arange(1, n + 1)) * np.pi / 7.0
         model = acq.ModelFile(weights=weights, bias=1.0 / 3.0,
-                              mins=np.zeros(n), maxes=np.ones(n),
+                              scaling=dsp.ScalingParams(mins=np.zeros(n),
+                                                        maxes=np.ones(n)),
                               channels=("AF3", "P8"),
                               pipeline=features.PipelineConfig(window=_WINDOW))
         path = tmp_path / "model.json"
@@ -581,16 +608,24 @@ class TestModelFile:
         ("epoch_window", {"start_offset": 1, "length": "3"}, "length"),
         ("epoch_window", {"start_offset": True, "length": 3}, "start_offset"),
         ("channels", ["AF3", "AF3"], "channels"),
-        ("channels", [1, 2], "channels"), ("channels", ["AF3", ""], "channels")],
+        ("channels", [1, 2], "channels"), ("channels", ["AF3", ""], "channels"),
+        ("weights", ["0.5"] * 6, "weights"), ("weights", [True] * 6, "weights"),
+        ("weights", "0.5", "weights"), ("mins", [[0.0]] * 6, "mins"),
+        ("weights", [10 ** 400] * 6, "float"), ("maxes", [-1.0] * 6, "max"),
+        ("channels", "AB", "channels")],
         ids=["shrinkage_above_1", "shrinkage_below_0", "string_shrinkage",
              "bool_nan_threshold", "string_bias", "float_length",
              "string_length", "bool_start", "repeated_channel",
-             "integer_channels", "empty_channel_label"])
+             "integer_channels", "empty_channel_label", "string_weights",
+             "bool_weights", "string_for_weights", "nested_mins",
+             "integer_past_float", "max_below_min", "string_for_channels"])
     def test_what_train_never_writes_rejected(self, tmp_path, field, value,
                                               match):
         # each value once loaded: float() and int() converted strings and
-        # bools and truncated floats, and neither the shrinkage range nor
-        # the channel labels were checked
+        # bools and truncated floats, np.asarray the items of the vectors,
+        # tuple() split a string of channels into labels, and neither the
+        # shrinkage range, the channel labels nor the order of each min and
+        # max were checked
         path = tmp_path / "model.json"
         acq.save_model(_model(), path)
         doc = json.loads(path.read_text())

@@ -134,6 +134,23 @@ class TestSimulate:
         stdout = capsys.readouterr().out
         assert "d_session = 6.6 s" in stdout
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--p300-amp", "nan"), ("--background-rms", "nan"),
+        ("--latency-jitter-sd", "nan"), ("--blink-rate", "inf"),
+        ("--p300-peak-latency", "-inf"), ("--d-flash", "nan"),
+        ("--d-adapt", "inf"), ("--p300-amp", "1e308")])
+    def test_non_finite_knob_is_a_data_error(self, tmp_path, capsys, flag,
+                                             value):
+        # each exited 0 with a record of NaN, zeroed or unreadable samples,
+        # or failed in numpy; 1e308 is finite, but not as a float32 sample
+        out = tmp_path / "x.eegs"
+        with np.errstate(over="ignore"):
+            assert _run(["simulate", "--out", str(out), f"{flag}={value}",
+                         "--sessions-per-scenario", "1",
+                         "--runs-per-session", "1"]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_reports_dataset_geometry(self, workspace, capsys):
@@ -198,6 +215,21 @@ class TestTrain:
         assert "target labels" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("flags", [
+        ["--shrinkage", "2"], ["--shrinkage", "-0.5"], ["--shrinkage", "nan"],
+        ["--nan-threshold", "nan"], ["--nan-threshold", "inf"]])
+    def test_pipeline_is_checked_before_the_record_is_read(
+            self, tmp_path, monkeypatch, capsys, flags):
+        # `--shrinkage 2` once failed in the solver, after decoding and
+        # featurising the record
+        monkeypatch.setattr(cli, "load_record", lambda path: pytest.fail(
+            "the record was read"))
+        model = tmp_path / "m.json"
+        assert _run(["train", "--record", "any.eegs", "--model", str(model),
+                     *flags]) == 2
+        assert flags[0][2:].replace("-", "_") in capsys.readouterr().err
+        assert not model.exists()
+
 
 class TestEvaluate:
     def test_report_written_and_deterministic(self, tmp_path, capsys):
@@ -234,6 +266,30 @@ class TestEvaluate:
                          "--trials", trials]) == 1
             assert "--trials" in capsys.readouterr().err
         assert calls == [] and not report.exists()
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--reps-per-object", "0"), ("--reps-per-object", "-2"),
+        ("--mismatch", "nan"), ("--mismatch", "inf"), ("--mismatch", "-inf")])
+    def test_bad_argument_is_a_usage_error_before_training(
+            self, tmp_path, monkeypatch, capsys, flag, value):
+        # --reps-per-object 0 failed after offline training; --mismatch nan
+        # ran the evaluation, then left a truncated report
+        calls = []
+        monkeypatch.setattr(cli, "run_full_evaluation",
+                            lambda *args, **kwargs: calls.append(args))
+        report = tmp_path / "r.json"
+        assert _run(["evaluate", "--report", str(report),
+                     f"{flag}={value}"]) == 1
+        assert flag in capsys.readouterr().err
+        assert calls == [] and not report.exists()
+
+    def test_failed_dump_leaves_the_old_report(self, tmp_path, monkeypatch):
+        report = tmp_path / "r.json"
+        report.write_text("old\n")
+        monkeypatch.setattr(cli, "run_full_evaluation",
+                            lambda *args, **kwargs: {"value": float("nan")})
+        assert _run(["evaluate", "--report", str(report)]) == 2
+        assert report.read_text() == "old\n"
 
 
 class TestInspect:
@@ -338,9 +394,13 @@ class TestExitCodes:
         ("epoch_window", {"start_offset": 0, "length": "65"}),
         ("epoch_window", {"start_offset": True, "length": 65}),
         ("channels", lambda labels: [labels[0]] * len(labels)),
-        ("channels", lambda labels: list(range(len(labels))))],
+        ("channels", lambda labels: list(range(len(labels)))),
+        ("maxes", lambda maxes: [maxes[0] - 1e6] + maxes[1:]),
+        ("weights", lambda weights: ["0.5"] + weights[1:]),
+        ("weights", lambda weights: [True] + weights[1:])],
         ids=["shrinkage", "float_length", "string_length", "bool_start",
-             "repeated_channel", "integer_channels"])
+             "repeated_channel", "integer_channels", "max_below_min",
+             "string_weight", "bool_weight"])
     def test_model_train_never_writes_is_a_data_error(
             self, workspace, tmp_path, capsys, field, value):
         doc = json.loads(workspace["model"].read_text())
@@ -363,11 +423,16 @@ class TestExitCodes:
 
     def test_infinite_sample_is_a_protocol_error(self, workspace, tmp_path,
                                                  capsys):
+        # the encoder refuses an infinite sample: patch one into the bytes
         record = acquisition.load_record(workspace["record"])
         samples = record.samples.copy()
-        samples[3, 1000] = np.inf
+        samples[3, 1000] = 12345.5  # exact in float32
         bad = tmp_path / "inf.eegs"
         acquisition.save_record(record.with_samples(samples), bad)
+        marker = np.float32(12345.5).tobytes()
+        assert bad.read_bytes().count(marker) == 1
+        bad.write_bytes(bad.read_bytes().replace(
+            marker, np.float32(np.inf).tobytes()))
         assert _run(["inspect", "--record", str(bad)]) == 4
         assert "infinite sample" in capsys.readouterr().err
 

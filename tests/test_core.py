@@ -170,8 +170,7 @@ class TestMarkersChecks:
                            np.zeros((1, n_samples)), _markers_of(rows))
 
         def schedule():
-            scheduler.ScenarioSchedule(scheduler.TimingConfig(),
-                                       _markers_of(rows))
+            scheduler.ScenarioSchedule(_markers_of(rows))
 
         assert _accepts(record) == _accepts(_old_record_check, rows, n_samples)
         assert _accepts(schedule) == _accepts(_old_schedule_check, rows)

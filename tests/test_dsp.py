@@ -395,6 +395,17 @@ class TestMinMax:
             dsp.ScalingParams(mins=np.array([1.0]), maxes=np.array([0.0]))
         with pytest.raises(ValueError):
             dsp.ScalingParams(mins=np.zeros(2), maxes=np.ones(3))
+        for mins, maxes in (([np.nan], [1.0]), ([0.0], [np.nan]),
+                            ([0.0], [np.inf]), ([-np.inf], [0.0])):
+            with pytest.raises(ValueError, match="finite"):
+                dsp.ScalingParams(mins=np.array(mins), maxes=np.array(maxes))
+
+    def test_params_compare_by_value(self):
+        # a model file's equality compares its scaling
+        params = dsp.ScalingParams(mins=np.zeros(3), maxes=np.ones(3))
+        assert params == dsp.ScalingParams(mins=np.zeros(3), maxes=np.ones(3))
+        assert params != dsp.ScalingParams(mins=np.zeros(3),
+                                           maxes=np.full(3, 2.0))
 
     @given(st.lists(st.lists(st.floats(min_value=-1e6, max_value=1e6),
                              min_size=4, max_size=4),

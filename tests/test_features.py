@@ -28,6 +28,18 @@ class TestEpochWindow:
             features.EpochWindow(length=0)
 
 
+class TestPipelineConfig:
+    @pytest.mark.parametrize("field,value", [
+        ("nan_threshold", np.nan), ("nan_threshold", np.inf),
+        ("shrinkage", np.nan), ("shrinkage", np.inf), ("shrinkage", 1.5),
+        ("shrinkage", -0.1)])
+    def test_fields_checked_where_defined(self, field, value):
+        # the flags and a model file's keys are all checked here: a shrinkage
+        # of 2 once reached the solver, after the record was featurised
+        with pytest.raises(ValueError, match=field):
+            features.PipelineConfig(**{field: value})
+
+
 class TestPruneChannels:
     def test_drops_only_channels_over_threshold(self):
         rec = _record_with_nans([0.0, 0.02, 0.2])

@@ -1,4 +1,5 @@
 """Stimulus scheduling: protocol durations, block randomization, time grid."""
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -29,6 +30,14 @@ class TestTimingConfig:
             scheduler.TimingConfig(d_inf=-1.0)
         with pytest.raises(ValueError):
             scheduler.TimingConfig(runs_per_session=0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", [
+        f.name for f in dataclasses.fields(scheduler.TimingConfig)
+        if f.type == "float"])
+    def test_every_duration_must_be_finite(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            scheduler.TimingConfig(**{name: value})
 
     def test_image_count_is_not_configurable(self):
         # every run flashes each of the core.N_IMAGES images once
@@ -165,22 +174,20 @@ class TestScenarioSchedule:
         assert sched.n_targets == 1
 
     def test_duplicate_image_in_run_rejected(self):
-        t = scheduler.TimingConfig()
         ev = core.StimulusEvent(image_id=4, onset_sample=10, run_index=0,
                                 session_index=0)
         ev2 = core.StimulusEvent(image_id=4, onset_sample=20, run_index=0,
                                  session_index=0)
         with pytest.raises(ValueError):
-            scheduler.ScenarioSchedule(timing=t, events=(ev, ev2))
+            scheduler.ScenarioSchedule(events=(ev, ev2))
 
     def test_onsets_must_increase(self):
-        t = scheduler.TimingConfig()
         ev = core.StimulusEvent(image_id=4, onset_sample=10, run_index=0,
                                 session_index=0)
         ev2 = core.StimulusEvent(image_id=5, onset_sample=10, run_index=0,
                                  session_index=0)
         with pytest.raises(ValueError):
-            scheduler.ScenarioSchedule(timing=t, events=(ev, ev2))
+            scheduler.ScenarioSchedule(events=(ev, ev2))
 
 
 class TestOnlineTrialSchedule:
@@ -248,7 +255,7 @@ def reference_online_schedule(timing, n_trials, rng, sequences=None):
                 run_index=trial, session_index=0, is_target=None,
                 onset_s=float(onset)))
     span = n_trials * d_run + (n_trials - 1) * fr(timing.d_run_interval)
-    return scheduler.ScenarioSchedule(timing=timing, events=tuple(events),
+    return scheduler.ScenarioSchedule(events=tuple(events),
                                       session_targets=(), span_s=float(span))
 
 

@@ -1,6 +1,8 @@
 """Closed-loop machinery: voting, online selection, retraining, evaluation."""
 import cProfile
 import dataclasses
+import hashlib
+import json
 import pstats
 import queue
 import threading
@@ -258,8 +260,7 @@ class TestTrainOnDataset:
         model = session.train_on_dataset(training_dataset, pipeline)
         scores = session.score_vectors(model, training_dataset.vectors,
                                        training_dataset.channels)
-        scaling = dsp.ScalingParams(mins=model.mins, maxes=model.maxes)
-        want = (dsp.minmax_apply(scaling, training_dataset.vectors)
+        want = (dsp.minmax_apply(model.scaling, training_dataset.vectors)
                 @ model.weights + model.bias)
         np.testing.assert_array_equal(scores, want)
 
@@ -585,8 +586,8 @@ class TestRetrainFromOnline:
         assert stacked.n_epochs > 4 * session._RETRAIN_BLOCK  # 5 merges
         want = session.train_on_dataset(stacked, pipeline)
         got = session.retrain_from_online(model, logs)
-        assert got.mins.tobytes() == want.mins.tobytes()
-        assert got.maxes.tobytes() == want.maxes.tobytes()
+        assert got.scaling.mins.tobytes() == want.scaling.mins.tobytes()
+        assert got.scaling.maxes.tobytes() == want.scaling.maxes.tobytes()
         _assert_same_fit(got, want.weights, want.bias)
         assert (got.channels, got.pipeline) == (want.channels, want.pipeline)
         again = session.retrain_from_online(model, logs)
@@ -614,8 +615,11 @@ class TestRetrainFromOnline:
         model, logs = seed0_phase1_logs
         want = session.retrain_from_online(model, logs)
         got = session.retrain_from_online(model, (log for log in logs))
-        for name in ("weights", "mins", "maxes"):
-            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        for got_array, want_array in (
+                (got.weights, want.weights),
+                (got.scaling.mins, want.scaling.mins),
+                (got.scaling.maxes, want.scaling.maxes)):
+            assert got_array.tobytes() == want_array.tobytes()
         assert got.bias == want.bias
         assert got.channels == want.channels
 
@@ -916,18 +920,6 @@ class TestPhaseSequences:
         assert round2 == runs[0:3]  # six runs wrap after two rounds
 
 
-class TestEvaluationPhase:
-    def test_accuracy(self):
-        phase = session.EvaluationPhase(correct=9, total=12,
-                                        per_object_correct=(1,) * 12,
-                                        per_object_total=(1,) * 12)
-        assert phase.accuracy == 0.75
-        empty = session.EvaluationPhase(correct=0, total=0,
-                                        per_object_correct=(0,) * 12,
-                                        per_object_total=(0,) * 12)
-        assert empty.accuracy == 0.0
-
-
 class TestFullEvaluation:
     def test_seed0_default_report_counts_are_pinned(self):
         # A change that moves these bits updates the pin and says why.
@@ -939,6 +931,11 @@ class TestFullEvaluation:
             "phase1": (42, [2, 5, 2, 2, 4, 2, 6, 5, 2, 4, 3, 5]),
             "phase2": (118, [10, 10, 10, 10, 9, 10, 10, 10, 10, 10, 9, 10]),
         }
+        # every other byte of the report, too, in canonical JSON
+        del report["wall_clock_seconds"]
+        canonical = json.dumps(report, sort_keys=True).encode()
+        assert hashlib.sha256(canonical).hexdigest() == (
+            "9ec3a6590b014777261077e9f0689c81df10908c24193ca26af1aae0c5330716")
 
     def test_one_feature_extraction_per_recording(self, monkeypatch):
         # the offline record and each selection's decoded record run through

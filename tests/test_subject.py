@@ -1,4 +1,6 @@
 """Synthetic subject: background spectra, evoked bumps, blinks, dropouts."""
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,6 +35,16 @@ class TestSubjectParams:
     def test_nan_fraction_bounds(self):
         with pytest.raises(ValueError):
             subject.SubjectParams(nan_fraction=1.5)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", [
+        f.name for f in dataclasses.fields(subject.SubjectParams)
+        if f.type == "float"])
+    def test_every_float_knob_must_be_finite(self, name, value):
+        # `value < 0` let NaN through: a NaN p300_amp simulated an all-NaN
+        # record, and a NaN background_rms zeroed the pink noise
+        with pytest.raises(ValueError, match=name):
+            subject.SubjectParams(**{name: value})
 
     def test_implausible_latency_warns(self):
         with pytest.warns(UserWarning):
