@@ -18,6 +18,8 @@ epoch window.
 from __future__ import annotations
 
 import json
+import os
+import stat
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -268,11 +270,18 @@ def stream_record(record: EegRecord, chunk: int = DEFAULT_CHUNK) -> list[WireFra
                                                   m.session, m.target)))]
     starts = range(0, record.n_samples, chunk)
     ends = np.searchsorted(m.onset, [start + chunk for start in starts])
-    for start, first, end in zip(starts, [0, *ends.tolist()], ends.tolist()):
-        frames += markers[first:end]  # the onsets in this block
-        frames.append(SamplesFrame(
-            first_sample_index=start,
-            samples=record.samples[:, start:start + chunk].T))
+    try:  # a finite sample past float32's range is refused before the
+        # frame's cast makes it infinite with numpy's overflow warning
+        with np.errstate(over="raise"):
+            for start, first, end in zip(starts, [0, *ends.tolist()],
+                                         ends.tolist()):
+                frames += markers[first:end]  # the onsets in this block
+                frames.append(SamplesFrame(
+                    first_sample_index=start,
+                    samples=record.samples[:, start:start + chunk].T))
+    except FloatingPointError:
+        raise ValueError("samples block holds a value infinite as float32"
+                         ) from None
     frames.append(EndFrame())
     return frames
 
@@ -342,9 +351,30 @@ def decode_record(chunks) -> EegRecord:
     return reassemble(frames)
 
 
+def write_whole(path, data: bytes) -> None:
+    """Write `data` to `path` whole or not at all: into a new file beside it,
+    then renamed over it with the old file's permissions.  A failure removes
+    the new file and leaves any old one at `path` as it was."""
+    path = Path(path).resolve()  # through a symlink, to the file it names
+    old = path.stat() if path.exists() else None
+    if old is not None and not stat.S_ISREG(old.st_mode):  # a device or pipe
+        path.write_bytes(data)
+        return
+    partial = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(partial, "xb") as fh:
+            fh.write(data)
+        if old is not None:
+            os.chmod(partial, stat.S_IMODE(old.st_mode))
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+
+
 def save_record(record: EegRecord, path) -> None:
     """Write the wire format, in `DEFAULT_CHUNK` sample blocks, to a file."""
-    Path(path).write_bytes(encode_record(record, DEFAULT_CHUNK))
+    write_whole(path, encode_record(record, DEFAULT_CHUNK))
 
 
 def load_record(path) -> EegRecord:
@@ -423,8 +453,8 @@ def save_model(model: ModelFile, path) -> None:
         "use_ica": bool(model.pipeline.use_ica),
         "ica": None,
     }
-    Path(path).write_text(json.dumps(doc, allow_nan=False, indent=1) + "\n",
-                          encoding="utf-8")
+    write_whole(path, (json.dumps(doc, allow_nan=False, indent=1)
+                       + "\n").encode("utf-8"))
 
 
 def load_model(path) -> ModelFile:

@@ -26,6 +26,7 @@ from .acquisition import (
     save_model,
     save_record,
     stream_record,
+    write_whole,
 )
 from .features import EpochWindow, PipelineConfig, dataset_from_scenario
 from .scheduler import TimingConfig, build_scenario_schedule, durations
@@ -167,9 +168,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     record = load_record(args.record)
     dataset = dataset_from_scenario(record, pipeline=pipeline)
     model = session.train_on_dataset(dataset, pipeline)
-    save_model(model, args.model)
     scores = session.score_vectors(model, dataset.vectors, dataset.channels)
     auc = session.cross_validated_auc(dataset, pipeline)
+    save_model(model, args.model)  # last: a failed train writes no file
     print(f"trained on {dataset.n_epochs} epochs "
           f"({dataset.n_targets} targets), {dataset.feature_size} features")
     print(f"cross-validated AUC = {auc:.4f}")
@@ -191,9 +192,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         params, seed=args.seed, timing=timing, pipeline=pipeline,
         n_trials=args.trials, reps_per_object=args.reps_per_object,
         mismatch=args.mismatch)
-    text = json.dumps(report, indent=1, allow_nan=False) + "\n"
-    with open(args.report, "w", encoding="utf-8") as fh:
-        fh.write(text)  # dumped first: a failed dump leaves no partial file
+    write_whole(args.report, (json.dumps(report, indent=1, allow_nan=False)
+                              + "\n").encode("utf-8"))
     p1, p2 = report["phase1"], report["phase2"]
     print(f"phase 1 (mismatch, training orders): {p1['correct']}/{p1['total']} "
           f"correct ({100 * p1['accuracy']:.2f}%)")

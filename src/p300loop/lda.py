@@ -11,6 +11,13 @@ scatter) and the shrinkage solve on them.  Statistics merge and downdate
 blocks of rows exactly, so every fit of the loop is the scaled solve on raw
 statistics: training, retraining merged block by block from the logs, and
 each cross-validation fold downdated from the whole sample's statistics.
+
+The solve uses numpy alone.  One routine, `_shrinkage_solve`, forms and
+factors a fit's matrix c D (S - V^T V) D + mu I a panel of `_PANEL` rows at a
+time (a left-looking blocked Cholesky): S the shared scatter, D the fit's
+scaling, V the rows that leave it.  Each panel reads its slice of S, scales
+it, and subtracts the leaving rows and the factor rows already computed in
+one matrix product, so the matrix is never copied, scaled or downdated whole.
 """
 from __future__ import annotations
 
@@ -18,12 +25,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.blas import dsyrk
 
 from .core import set_readonly
 
 DEFAULT_SHRINKAGE = 1e-3
+_PANEL = 48  # rows per panel of the factorization, fastest at d = 845
 
 
 @dataclass(frozen=True)
@@ -79,8 +85,8 @@ class ClassStatistics:
 
     def solve(self, shrinkage: float = DEFAULT_SHRINKAGE) -> LdaModel:
         """The shrinkage discriminant of these statistics."""
-        return _shrinkage_solve(self.scatter.copy(), self.means, self.counts,
-                                shrinkage)
+        d = self.scatter.shape[0]
+        return self.solve_scaled(np.zeros(d), np.ones(d), shrinkage)
 
     def merged(self, rows: np.ndarray, labels: np.ndarray) -> ClassStatistics:
         """The statistics of this sample with finite `rows` added.
@@ -118,77 +124,114 @@ class ClassStatistics:
         """The discriminant of these rows mapped by (x - shift) * factor.
 
         With D = diag(factor) the means map to D (m - shift) and the scatter
-        to D S D, formed and factored in `out`, a Fortran-order [d x d]
-        buffer (new by default) that may be this scatter: then only its lower
-        triangle is read.
+        to D S D, formed and factored in `out` by `_shrinkage_solve`: a
+        C-order buffer of d columns and at least d rows, new by default.
         """
         if out is None:
-            out = np.empty_like(self.scatter, order="F")
-        if out is not self.scatter:
-            np.copyto(out.T, self.scatter)  # the scatter is symmetric
-        out *= factor[:, None]
-        out *= factor
-        return _shrinkage_solve(out, (self.means - shift) * factor,
-                                self.counts, shrinkage, lower=True)
+            out = np.empty(self.scatter.shape)
+        return _shrinkage_solve(self.scatter, self.counts, self.means, shift,
+                                factor, shrinkage, out)
 
     def solve_without(self, rows: np.ndarray, labels: np.ndarray,
                       shift: np.ndarray, factor: np.ndarray, shrinkage: float,
                       out: np.ndarray) -> LdaModel:
         """`solve_scaled` of the rows that stay once `rows` leave, in `out`.
 
-        `out` is a Fortran-order [d x d] buffer, overwritten; nothing else is
-        written.  Per class, with n rows in all, k leaving and r = n - k
-        staying, the exact downdate of Chan, Golub & LeVeque (1979) is
-        scatter_rest = scatter_all - scatter_part - (r k / n) g g^T, g the
-        leaving rows' mean minus the staying ones': one syrk with alpha = -1
-        on the lower triangle over the leaving rows centred on their class
-        means and sqrt(r k / n) g for each class that loses rows and keeps some.
+        `out` is a C-order buffer of d columns and at least len(rows) + 2 + d
+        rows, overwritten; nothing else is written.  Per class, with n rows
+        in all, k leaving and r = n - k staying, the exact downdate of Chan,
+        Golub & LeVeque (1979) is scatter_rest = scatter_all - scatter_part
+        - (r k / n) g g^T, g the leaving rows' mean minus the staying ones':
+        V^T V for V the leaving rows centred on their class means and
+        sqrt(r k / n) g for each class that loses rows and keeps some.  V is
+        written into the rows of `out` just above its last d, where
+        `_shrinkage_solve` subtracts it as it factors.
         """
-        counts, means, downdate = [], [], []
-        for n, mean_all, part in zip(self.counts, self.means,
-                                     (rows[labels], rows[~labels])):
-            k, rest = len(part), n - len(part)
+        masks = (labels, ~labels)
+        ks = [int(np.count_nonzero(mask)) for mask in masks]
+        n_leaving = len(rows) + sum(0 < k < n for n, k in zip(self.counts, ks))
+        top = len(out) - self.scatter.shape[0]
+        if top < n_leaving:
+            raise ValueError(f"out needs {n_leaving} rows above the last d")
+        counts, means, at = [], [], top - n_leaving
+        for n, mean, mask, k in zip(self.counts, self.means, masks, ks):
             if k:
+                part = np.compress(mask, rows, axis=0, out=out[at:at + k])
                 part_mean = part.mean(axis=0)
-                downdate.append(part - part_mean)
-            if k == 0:
-                mean = mean_all
-            elif rest == 0:
-                mean = np.zeros_like(mean_all)
-            else:
-                mean = (n * mean_all - k * part_mean) / rest
-                downdate.append(math.sqrt(rest * k / n)
-                                * (part_mean - mean)[None, :])
-            counts.append(rest)
+                part -= part_mean
+                at += k
+                if k == n:
+                    mean = np.zeros_like(mean)
+                else:
+                    mean = (n * mean - k * part_mean) / (n - k)
+                    out[at] = math.sqrt((n - k) * k / n) * (part_mean - mean)
+                    at += 1
+            counts.append(n - k)
             means.append(mean)
-        np.copyto(out.T, self.scatter)  # the scatter is symmetric
-        if downdate:  # in place unless `out` is not Fortran-ordered
-            out = dsyrk(-1.0, np.vstack(downdate).T, beta=1.0, c=out, lower=1,
-                        overwrite_c=1)
-        rest = ClassStatistics(counts=tuple(counts), means=np.array(means),
-                               scatter=out)
-        return rest.solve_scaled(shift, factor, shrinkage, out=out)
+        return _shrinkage_solve(self.scatter, tuple(counts), np.array(means),
+                                shift, factor, shrinkage, out, n_leaving)
 
 
-def _shrinkage_solve(scatter: np.ndarray, means: np.ndarray,
-                     counts: tuple[int, int], shrinkage: float,
-                     lower: bool = False) -> LdaModel:
-    """The shrinkage discriminant of a pooled scatter, factored in place.
+def _shrinkage_solve(scatter: np.ndarray, counts: tuple[int, int],
+                     means: np.ndarray, shift: np.ndarray, factor: np.ndarray,
+                     shrinkage: float, out: np.ndarray,
+                     n_leaving: int = 0) -> LdaModel:
+    """The discriminant of the scaled rows that stay, factored in `out`.
 
-    `scatter` is overwritten; only its lower triangle is read when `lower`
-    is set, only its upper one otherwise.
+    The matrix is A = c D (S - V^T V) D + mu I: S the d x d `scatter`,
+    D = diag(factor), V the `n_leaving` rows of `out` just above its last d,
+    c = (1 - shrinkage) / (n - 2) for the n rows that stay, and mu the
+    shrinkage times the mean diagonal of D (S - V^T V) D / (n - 2).  A is
+    never formed whole.  The last d rows of `out` come to hold U, upper
+    triangular with A = U^T U, `_PANEL` rows at a time (left-looking blocked
+    Cholesky; Golub & Van Loan, Matrix Computations, 4.2): a panel reads its
+    rows of S from its diagonal on, scales them, and subtracts one product
+    of the rows above it in `out`, sqrt(c) V D and the factor rows done;
+    its diagonal block is factored, and the rest of its rows is solved
+    against it by the inverse of the block's factor.  The solve is a blocked
+    substitution with U^T, then with U, through the same inverses.
     """
     if not 0 <= shrinkage <= 1:
         raise ValueError("shrinkage must lie in [0, 1]")
     if min(counts) == 0:
         raise ValueError("both classes must be present")
     d = scatter.shape[0]
+    top = len(out) - d
+    leaving, upper = out[top - n_leaving:top], out[top:]
+    dof = max(sum(counts) - 2, 1)
+    scale = (1.0 - shrinkage) / dof
+    kept = np.diagonal(scatter) - np.einsum("ki,ki->i", leaving, leaving)
+    mu = shrinkage * float(kept @ (factor * factor)) / dof / d
+    leaving *= math.sqrt(scale) * factor
+    row_factor = scale * factor
+    panels = [(start, min(start + _PANEL, d)) for start in range(0, d, _PANEL)]
+    work = np.empty((2, _PANEL, d))  # a panel's rows of A, and of scaled S
+    diagonal = work[0].reshape(-1)[::d + 1]  # the diagonal of its first block
+    inverses = []  # of each diagonal block's lower factor
+    for start, stop in panels:
+        rows, scaled = work[:, :stop - start, :d - start]
+        done = out[top - n_leaving:top + start]
+        np.matmul(done[:, start:stop].T, done[:, start:], out=rows)
+        np.multiply(scatter[start:stop, start:], factor[start:], out=scaled)
+        scaled *= row_factor[start:stop, None]
+        np.subtract(scaled, rows, out=rows)
+        diagonal[:stop - start] += mu
+        if not np.isfinite(rows).all():
+            raise ValueError("the regularized scatter is not finite")
+        lower = np.linalg.cholesky(rows[:, :stop - start])
+        inverses.append(np.linalg.inv(lower))
+        np.matmul(inverses[-1], rows[:, stop - start:],
+                  out=upper[start:stop, stop:])
+        upper[start:stop, start:stop] = lower.T
+    means = (means - shift) * factor
     m1, m2 = means
-    scatter /= max(sum(counts) - 2, 1)
-    target = np.trace(scatter) / d
-    scatter *= 1.0 - shrinkage
-    scatter[np.diag_indices(d)] += shrinkage * target
-    w = cho_solve(cho_factor(scatter, lower=lower, overwrite_a=True), m1 - m2)
+    w = m1 - m2
+    for (start, stop), inverse in zip(panels, inverses):
+        w[start:stop] = inverse @ (w[start:stop]
+                                   - upper[:start, start:stop].T @ w[:start])
+    for (start, stop), inverse in zip(panels[::-1], inverses[::-1]):
+        w[start:stop] = inverse.T @ (w[start:stop]
+                                     - upper[start:stop, stop:] @ w[stop:])
     norm = np.linalg.norm(w)
     if norm == 0:
         raise ValueError("degenerate training set: identical class means")

@@ -308,17 +308,18 @@ def _cross_validated_scores(dataset: LabeledDataset,
     """Held-out discriminant score of every epoch, one fold per session.
 
     The whole dataset's class statistics (`LabeledDataset.statistics`, which
-    training shares) and one Fortran-order d x d buffer serve every fold.  A
-    fold downdates them by its session and solves under its min-max scaling there, in place
+    training shares) and one buffer serve every fold.  A fold downdates them
+    by its session and solves under its min-max scaling there, in place
     (`lda.ClassStatistics.solve_without`): the fit `_fit` makes of the other
     sessions.  The fold's min and max are those of per-session ones.
     """
     session_of = dataset.provenance[:, 1]
-    sessions = np.unique(session_of)
+    sessions, held_counts = np.unique(session_of, return_counts=True)
     if len(sessions) < 2:
         raise ValueError("need at least two sessions for cross-validation")
     vectors, labels, whole = dataset.vectors, dataset.labels, dataset.statistics
-    buffer = np.empty_like(whole.scatter, order="F")
+    buffer = np.empty((held_counts.max() + 2 + vectors.shape[1],
+                       vectors.shape[1]))
     held_rows = [session_of == sess for sess in sessions]
     extremes = np.array([(vectors[held].min(axis=0), vectors[held].max(axis=0))
                          for held in held_rows])

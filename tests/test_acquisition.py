@@ -1,5 +1,8 @@
 """Wire protocol framing, incremental decoding, and file round trips."""
+import errno
 import json
+import os
+import stat
 from dataclasses import replace
 
 import numpy as np
@@ -477,6 +480,83 @@ def _model(pipeline=features.PipelineConfig(window=_WINDOW),
         scaling=dsp.ScalingParams(mins=np.zeros(n), maxes=np.ones(n)),
         channels=("AF3", "P8"), pipeline=pipeline,
         format_version=format_version)
+
+
+class TestWholeFileWrites:
+    """A record or model write that fails partway leaves the old file
+    byte-identical, or no file at all, and no partial file beside it."""
+
+    WRITERS = {"record": lambda path: acq.save_record(_sample_record(), path),
+               "model": lambda path: acq.save_model(_model(), path)}
+
+    @staticmethod
+    def _fail_partway(monkeypatch):
+        """Files opened for writing in `acquisition` store half of what
+        they are given, then raise as a full disk does."""
+        real_open = open
+
+        class HalfWritten:
+            def __init__(self, path, mode):
+                self.fh = real_open(path, mode)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[:len(data) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(acq, "open", HalfWritten, raising=False)
+
+    @pytest.mark.parametrize("kind", sorted(WRITERS))
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch,
+                                             kind):
+        path = tmp_path / "out"
+        path.write_bytes(b"old contents\n")
+        self._fail_partway(monkeypatch)
+        with pytest.raises(OSError, match="No space"):
+            self.WRITERS[kind](path)
+        assert path.read_bytes() == b"old contents\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    @pytest.mark.parametrize("kind", sorted(WRITERS))
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch, kind):
+        self._fail_partway(monkeypatch)
+        with pytest.raises(OSError, match="No space"):
+            self.WRITERS[kind](tmp_path / "out")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("kind", sorted(WRITERS))
+    def test_write_replaces_the_old_file(self, tmp_path, kind):
+        path = tmp_path / "out"
+        path.write_bytes(b"old contents\n")
+        self.WRITERS[kind](path)
+        self.WRITERS[kind](tmp_path / "fresh")
+        assert path.read_bytes() == (tmp_path / "fresh").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh", "out"]
+
+    def test_write_through_a_symlink_keeps_the_link(self, tmp_path):
+        target, link = tmp_path / "target", tmp_path / "link"
+        target.write_bytes(b"old")
+        link.symlink_to(target)
+        acq.write_whole(link, b"new")
+        assert link.is_symlink() and target.read_bytes() == b"new"
+
+    def test_write_keeps_the_old_file_permissions(self, tmp_path):
+        path = tmp_path / "private"
+        path.write_bytes(b"old")
+        path.chmod(0o600)
+        acq.write_whole(path, b"new")
+        assert path.read_bytes() == b"new"
+        assert stat.S_IMODE(path.stat().st_mode) == 0o600
+
+    def test_write_to_a_device_writes_in_place(self):
+        # no file can be made beside /dev/null, nor renamed over it
+        acq.write_whole(os.devnull, b"discarded")
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
 
 _UNIT5 = dsp.ScalingParams(mins=np.zeros(5), maxes=np.ones(5))

@@ -7,6 +7,8 @@ import socket
 import sys
 import threading
 import time
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,6 +153,19 @@ class TestSimulate:
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_float32_overflow_is_refused_before_numpy_warns(self, tmp_path,
+                                                             capsys):
+        # 1e308 is finite, but its samples overflow the float32 cast: a data
+        # error, refused before numpy would warn of the overflow
+        out = tmp_path / "x.eegs"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _run(["simulate", "--out", str(out), "--p300-amp=1e308",
+                         "--sessions-per-scenario", "1",
+                         "--runs-per-session", "1"]) == 2
+        assert "infinite as float32" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_reports_dataset_geometry(self, workspace, capsys):
@@ -214,6 +229,17 @@ class TestTrain:
                      "--model", str(tmp_path / "m.json")]) == 2
         assert "target labels" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
+
+    def test_failed_cross_validation_writes_no_model(self, tmp_path,
+                                                     capsys):
+        # one session cannot be cross-validated, so no model is written
+        record, model = tmp_path / "one.eegs", tmp_path / "m.json"
+        assert _run(["simulate", "--out", str(record),
+                     "--sessions-per-scenario", "1"]) == 0
+        assert _run(["train", "--record", str(record),
+                     "--model", str(model)]) == 2
+        assert "two sessions" in capsys.readouterr().err
+        assert not model.exists()
 
     @pytest.mark.parametrize("flags", [
         ["--shrinkage", "2"], ["--shrinkage", "-0.5"], ["--shrinkage", "nan"],
@@ -290,6 +316,24 @@ class TestEvaluate:
                             lambda *args, **kwargs: {"value": float("nan")})
         assert _run(["evaluate", "--report", str(report)]) == 2
         assert report.read_text() == "old\n"
+
+    def test_failed_write_leaves_the_old_report(self, tmp_path, monkeypatch,
+                                                capsys):
+        # the new report is written beside the old one, then renamed over it
+        report = tmp_path / "r.json"
+        report.write_text("old\n")
+        monkeypatch.setattr(cli, "run_full_evaluation",
+                            lambda *args, **kwargs: {"value": 1.0})
+
+        def fail(src, dst):
+            assert Path(src).read_text() == '{\n "value": 1.0\n}\n'
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(acquisition.os, "replace", fail)
+        assert _run(["evaluate", "--report", str(report)]) == 2
+        assert "rename failed" in capsys.readouterr().err
+        assert report.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
 
 
 class TestInspect:

@@ -146,17 +146,22 @@ class TestTrain:
 
 
 def _one_piece_train(vectors, labels, shrinkage):
-    """Reference: the discriminant written out in one piece, in the same
-    order of operations as `lda.train`, so the results are bitwise equal."""
+    """Reference: the discriminant written out in one piece, with the numpy
+    calls of `lda.train` in the same order: while d is at most one panel the
+    results are bitwise equal."""
     pos, neg = vectors[labels], vectors[~labels]
     n, d = vectors.shape
     m1, m2 = pos.mean(axis=0), neg.mean(axis=0)
     pos_c, neg_c = pos - m1, neg - m2
-    scatter = (pos_c.T @ pos_c + neg_c.T @ neg_c) / max(n - 2, 1)
-    target = np.trace(scatter) / d
-    regularized = (1.0 - shrinkage) * scatter
-    regularized[np.diag_indices(d)] += shrinkage * target
-    w = cho_solve(cho_factor(regularized), m1 - m2)
+    scatter = pos_c.T @ pos_c + neg_c.T @ neg_c
+    factor = np.ones(d)  # train scales nothing
+    dof = max(n - 2, 1)
+    regularized = scatter * factor
+    regularized *= ((1.0 - shrinkage) / dof * factor)[:, None]
+    regularized[np.diag_indices(d)] += (
+        shrinkage * float(np.diagonal(scatter) @ (factor * factor)) / dof / d)
+    inverse = np.linalg.inv(np.linalg.cholesky(regularized))
+    w = inverse.T @ (inverse @ (m1 - m2))
     w = w / np.linalg.norm(w)
     return w, -float(w @ (m1 + m2)) / 2.0
 
@@ -215,7 +220,7 @@ class TestClassStatistics:
         d = vectors.shape[1]
         whole = lda.ClassStatistics.of(vectors, labels)
         rest = lda.ClassStatistics.of(vectors[~leaving], labels[~leaving])
-        out = np.empty((d, d), order="F")
+        out = np.empty((leaving.sum() + 2 + d, d))
 
         def fold():
             return whole.solve_without(vectors[leaving], labels[leaving],
@@ -294,13 +299,13 @@ class TestClassStatistics:
         d = vectors.shape[1]
         whole = lda.ClassStatistics.of(vectors, labels)
         before = (whole.scatter.copy(), whole.means.copy(), vectors.copy())
-        out = np.empty((d, d), order="F")
+        out = np.empty((20 + 2 + d, d))  # the 20 rows and one gap per class
         rows = vectors[10:30]  # a view into `vectors`
         shift, factor = vectors.min(axis=0), np.full(d, 0.5)
         whole.solve_without(rows, labels[10:30], shift, factor, 0.01, out)
         for was, now in zip(before, (whole.scatter, whole.means, vectors)):
             assert was.tobytes() == now.tobytes()
-        # the buffer's lower triangle holds the factor of the fold's matrix
+        # the buffer's last d rows hold the upper factor of the fold's matrix
         stay = np.ones(len(labels), dtype=bool)
         stay[10:30] = False
         rest = lda.ClassStatistics.of((vectors[stay] - shift) * factor,
@@ -308,9 +313,89 @@ class TestClassStatistics:
         covariance = rest.scatter / (stay.sum() - 2)
         target = np.trace(covariance) / d
         regularized = 0.99 * covariance + 0.01 * target * np.eye(d)
-        factor_l = np.tril(out)
-        np.testing.assert_allclose(factor_l @ factor_l.T, regularized,
+        factor_u = np.triu(out[-d:])
+        np.testing.assert_allclose(factor_u.T @ factor_u, regularized,
                                    rtol=0, atol=1e-12)
+
+
+class TestPanelFactorization:
+    """The panel by panel factorization and solve against scipy's, at widths
+    on and around the panel's edges."""
+
+    @pytest.mark.parametrize("d", [1, 47, 48, 49, 845])
+    def test_matches_scipy_cholesky(self, d):
+        rng = np.random.default_rng(d)
+        n, k = d + 40, 15
+        vectors = rng.normal(size=(n, d)) * rng.uniform(0.5, 2.0, size=d)
+        labels = np.arange(n) % 3 == 0
+        vectors[labels] += 0.5
+        shift, factor = vectors.min(axis=0), rng.uniform(0.5, 2.0, size=d)
+        out = np.empty((k + 2 + d, d))
+        model = lda.ClassStatistics.of(vectors, labels).solve_without(
+            vectors[:k], labels[:k], shift, factor, 0.1, out)
+        # the fold's matrix formed whole from the rows that stay
+        rest = lda.ClassStatistics.of((vectors[k:] - shift) * factor,
+                                      labels[k:])
+        covariance = rest.scatter / (n - k - 2)
+        regularized = (0.9 * covariance
+                       + 0.1 * np.trace(covariance) / d * np.eye(d))
+        upper = np.triu(cho_factor(regularized)[0])
+        np.testing.assert_allclose(np.triu(out[-d:]), upper, rtol=0,
+                                   atol=1e-12)
+        w = cho_solve((upper, False), rest.means[0] - rest.means[1])
+        np.testing.assert_allclose(model.w, w / np.linalg.norm(w), rtol=0,
+                                   atol=1e-12)
+
+    @staticmethod
+    def _statistics(d=100):
+        rng = np.random.default_rng(5)
+        vectors = rng.normal(size=(3 * d, d))
+        labels = np.arange(3 * d) % 4 == 0
+        return lda.ClassStatistics.of(vectors, labels)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(3, 60), (70, 70), (99, 99)])
+    def test_non_finite_scatter_raises(self, bad, where):
+        # off the diagonal across panels, on a later panel's diagonal and in
+        # the last panel
+        stats = self._statistics()
+        scatter = stats.scatter.copy()
+        scatter[where] = scatter[where[::-1]] = bad
+        broken = lda.ClassStatistics(counts=stats.counts, means=stats.means,
+                                     scatter=scatter)
+        with pytest.raises(ValueError, match="not finite"):
+            broken.solve(0.01)
+
+    def test_non_finite_scaling_or_rows_raise(self):
+        stats = self._statistics()
+        d = stats.scatter.shape[0]
+        factor = np.ones(d)
+        factor[50] = np.inf
+        with pytest.raises(ValueError, match="not finite"):
+            stats.solve_scaled(np.zeros(d), factor, 0.01)
+        rows = np.zeros((4, d))
+        rows[2, 7] = np.nan
+        with pytest.raises(ValueError, match="not finite"):
+            stats.solve_without(rows, np.array([True, False, True, False]),
+                                np.zeros(d), np.ones(d), 0.01,
+                                np.empty((6 + d, d)))
+
+    def test_non_positive_definite_raises(self):
+        # 20 rows span at most 19 of 100 dimensions: unshrunk, singular
+        rng = np.random.default_rng(6)
+        stats = lda.ClassStatistics.of(rng.normal(size=(20, 100)),
+                                       np.arange(20) % 2 == 0)
+        with pytest.raises(np.linalg.LinAlgError):
+            stats.solve(0.0)
+        assert issubclass(np.linalg.LinAlgError, ValueError)
+
+    def test_out_too_small_for_the_leaving_rows(self):
+        stats = self._statistics()
+        d = stats.scatter.shape[0]
+        labels = np.array([True, False, False])
+        with pytest.raises(ValueError, match="out needs 5 rows"):
+            stats.solve_without(np.zeros((3, d)), labels, np.zeros(d),
+                                np.ones(d), 0.01, np.empty((4 + d, d)))
 
 
 class TestScore:
