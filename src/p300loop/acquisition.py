@@ -80,8 +80,11 @@ class SamplesFrame:
     samples: np.ndarray  # [k x channel_count] float32
 
     def __post_init__(self) -> None:
-        if set_readonly(self, "samples", self.samples, np.float32).ndim != 2:
+        samples = set_readonly(self, "samples", self.samples, np.float32)
+        if samples.ndim != 2:
             raise ValueError("samples block must be [k x channels]")
+        if np.isinf(samples).any():  # NaN is a dropped sample, inf corruption
+            raise ValueError("samples block holds a value infinite as float32")
 
     __eq__ = fields_equal
 
@@ -118,8 +121,6 @@ def encode_frame(frame: WireFrame) -> bytes:
         kind = KIND_HEADER
     elif isinstance(frame, SamplesFrame):
         block = frame.samples
-        if np.isinf(block).any():  # what `reassemble` refuses to read
-            raise ValueError("samples block holds a value infinite as float32")
         payload = struct.pack("<QI", frame.first_sample_index, block.shape[0])
         payload += block.astype("<f4", copy=False).tobytes(order="C")
         kind = KIND_SAMPLES
@@ -194,7 +195,10 @@ def decode_frame(buffer, offset: int = 0) -> tuple[WireFrame, int]:
         if k == 0 or len(body) % 4 or (len(body) // 4) % k:
             raise ProtocolError("samples payload has inconsistent size")
         values = np.frombuffer(body, dtype="<f4").reshape(k, -1)
-        frame = SamplesFrame(first_sample_index=first_index, samples=values)
+        try:
+            frame = SamplesFrame(first_sample_index=first_index, samples=values)
+        except ValueError:
+            raise ProtocolError("stream carries an infinite sample") from None
     elif kind == KIND_MARKER:
         if len(payload) != _MARKER.size:
             raise ProtocolError("marker payload has wrong size")
@@ -255,6 +259,8 @@ def stream_record(record: EegRecord, chunk: int = DEFAULT_CHUNK) -> list[WireFra
     """Header, then markers and sample blocks in order, then end.
 
     Each marker is emitted before the sample frame that contains its index.
+    A sample past float32's range is infinite in its frame, which refuses
+    it with ValueError; numpy's warning of the overflow is silenced.
     """
     if chunk < 1:
         raise ValueError("chunk must be at least 1")
@@ -270,25 +276,21 @@ def stream_record(record: EegRecord, chunk: int = DEFAULT_CHUNK) -> list[WireFra
                                                   m.session, m.target)))]
     starts = range(0, record.n_samples, chunk)
     ends = np.searchsorted(m.onset, [start + chunk for start in starts])
-    try:  # a finite sample past float32's range is refused before the
-        # frame's cast makes it infinite with numpy's overflow warning
-        with np.errstate(over="raise"):
-            for start, first, end in zip(starts, [0, *ends.tolist()],
-                                         ends.tolist()):
-                frames += markers[first:end]  # the onsets in this block
-                frames.append(SamplesFrame(
-                    first_sample_index=start,
-                    samples=record.samples[:, start:start + chunk].T))
-    except FloatingPointError:
-        raise ValueError("samples block holds a value infinite as float32"
-                         ) from None
+    with np.errstate(over="ignore"):
+        for start, first, end in zip(starts, [0, *ends.tolist()],
+                                     ends.tolist()):
+            frames += markers[first:end]  # the onsets in this block
+            frames.append(SamplesFrame(
+                first_sample_index=start,
+                samples=record.samples[:, start:start + chunk].T))
     frames.append(EndFrame())
     return frames
 
 
 def reassemble(frames) -> EegRecord:
     """Rebuild a record from a complete frame sequence, enforcing the grammar
-    and what an EegRecord holds: no infinite sample, ordered in-range markers."""
+    and what an EegRecord holds: ordered in-range markers.  No frame holds
+    an infinite sample: `SamplesFrame` refuses one where it is built."""
     frames = list(frames)
     if not frames:
         raise ProtocolError("empty stream")
@@ -319,8 +321,6 @@ def reassemble(frames) -> EegRecord:
     if not blocks:
         raise ProtocolError("stream carries no samples")
     samples = np.concatenate(blocks, axis=0)
-    if np.isinf(samples).any():  # NaN is a dropped sample, inf is corruption
-        raise ProtocolError("stream carries an infinite sample")
     try:
         columns = zip(*((m.sample_index, m.image_id, m.run, m.session,
                          -1 if m.is_target is None else int(m.is_target))
@@ -438,9 +438,10 @@ def _numbers(doc: dict, key: str) -> list:
 
 
 def save_model(model: ModelFile, path) -> None:
-    """Write the model as versioned JSON; floats round-trip exactly."""
+    """Write the model as JSON of the current format, whatever format it was
+    read from; floats round-trip exactly."""
     doc = {
-        "format_version": model.format_version,
+        "format_version": MODEL_FORMAT_VERSION,
         "weights": [float(v) for v in model.weights],
         "bias": float(model.bias),
         "mins": [float(v) for v in model.scaling.mins],

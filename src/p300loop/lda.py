@@ -67,8 +67,8 @@ class ClassStatistics:
 
     `solve` fits the discriminant of the sample, `solve_scaled` the one of
     its rows rescaled, and `solve_without` the one of the rows that stay once
-    some leave, rescaled, by downdating in a caller-owned buffer instead of
-    refitting from the rows that stay.  `merged` adds rows in place.
+    some leave, rescaled, by downdating instead of refitting from the rows
+    that stay.  `merged` adds rows in place.
     """
 
     counts: tuple[int, int]
@@ -119,41 +119,34 @@ class ClassStatistics:
                                scatter=scatter)
 
     def solve_scaled(self, shift: np.ndarray, factor: np.ndarray,
-                     shrinkage: float = DEFAULT_SHRINKAGE,
-                     out: np.ndarray | None = None) -> LdaModel:
+                     shrinkage: float = DEFAULT_SHRINKAGE) -> LdaModel:
         """The discriminant of these rows mapped by (x - shift) * factor.
 
         With D = diag(factor) the means map to D (m - shift) and the scatter
-        to D S D, formed and factored in `out` by `_shrinkage_solve`: a
-        C-order buffer of d columns and at least d rows, new by default.
+        to D S D, formed and factored in a new buffer by `_shrinkage_solve`.
         """
-        if out is None:
-            out = np.empty(self.scatter.shape)
         return _shrinkage_solve(self.scatter, self.counts, self.means, shift,
-                                factor, shrinkage, out)
+                                factor, shrinkage, np.empty(self.scatter.shape))
 
     def solve_without(self, rows: np.ndarray, labels: np.ndarray,
-                      shift: np.ndarray, factor: np.ndarray, shrinkage: float,
-                      out: np.ndarray) -> LdaModel:
-        """`solve_scaled` of the rows that stay once `rows` leave, in `out`.
+                      shift: np.ndarray, factor: np.ndarray,
+                      shrinkage: float) -> LdaModel:
+        """`solve_scaled` of the rows that stay once `rows` leave.
 
-        `out` is a C-order buffer of d columns and at least len(rows) + 2 + d
-        rows, overwritten; nothing else is written.  Per class, with n rows
-        in all, k leaving and r = n - k staying, the exact downdate of Chan,
-        Golub & LeVeque (1979) is scatter_rest = scatter_all - scatter_part
+        Nothing it is given is written.  Per class, with n rows in all, k
+        leaving and r = n - k staying, the exact downdate of Chan, Golub &
+        LeVeque (1979) is scatter_rest = scatter_all - scatter_part
         - (r k / n) g g^T, g the leaving rows' mean minus the staying ones':
         V^T V for V the leaving rows centred on their class means and
         sqrt(r k / n) g for each class that loses rows and keeps some.  V is
-        written into the rows of `out` just above its last d, where
-        `_shrinkage_solve` subtracts it as it factors.
+        written into the first rows of a new buffer, above the d rows where
+        `_shrinkage_solve` factors and subtracts it.
         """
         masks = (labels, ~labels)
         ks = [int(np.count_nonzero(mask)) for mask in masks]
         n_leaving = len(rows) + sum(0 < k < n for n, k in zip(self.counts, ks))
-        top = len(out) - self.scatter.shape[0]
-        if top < n_leaving:
-            raise ValueError(f"out needs {n_leaving} rows above the last d")
-        counts, means, at = [], [], top - n_leaving
+        out = np.empty((n_leaving + len(self.scatter), len(self.scatter)))
+        counts, means, at = [], [], 0
         for n, mean, mask, k in zip(self.counts, self.means, masks, ks):
             if k:
                 part = np.compress(mask, rows, axis=0, out=out[at:at + k])

@@ -37,44 +37,36 @@ DEFAULT_TRIALS = 3
 DEFAULT_REPS_PER_OBJECT = 10
 _RETRAIN_BLOCK = 1024  # fewest epochs per merge of the retraining statistics
 
-_DEFAULT_OBJECTS = (
-    (0, "house", "Take me to my house"),
-    (1, "television", "Turn on the television"),
-    (2, "telephone", "Bring me my telephone"),
-    (3, "car", "Get my chauffeur prepare my car"),
-    (4, "bed", "Take me to my bed"),
-    (5, "coffee", "Get me a cup of coffee"),
-    (6, "meal", "Prepare my meal"),
-    (7, "bath", "Get my bath ready"),
-    (8, "shopping cart", "Take me shopping"),
-    (9, "internet modem", "Turn on the internet modem"),
-    (10, "popcorn", "Bring me some popcorn"),
-    (11, "heart", "Call my doctor immediately"),
+OBJECTS = (  # (label, message) of each image id
+    ("house", "Take me to my house"),
+    ("television", "Turn on the television"),
+    ("telephone", "Bring me my telephone"),
+    ("car", "Get my chauffeur prepare my car"),
+    ("bed", "Take me to my bed"),
+    ("coffee", "Get me a cup of coffee"),
+    ("meal", "Prepare my meal"),
+    ("bath", "Get my bath ready"),
+    ("shopping cart", "Take me shopping"),
+    ("internet modem", "Turn on the internet modem"),
+    ("popcorn", "Bring me some popcorn"),
+    ("heart", "Call my doctor immediately"),
 )
 
 
-@dataclass(frozen=True)
 class ObjectCatalog:
     """The 12 selectable objects and the command message each one triggers."""
 
-    entries: tuple[tuple[int, str, str], ...] = _DEFAULT_OBJECTS
-
-    def __post_init__(self) -> None:
-        ids = sorted(e[0] for e in self.entries)
-        if ids != list(range(N_IMAGES)):
-            raise ValueError("catalog must cover image ids 0..11 exactly once")
-
     def label(self, image_id: int) -> str:
-        return self._entry(image_id)[1]
+        return self._entry(image_id)[0]
 
     def message(self, image_id: int) -> str:
-        return self._entry(image_id)[2]
+        return self._entry(image_id)[1]
 
-    def _entry(self, image_id: int):
-        for entry in self.entries:
-            if entry[0] == image_id:
-                return entry
-        raise KeyError(f"no catalog entry for image {image_id}")
+    @staticmethod
+    def _entry(image_id: int) -> tuple[str, str]:
+        if not 0 <= image_id < N_IMAGES:
+            raise KeyError(f"no catalog entry for image {image_id}")
+        return OBJECTS[image_id]
 
 
 @dataclass(frozen=True)
@@ -258,15 +250,13 @@ def retrain_from_online(model: ModelFile, logs) -> ModelFile:
     per-feature extremes and class statistics (`lda.ClassStatistics.merged`).
     The model is, up to rounding, `train_on_dataset`'s on the stacked logs,
     with `model`'s channels and pipeline; other channels raise ValueError."""
-    stats, extremes, n = None, [], 0
     rows, flags = np.empty((0, len(model.weights))), np.empty(0, bool)
+    stats, extremes, n = lda.ClassStatistics.of(rows, flags), [], 0
 
     def fold():
         nonlocal stats, n
-        block, labels = rows[:n], flags[:n]
-        stats = (stats.merged(block, labels) if stats
-                 else lda.ClassStatistics.of(block, labels))
-        extremes.extend((block.min(axis=0), block.max(axis=0)))
+        stats = stats.merged(rows[:n], flags[:n])
+        extremes.extend((rows[:n].min(axis=0), rows[:n].max(axis=0)))
         n = 0
 
     for log in logs:
@@ -282,7 +272,7 @@ def retrain_from_online(model: ModelFile, logs) -> ModelFile:
             fold()
     if n:
         fold()
-    if stats is None or min(stats.counts) < 2:
+    if min(stats.counts) < 2:
         raise ValueError("need at least two examples of each class to retrain")
     return _fit(stats, dsp.minmax_fit(extremes), model.channels, model.pipeline)
 
@@ -308,18 +298,16 @@ def _cross_validated_scores(dataset: LabeledDataset,
     """Held-out discriminant score of every epoch, one fold per session.
 
     The whole dataset's class statistics (`LabeledDataset.statistics`, which
-    training shares) and one buffer serve every fold.  A fold downdates them
-    by its session and solves under its min-max scaling there, in place
+    training shares) serve every fold.  A fold downdates them by its session
+    and solves under its min-max scaling
     (`lda.ClassStatistics.solve_without`): the fit `_fit` makes of the other
     sessions.  The fold's min and max are those of per-session ones.
     """
     session_of = dataset.provenance[:, 1]
-    sessions, held_counts = np.unique(session_of, return_counts=True)
+    sessions = np.unique(session_of)
     if len(sessions) < 2:
         raise ValueError("need at least two sessions for cross-validation")
     vectors, labels, whole = dataset.vectors, dataset.labels, dataset.statistics
-    buffer = np.empty((held_counts.max() + 2 + vectors.shape[1],
-                       vectors.shape[1]))
     held_rows = [session_of == sess for sess in sessions]
     extremes = np.array([(vectors[held].min(axis=0), vectors[held].max(axis=0))
                          for held in held_rows])
@@ -329,7 +317,7 @@ def _cross_validated_scores(dataset: LabeledDataset,
         scaling = dsp.minmax_fit(extremes[others].reshape(-1, vectors.shape[1]))
         rows = vectors[held]
         model = whole.solve_without(rows, labels[held], scaling.mins,
-                                    scaling.factors, shrinkage, buffer)
+                                    scaling.factors, shrinkage)
         scores[held] = dsp.minmax_apply(scaling, rows) @ model.w + model.b
     return scores
 

@@ -201,6 +201,19 @@ class TestHostileBytes:
         with pytest.raises(acq.ProtocolError, match="infinite"):
             acq.decode_record([wire])
 
+    def test_reader_refuses_the_infinite_frame_as_it_arrives(self):
+        # a live producer that sends +inf and keeps its socket open: the
+        # frame fails as it is fed, not the stream once it ends
+        reader = acq.FrameReader()
+        header = acq.HeaderFrame(channel_count=1, rate=128.0, labels=("Fz",))
+        assert reader.feed(acq.encode_frame(header)) == [header]
+        block = acq.encode_frame(acq.SamplesFrame(
+            first_sample_index=0, samples=np.full((1, 1), 12345.5)))
+        marker = np.float32(12345.5).tobytes()
+        assert block.count(marker) == 1
+        with pytest.raises(acq.ProtocolError, match="infinite sample"):
+            reader.feed(block.replace(marker, np.float32(np.inf).tobytes()))
+
     @pytest.mark.parametrize("value", [np.inf, -np.inf, 1e308, -3.5e38])
     def test_encoder_refuses_what_the_decoder_rejects(self, value, tmp_path):
         # a value past float32's range is infinite on the wire; it once
@@ -589,6 +602,19 @@ class TestModelFile:
             "channels": ["AF3", "P8"],
             "epoch_window": {"start_offset": 1, "length": 3}, "ica": None}))
         assert acq.load_model(path) == v1
+
+    def test_saved_in_the_format_it_writes(self, tmp_path):
+        # a model read from a format-1 file is saved with its pipeline keys:
+        # labelled format 1, they would be dropped when the file is read
+        path = tmp_path / "model.json"
+        trained = features.PipelineConfig(window=_WINDOW, nan_threshold=0.3,
+                                          use_ica=True)
+        old = replace(_model(pipeline=trained), format_version=1)
+        acq.save_model(old, path)
+        assert json.loads(path.read_text())["format_version"] == 2
+        loaded = acq.load_model(path)
+        assert loaded.pipeline == trained
+        assert loaded == replace(old, format_version=2)
 
     def test_ica_section_rejected(self, tmp_path):
         # serving never reads an ICA section, so a file holding one would be

@@ -92,8 +92,11 @@ class TestTrain:
         scatter = ((pos - m1).T @ (pos - m1) + (neg - m2).T @ (neg - m2)) / 78
         direct = np.linalg.solve(scatter, m1 - m2)
         direct = direct / np.linalg.norm(direct)
-        angle = math.acos(min(1.0, abs(float(model.w @ direct))))
-        assert angle <= 1e-9
+        # the chord between the unit vectors, of either sign: acos of their
+        # dot product reads 1.5e-8 once it rounds one step below 1
+        chord = min(np.linalg.norm(model.w - direct),
+                    np.linalg.norm(model.w + direct))
+        assert chord <= 1e-9
 
     def test_full_shrinkage_reduces_to_mean_difference(self):
         rng = np.random.default_rng(13)
@@ -220,11 +223,10 @@ class TestClassStatistics:
         d = vectors.shape[1]
         whole = lda.ClassStatistics.of(vectors, labels)
         rest = lda.ClassStatistics.of(vectors[~leaving], labels[~leaving])
-        out = np.empty((leaving.sum() + 2 + d, d))
 
         def fold():
             return whole.solve_without(vectors[leaving], labels[leaving],
-                                       np.zeros(d), np.ones(d), 0.01, out)
+                                       np.zeros(d), np.ones(d), 0.01)
 
         if leave == "all targets":
             assert rest.counts[0] == 0
@@ -239,8 +241,7 @@ class TestClassStatistics:
         shift = vectors.min(axis=0)
         factor = np.linspace(0.0, 2.0, d)
         got = lda.ClassStatistics.of(vectors, labels).solve_without(
-            vectors[:0], labels[:0], shift, factor, 0.01,
-            np.empty((d, d), order="F"))
+            vectors[:0], labels[:0], shift, factor, 0.01)
         want = lda.ClassStatistics.of((vectors - shift) * factor,
                                       labels).solve(0.01)
         self._assert_same_model(got, want)
@@ -249,7 +250,6 @@ class TestClassStatistics:
     @given(_blocked_rows())
     def test_merged_blocks_match_statistics_of_all_rows(self, drawn):
         vectors, labels, cuts, shift, factor, shrinkage = drawn
-        d = vectors.shape[1]
         merged = lda.ClassStatistics.of(vectors[:0], labels[:0])
         assert merged.counts == (0, 0)
         for rows, block_labels in zip(np.split(vectors, cuts),
@@ -269,13 +269,10 @@ class TestClassStatistics:
         assert merged.scatter.tobytes() == merged.scatter.T.tobytes()
         want = lda.ClassStatistics.of((vectors - shift) * factor,
                                       labels).solve(shrinkage)
-        self._assert_same_model(
-            merged.solve_scaled(shift, factor, shrinkage), want)
         # the scaled solve leaves the statistics as they were
-        out = np.empty((d, d), order="F")
         before = merged.scatter.tobytes()
         self._assert_same_model(
-            merged.solve_scaled(shift, factor, shrinkage, out=out), want)
+            merged.solve_scaled(shift, factor, shrinkage), want)
         assert merged.scatter.tobytes() == before
 
     def test_merge_rejects_non_finite_rows(self):
@@ -295,27 +292,21 @@ class TestClassStatistics:
         assert merged.counts == (labels.sum(), (~labels).sum())
 
     def test_downdate_writes_only_its_buffer(self):
+        # the leaving rows are centred in a buffer of its own, not in place
         vectors, labels = self._data()
         d = vectors.shape[1]
         whole = lda.ClassStatistics.of(vectors, labels)
         before = (whole.scatter.copy(), whole.means.copy(), vectors.copy())
-        out = np.empty((20 + 2 + d, d))  # the 20 rows and one gap per class
         rows = vectors[10:30]  # a view into `vectors`
         shift, factor = vectors.min(axis=0), np.full(d, 0.5)
-        whole.solve_without(rows, labels[10:30], shift, factor, 0.01, out)
+        got = whole.solve_without(rows, labels[10:30], shift, factor, 0.01)
         for was, now in zip(before, (whole.scatter, whole.means, vectors)):
             assert was.tobytes() == now.tobytes()
-        # the buffer's last d rows hold the upper factor of the fold's matrix
         stay = np.ones(len(labels), dtype=bool)
         stay[10:30] = False
         rest = lda.ClassStatistics.of((vectors[stay] - shift) * factor,
                                       labels[stay])
-        covariance = rest.scatter / (stay.sum() - 2)
-        target = np.trace(covariance) / d
-        regularized = 0.99 * covariance + 0.01 * target * np.eye(d)
-        factor_u = np.triu(out[-d:])
-        np.testing.assert_allclose(factor_u.T @ factor_u, regularized,
-                                   rtol=0, atol=1e-12)
+        self._assert_same_model(got, rest.solve(0.01))
 
 
 class TestPanelFactorization:
@@ -330,9 +321,8 @@ class TestPanelFactorization:
         labels = np.arange(n) % 3 == 0
         vectors[labels] += 0.5
         shift, factor = vectors.min(axis=0), rng.uniform(0.5, 2.0, size=d)
-        out = np.empty((k + 2 + d, d))
         model = lda.ClassStatistics.of(vectors, labels).solve_without(
-            vectors[:k], labels[:k], shift, factor, 0.1, out)
+            vectors[:k], labels[:k], shift, factor, 0.1)
         # the fold's matrix formed whole from the rows that stay
         rest = lda.ClassStatistics.of((vectors[k:] - shift) * factor,
                                       labels[k:])
@@ -340,8 +330,13 @@ class TestPanelFactorization:
         regularized = (0.9 * covariance
                        + 0.1 * np.trace(covariance) / d * np.eye(d))
         upper = np.triu(cho_factor(regularized)[0])
-        np.testing.assert_allclose(np.triu(out[-d:]), upper, rtol=0,
-                                   atol=1e-12)
+        # the factor the private solve leaves in its buffer, of the same
+        # rows' raw statistics
+        out = np.empty((d, d))
+        raw = lda.ClassStatistics.of(vectors[k:], labels[k:])
+        lda._shrinkage_solve(raw.scatter, raw.counts, raw.means, shift,
+                             factor, 0.1, out)
+        np.testing.assert_allclose(np.triu(out), upper, rtol=0, atol=1e-12)
         w = cho_solve((upper, False), rest.means[0] - rest.means[1])
         np.testing.assert_allclose(model.w, w / np.linalg.norm(w), rtol=0,
                                    atol=1e-12)
@@ -377,8 +372,7 @@ class TestPanelFactorization:
         rows[2, 7] = np.nan
         with pytest.raises(ValueError, match="not finite"):
             stats.solve_without(rows, np.array([True, False, True, False]),
-                                np.zeros(d), np.ones(d), 0.01,
-                                np.empty((6 + d, d)))
+                                np.zeros(d), np.ones(d), 0.01)
 
     def test_non_positive_definite_raises(self):
         # 20 rows span at most 19 of 100 dimensions: unshrunk, singular
@@ -388,14 +382,6 @@ class TestPanelFactorization:
         with pytest.raises(np.linalg.LinAlgError):
             stats.solve(0.0)
         assert issubclass(np.linalg.LinAlgError, ValueError)
-
-    def test_out_too_small_for_the_leaving_rows(self):
-        stats = self._statistics()
-        d = stats.scatter.shape[0]
-        labels = np.array([True, False, False])
-        with pytest.raises(ValueError, match="out needs 5 rows"):
-            stats.solve_without(np.zeros((3, d)), labels, np.zeros(d),
-                                np.ones(d), 0.01, np.empty((4 + d, d)))
 
 
 class TestScore:
