@@ -1,8 +1,8 @@
 """Tour the framed wire protocol used between producer and consumer.
 
 Streams a short recording into frames, dumps each frame's wire layout,
-then replays the byte stream through the incremental reader in deliberately
-awkward chunk sizes to show that frame boundaries never matter.
+then decodes the byte stream from deliberately awkward fragment sizes to
+show that frame boundaries never matter.
 """
 import argparse
 
@@ -50,24 +50,21 @@ def main() -> None:
     print(f"\ntotal wire size {len(wire)} B "
           f"(magic 'EEGS', kind byte, u32 length, payload)")
 
-    # replay through the incremental reader in awkward chunk sizes
+    # replay through the one-pass decoder in awkward fragment sizes
     rng = np.random.default_rng(0)
-    reader = acquisition.FrameReader()
-    received = []
+    fragments = []
     pos = 0
-    pieces = 0
     while pos < len(wire):
         size = int(rng.integers(1, 23))
-        received += reader.feed(wire[pos:pos + size])
+        fragments.append(wire[pos:pos + size])
         pos += size
-        pieces += 1
-    print(f"\nfed the stream in {pieces} fragments of 1-22 bytes: "
-          f"{len(received)} frames, {reader.pending_bytes} bytes pending")
+    rebuilt = acquisition.decode_record(fragments)
+    print(f"\ndecoded the stream from {len(fragments)} fragments "
+          f"of 1-22 bytes")
 
-    rebuilt = acquisition.reassemble(received)
     quantized = record.samples.astype(np.float32).astype(np.float64)
     exact = np.array_equal(rebuilt.samples, quantized)
-    print(f"reassembled record matches the original "
+    print(f"decoded record matches the original "
           f"(after float32 quantization): {exact}")
     print(f"markers survived with flags intact: "
           f"{rebuilt.markers == record.markers}")

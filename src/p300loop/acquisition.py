@@ -287,50 +287,6 @@ def stream_record(record: EegRecord, chunk: int = DEFAULT_CHUNK) -> list[WireFra
     return frames
 
 
-def reassemble(frames) -> EegRecord:
-    """Rebuild a record from a complete frame sequence, enforcing the grammar
-    and what an EegRecord holds: ordered in-range markers.  No frame holds
-    an infinite sample: `SamplesFrame` refuses one where it is built."""
-    frames = list(frames)
-    if not frames:
-        raise ProtocolError("empty stream")
-    header = frames[0]
-    if not isinstance(header, HeaderFrame):
-        raise ProtocolError("stream must start with a header frame")
-    if not isinstance(frames[-1], EndFrame):
-        raise ProtocolError("stream not terminated by an end frame")
-    blocks = []
-    markers = []
-    expected_index = 0
-    for frame in frames[1:-1]:
-        if isinstance(frame, HeaderFrame):
-            raise ProtocolError("duplicate header frame")
-        if isinstance(frame, EndFrame):
-            raise ProtocolError("frames after end")
-        if isinstance(frame, SamplesFrame):
-            if frame.first_sample_index != expected_index:
-                raise ProtocolError(
-                    f"sample frame at index {frame.first_sample_index}, "
-                    f"expected {expected_index}")
-            if frame.samples.shape[1] != header.channel_count:
-                raise ProtocolError("sample frame channel count mismatch")
-            expected_index += frame.samples.shape[0]
-            blocks.append(frame.samples)
-        else:
-            markers.append(frame)
-    if not blocks:
-        raise ProtocolError("stream carries no samples")
-    samples = np.concatenate(blocks, axis=0)
-    try:
-        columns = zip(*((m.sample_index, m.image_id, m.run, m.session,
-                         -1 if m.is_target is None else int(m.is_target))
-                        for m in markers))
-        return EegRecord(ChannelSet(header.labels), header.rate, samples.T,
-                         Markers(*columns))
-    except (ValueError, OverflowError) as exc:
-        raise ProtocolError(f"stream breaks the record contract: {exc}") from None
-
-
 def encode_record(record: EegRecord, chunk: int) -> bytes:
     """The wire bytes of a record: its `stream_record` frames, encoded."""
     return b"".join(encode_frame(f) for f in stream_record(record, chunk))
@@ -339,16 +295,53 @@ def encode_record(record: EegRecord, chunk: int) -> bytes:
 def decode_record(chunks) -> EegRecord:
     """Rebuild a record from its wire bytes, given as byte chunks of any sizes.
 
-    Raises ProtocolError on malformed bytes, on a broken stream grammar, and
-    when the chunks end mid-frame.
+    Each frame is checked against the stream grammar as the reader completes
+    it, so a misplaced frame raises ProtocolError before the next chunk is
+    read.  Raises ProtocolError too on malformed bytes, when the chunks end
+    mid-frame or before the end frame, and on markers no EegRecord holds.
     """
     reader = FrameReader()
-    frames: list[WireFrame] = []
+    channels, blocks, markers, n_samples, ended = None, [], [], 0, False
     for data in chunks:
-        frames.extend(reader.feed(data))
+        for frame in reader.feed(data):
+            if ended:
+                raise ProtocolError("frames after end")
+            if isinstance(frame, HeaderFrame):
+                if channels is not None:
+                    raise ProtocolError("duplicate header frame")
+                try:
+                    channels = ChannelSet(frame.labels)
+                except ValueError as exc:
+                    raise ProtocolError(f"header: {exc}") from None
+                rate = frame.rate
+            elif channels is None:
+                raise ProtocolError("stream must start with a header frame")
+            elif isinstance(frame, SamplesFrame):
+                if frame.first_sample_index != n_samples:
+                    raise ProtocolError(
+                        f"sample frame at index {frame.first_sample_index}, "
+                        f"expected {n_samples}")
+                if frame.samples.shape[1] != len(channels):
+                    raise ProtocolError("sample frame channel count mismatch")
+                n_samples += frame.samples.shape[0]
+                blocks.append(frame.samples)
+            elif isinstance(frame, MarkerFrame):
+                markers.append((frame.sample_index, frame.image_id, frame.run,
+                                frame.session, -1 if frame.is_target is None
+                                else int(frame.is_target)))
+            else:
+                ended = True
     if reader.pending_bytes:
         raise ProtocolError("stream ended mid-frame")
-    return reassemble(frames)
+    if not ended:
+        raise ProtocolError("stream not terminated by an end frame")
+    if not blocks:
+        raise ProtocolError("stream carries no samples")
+    samples = np.concatenate(blocks, axis=0)
+    try:
+        return EegRecord(channels, rate, samples.T, Markers(*zip(*markers)))
+    except (ValueError, OverflowError) as exc:
+        raise ProtocolError(f"stream breaks the record contract: {exc}") from None
 
 
 def write_whole(path, data: bytes) -> None:
@@ -403,11 +396,10 @@ class ModelFile:
 
     def __post_init__(self) -> None:
         weights = set_readonly(self, "weights", self.weights)
-        channels = tuple(self.channels)
-        if not (all(isinstance(label, str) and label for label in channels)
-                and 0 < len(set(channels)) == len(channels)):
-            raise FormatError("model channels must be unique, non-empty strings")
-        object.__setattr__(self, "channels", channels)
+        try:
+            object.__setattr__(self, "channels", ChannelSet(self.channels).labels)
+        except ValueError as exc:
+            raise FormatError(f"model channels: {exc}") from None
         expected = len(self.channels) * self.window.length
         if weights.shape != (expected,):
             raise FormatError(

@@ -185,6 +185,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                          "at least 1")
     if not np.isfinite(args.mismatch):
         raise UsageError("evaluate needs a finite --mismatch")
+    if args.constant_offset is not None:  # a flag of simulate's, not its own
+        raise UsageError("evaluate takes no --constant-offset: it offsets "
+                         "training by 0 and both phases by --mismatch")
     timing = _overridden(TimingConfig, vars(args))
     params = _overridden(SubjectParams, vars(args), seed=args.seed)
     pipeline = _pipeline_from(args)

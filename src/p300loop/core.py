@@ -27,16 +27,16 @@ N_IMAGES = 12
 
 @dataclass(frozen=True)
 class ChannelSet:
-    """Ordered, unique channel labels; defines row order of sample matrices."""
+    """Channel labels, unique non-empty strings, in sample-matrix row order."""
 
     labels: tuple[str, ...] = DEFAULT_CHANNEL_LABELS
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "labels", tuple(self.labels))
-        if len(self.labels) == 0:
-            raise ValueError("channel set must not be empty")
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError("channel labels must be unique")
+        labels = tuple(self.labels)
+        object.__setattr__(self, "labels", labels)
+        if not (all(isinstance(label, str) and label for label in labels)
+                and 0 < len(set(labels)) == len(labels)):
+            raise ValueError("channel labels must be unique, non-empty strings")
 
     def __len__(self) -> int:
         return len(self.labels)

@@ -43,10 +43,9 @@ class PipelineConfig:
     use_ica: bool = False
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.nan_threshold):
-            raise ValueError("nan_threshold must be finite")
-        if not 0 <= self.shrinkage <= 1:  # NaN fails too
-            raise ValueError("shrinkage must lie in [0, 1]")
+        for name in ("nan_threshold", "shrinkage"):
+            if not 0 <= getattr(self, name) <= 1:  # NaN fails too
+                raise ValueError(f"{name} must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -99,14 +98,15 @@ class LabeledDataset:
 
 def prune_channels(record: EegRecord,
                    nan_threshold: float = DEFAULT_NAN_THRESHOLD):
-    """Drop channels whose NaN fraction exceeds the threshold.
+    """Drop channels whose NaN fraction exceeds the threshold, and those all
+    NaN whatever the threshold: no value is left to interpolate from.
 
     Surviving channels keep their order; their residual isolated NaNs are
     linearly interpolated from the nearest valid neighbours.  Returns
     (pruned record, list of dropped labels).
     """
     nan_fraction = np.isnan(record.samples).mean(axis=1)
-    keep = nan_fraction <= nan_threshold
+    keep = (nan_fraction <= nan_threshold) & (nan_fraction < 1)
     if not keep.any():
         raise ValueError("all channels exceed the NaN threshold")
     dropped = [lab for lab, k in zip(record.channels, keep) if not k]

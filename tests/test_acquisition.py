@@ -316,7 +316,7 @@ class TestFrameReader:
         assert got == want
         assert chunked.pending_bytes == whole.pending_bytes > 0
         # decode_record on the same chunks: mid-frame at the cut header,
-        # the reassembled record without it
+        # the record of one whole chunk without it
         steps = np.random.default_rng(6).integers(1, 4097, size=len(wire))
         bounds = np.concatenate([[0], np.cumsum(steps)])
 
@@ -328,7 +328,7 @@ class TestFrameReader:
             acq.decode_record(chunks(wire))
         complete = wire[:len(wire) - whole.pending_bytes]
         decoded = acq.decode_record(chunks(complete))
-        rebuilt = acq.reassemble(want)
+        rebuilt = acq.decode_record([complete])
         assert decoded.samples.tobytes() == rebuilt.samples.tobytes()
         assert decoded.markers == rebuilt.markers
         assert decoded.channels == rebuilt.channels
@@ -389,16 +389,22 @@ class TestStreamRecord:
         rng = np.random.default_rng(4)
         rec = core.EegRecord(core.ChannelSet(("A", "B")), 128.0,
                              rng.normal(size=(2, 10)))
-        frames = acq.stream_record(rec, chunk=1)
-        rebuilt = acq.reassemble(frames)
+        rebuilt = acq.decode_record([acq.encode_record(rec, 1)])
         np.testing.assert_array_equal(
             rebuilt.samples, rec.samples.astype(np.float32).astype(np.float64))
 
 
+def _decoded(frames) -> core.EegRecord:
+    """decode_record on `frames` encoded, one chunk per frame."""
+    return acq.decode_record(acq.encode_frame(f) for f in frames)
+
+
 class TestReassemble:
+    """decode_record folds the frames into a record, checking the grammar."""
+
     def test_round_trip_up_to_float32(self):
         rec = _sample_record()
-        rebuilt = acq.reassemble(acq.stream_record(rec, chunk=50))
+        rebuilt = _decoded(acq.stream_record(rec, chunk=50))
         assert tuple(rebuilt.channels) == tuple(rec.channels)
         assert rebuilt.rate == rec.rate
         assert rebuilt.markers == rec.markers  # includes the unknown flag
@@ -406,6 +412,12 @@ class TestReassemble:
         np.testing.assert_array_equal(
             np.nan_to_num(rebuilt.samples, nan=-1.0),
             np.nan_to_num(want, nan=-1.0))
+
+    _MESSAGES = {"empty": "not terminated", "no header": "start with a header",
+                 "no end": "not terminated",
+                 "duplicate header": "duplicate header",
+                 "frames after end": "frames after end",
+                 "no samples": "no samples"}
 
     @pytest.mark.parametrize("mutate, kind", [
         (lambda f: [], "empty"),
@@ -417,16 +429,16 @@ class TestReassemble:
     ])
     def test_grammar_violations(self, mutate, kind):
         frames = acq.stream_record(_sample_record(), chunk=64)
-        with pytest.raises(acq.ProtocolError):
-            acq.reassemble(mutate(frames))
+        with pytest.raises(acq.ProtocolError, match=self._MESSAGES[kind]):
+            _decoded(mutate(frames))
 
     def test_gap_in_sample_indices(self):
         frames = acq.stream_record(_sample_record(), chunk=64)
         dropped = [f for f in frames
                    if not (isinstance(f, acq.SamplesFrame)
                            and f.first_sample_index == 64)]
-        with pytest.raises(acq.ProtocolError):
-            acq.reassemble(dropped)
+        with pytest.raises(acq.ProtocolError, match="index 128, expected 64"):
+            _decoded(dropped)
 
     def test_channel_count_mismatch(self):
         frames = acq.stream_record(_sample_record(), chunk=64)
@@ -434,8 +446,36 @@ class TestReassemble:
                                samples=np.zeros((64, 2), dtype=np.float32))
         frames[frames.index(next(f for f in frames
                                  if isinstance(f, acq.SamplesFrame)))] = bad
-        with pytest.raises(acq.ProtocolError):
-            acq.reassemble(frames)
+        with pytest.raises(acq.ProtocolError, match="channel count"):
+            _decoded(frames)
+
+    @pytest.mark.parametrize("misplaced, match", [
+        (lambda f: [f[0], f[3]], "index 64, expected 0"),
+        (lambda f: [f[1]], "start with a header"),
+        (lambda f: [f[0], f[0]], "duplicate header"),
+        (lambda f: [f[0], f[2], f[-1], f[1]], "frames after end"),
+        (lambda f: [acq.HeaderFrame(channel_count=2, rate=128.0,
+                                    labels=("A", ""))], "non-empty"),
+        (lambda f: [acq.HeaderFrame(channel_count=2, rate=128.0,
+                                    labels=("A", "A"))], "unique"),
+        (lambda f: [acq.HeaderFrame(channel_count=0, rate=128.0,
+                                    labels=())], "channel labels"),
+    ], ids=["index_gap", "no_header", "second_header", "after_end",
+            "empty_label", "repeated_label", "no_channels"])
+    def test_misplaced_frame_fails_before_the_next_chunk(self, misplaced,
+                                                         match):
+        # a live producer that sends a misplaced frame and holds its socket
+        # open: the frame fails as it arrives, before another chunk is read
+        frames = acq.stream_record(_sample_record(), chunk=64)
+        assert isinstance(frames[3], acq.SamplesFrame)
+        assert frames[3].first_sample_index == 64
+
+        def chunks():
+            yield from (acq.encode_frame(f) for f in misplaced(frames))
+            pytest.fail("read past the misplaced frame")
+
+        with pytest.raises(acq.ProtocolError, match=match):
+            acq.decode_record(chunks())
 
 
 class TestRecordFiles:

@@ -243,7 +243,8 @@ class TestTrain:
 
     @pytest.mark.parametrize("flags", [
         ["--shrinkage", "2"], ["--shrinkage", "-0.5"], ["--shrinkage", "nan"],
-        ["--nan-threshold", "nan"], ["--nan-threshold", "inf"]])
+        ["--nan-threshold", "nan"], ["--nan-threshold", "inf"],
+        ["--nan-threshold", "-1"], ["--nan-threshold", "5"]])
     def test_pipeline_is_checked_before_the_record_is_read(
             self, tmp_path, monkeypatch, capsys, flags):
         # `--shrinkage 2` once failed in the solver, after decoding and
@@ -307,6 +308,25 @@ class TestEvaluate:
         assert _run(["evaluate", "--report", str(report),
                      f"{flag}={value}"]) == 1
         assert flag in capsys.readouterr().err
+        assert calls == [] and not report.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_constant_offset_is_a_usage_error(self, tmp_path, monkeypatch,
+                                              capsys, source):
+        # the evaluation sets the offset of training and of each phase, so
+        # the flag once changed nothing, not even the report
+        calls = []
+        monkeypatch.setattr(cli, "run_full_evaluation",
+                            lambda *args, **kwargs: calls.append(args))
+        argv = ["--constant-offset", "0.3"]
+        if source == "config":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"constant_offset": 0.3}))
+            argv = ["--config", str(cfg)]
+        report = tmp_path / "r.json"
+        assert _run(["evaluate", "--report", str(report),
+                     "--reps-per-object", "1", *argv]) == 1
+        assert "--constant-offset" in capsys.readouterr().err
         assert calls == [] and not report.exists()
 
     def test_failed_dump_leaves_the_old_report(self, tmp_path, monkeypatch):
@@ -615,6 +635,29 @@ _FIELD_VALUES = {
 _TIMING_FIELDS = {f.name for f in dataclasses.fields(cli.TimingConfig)}
 
 
+class _Simulated(Exception):
+    """Raised in place of simulating, past the point the configs are built."""
+
+
+def _simulate_configs(monkeypatch, tmp_path, argv):
+    """The configs `simulate` hands to the schedule and the subject, which
+    is not simulated."""
+    seen = {}
+
+    def fake_schedule(timing, images, rng):
+        seen.update(timing=timing)
+
+    def fake_subject(schedule, params):
+        seen.update(params=params)
+        raise _Simulated
+
+    monkeypatch.setattr(cli, "build_scenario_schedule", fake_schedule)
+    monkeypatch.setattr(cli, "simulate_subject", fake_subject)
+    with pytest.raises(_Simulated):
+        _run(["simulate", "--out", str(tmp_path / "r.eegs")] + list(argv))
+    return seen
+
+
 def _evaluate_configs(monkeypatch, tmp_path, argv):
     """The configs `evaluate` hands to the evaluation, which is not run."""
     seen = {}
@@ -645,7 +688,11 @@ class TestFieldFlags:
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps({name: value}))
             argv = ["--config", str(cfg)]
-        seen = _evaluate_configs(monkeypatch, tmp_path, argv)
+        if name == "constant_offset":  # evaluate sets its own offsets
+            seen = _simulate_configs(monkeypatch, tmp_path, argv)
+        else:
+            seen = _evaluate_configs(monkeypatch, tmp_path, argv)
+            assert seen["pipeline"] == features.PipelineConfig()
         timing, params = cli.TimingConfig(), cli.SubjectParams(seed=0)
         if name in _TIMING_FIELDS:
             timing = dataclasses.replace(timing, **{name: value})
@@ -653,7 +700,6 @@ class TestFieldFlags:
             params = dataclasses.replace(params, **{name: value})
         assert seen["timing"] == timing
         assert seen["params"] == params
-        assert seen["pipeline"] == features.PipelineConfig()
 
     def test_flag_groups_hold_exactly_the_field_flags(self, capsys):
         with pytest.raises(SystemExit):

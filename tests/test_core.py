@@ -34,6 +34,12 @@ class TestChannelSet:
         with pytest.raises(ValueError):
             core.ChannelSet(())
 
+    @pytest.mark.parametrize("labels", [("A", ""), ("A", 1), ("A", None)])
+    def test_rejects_labels_that_are_not_non_empty_strings(self, labels):
+        # an empty label once made a record that no model file could hold
+        with pytest.raises(ValueError, match="non-empty strings"):
+            core.ChannelSet(labels)
+
     def test_iteration_order(self):
         cs = core.ChannelSet(("X", "Y"))
         assert list(cs) == ["X", "Y"]

@@ -31,6 +31,7 @@ class TestEpochWindow:
 class TestPipelineConfig:
     @pytest.mark.parametrize("field,value", [
         ("nan_threshold", np.nan), ("nan_threshold", np.inf),
+        ("nan_threshold", -1.0), ("nan_threshold", 5.0),
         ("shrinkage", np.nan), ("shrinkage", np.inf), ("shrinkage", 1.5),
         ("shrinkage", -0.1)])
     def test_fields_checked_where_defined(self, field, value):
@@ -59,6 +60,15 @@ class TestPruneChannels:
         rec = _record_with_nans([0.5, 0.6])
         with pytest.raises(ValueError):
             features.prune_channels(rec, nan_threshold=0.05)
+
+    def test_all_nan_channel_dropped_whatever_the_threshold(self):
+        # at a threshold of 1 an all-NaN channel once survived and failed
+        # in np.interp, which has no finite sample to interpolate from
+        rec = _record_with_nans([0.0, 1.0, 0.5])
+        pruned, dropped = features.prune_channels(rec, nan_threshold=1.0)
+        assert dropped == ["C1"]
+        assert tuple(pruned.channels) == ("C0", "C2")
+        assert not np.isnan(pruned.samples).any()
 
     def test_default_pipeline_drops_the_corrupted_channel(self, training_record):
         pruned, dropped = features.prune_channels(training_record)

@@ -430,18 +430,11 @@ def reference_threaded_roundtrip(record, chunk, rng):
             pos += size
         chunk_queue.put(None)
 
-    producer = threading.Thread(target=produce)
+    producer = threading.Thread(target=produce, daemon=True)
     producer.start()
-    reader = acquisition.FrameReader()
-    frames = []
-    while True:
-        data = chunk_queue.get()
-        if data is None:
-            break
-        frames.extend(reader.feed(data))
+    record = acquisition.decode_record(iter(chunk_queue.get, None))
     producer.join()
-    assert reader.pending_bytes == 0
-    return acquisition.reassemble(frames)
+    return record
 
 
 def _served(record, chunk=acquisition.DEFAULT_CHUNK):
