@@ -26,7 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ChannelSet, EegRecord, Markers, fields_equal, set_readonly
+from .core import (N_IMAGES, ChannelSet, EegRecord, Markers, fields_equal,
+                   set_readonly)
 from .dsp import ScalingParams
 from .features import EpochWindow, PipelineConfig
 
@@ -205,6 +206,8 @@ def decode_frame(buffer, offset: int = 0) -> tuple[WireFrame, int]:
         sample_index, image_id, run, session, target_byte = _MARKER.unpack(payload)
         if target_byte not in (0, 1, _TARGET_UNKNOWN):
             raise ProtocolError(f"bad target byte {target_byte}")
+        if image_id >= N_IMAGES:  # as Markers words it
+            raise ProtocolError(f"image_id {image_id} outside [0, {N_IMAGES})")
         is_target = None if target_byte == _TARGET_UNKNOWN else bool(target_byte)
         frame = MarkerFrame(sample_index=sample_index, image_id=image_id,
                             run=run, session=session, is_target=is_target)

@@ -177,8 +177,8 @@ class EegRecord:
     markers: Markers = ()  # or a sequence of StimulusEvent rows
 
     def __post_init__(self) -> None:
-        if self.rate <= 0:
-            raise ValueError("rate must be positive")
+        if not 0 < self.rate < np.inf:  # NaN fails too
+            raise ValueError("rate must be finite and positive")
         samples = set_readonly(self, "samples", self.samples)
         if samples.ndim != 2:
             raise ValueError("samples must be a 2-D matrix")

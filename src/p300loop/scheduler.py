@@ -108,13 +108,17 @@ class ScenarioSchedule:
 
 
 def _markers(grid, runs_per_session: int, rng, sequences=None,
-             session_targets=None) -> Markers:
+             session_targets=()) -> Markers:
     """The flash table of consecutive runs at `_run_grid` slots: run k is
     run k % runs_per_session of session k // runs_per_session and shows
     `sequences[k]`, or else a `generate_run_sequence` draw from `rng` that
     does not open with the image that closed run k - 1.  Flashes of their
-    session's `session_targets` entry are targets; without it none is known.
+    session's `session_targets` entry are targets; without them none is
+    known.  This is the one labelling of flashes and check of target images.
     """
+    targets = np.asarray(session_targets, dtype=np.int64)
+    if ((targets < 0) | (targets >= N_IMAGES)).any():
+        raise ValueError("session target outside image id range")
     n_runs = len(grid[0]) // N_IMAGES
     if sequences is None:
         sequences = []
@@ -124,8 +128,7 @@ def _markers(grid, runs_per_session: int, rng, sequences=None,
     k = np.repeat(np.arange(n_runs), N_IMAGES)
     image = np.concatenate(sequences)
     session = k // runs_per_session
-    target = (None if session_targets is None
-              else image == np.asarray(session_targets)[session])
+    target = image == targets[session] if len(targets) else None
     return Markers(onset=grid[0], image=image, run=k % runs_per_session,
                    session=session, target=target, onset_s=grid[1])
 
@@ -154,8 +157,6 @@ def build_scenario_schedule(timing: TimingConfig,
     session_targets = [int(t) for t in session_targets]
     if len(session_targets) != timing.sessions_per_scenario:
         raise ValueError("need one target image per session")
-    if any(not 0 <= t < N_IMAGES for t in session_targets):
-        raise ValueError("session target outside image id range")
     if rng is None:
         raise TypeError("a scenario schedule needs rng")
 
@@ -175,10 +176,12 @@ def build_scenario_schedule(timing: TimingConfig,
 def build_online_trial_schedule(timing: TimingConfig,
                                 n_trials: int = 3,
                                 rng: np.random.Generator | None = None,
-                                sequences=None) -> ScenarioSchedule:
+                                sequences=None,
+                                target: int | None = None) -> ScenarioSchedule:
     """n_trials back-to-back runs with d_run_interval gaps and no prefix.
 
-    is_target is left unset (blind use).  When sequences is given (one image
+    is_target marks flashes of the attended image `target`; without it every
+    flag is left unknown (blind use).  When sequences is given (one image
     order per trial) it is used verbatim instead of fresh random permutations,
     which lets an online phase replay the exact flashing orders of a recorded
     training scenario; otherwise `rng` draws them and is required.
@@ -195,8 +198,9 @@ def build_online_trial_schedule(timing: TimingConfig,
         raise TypeError("an online schedule without sequences needs rng")
 
     grid, span_s = online_grid(timing, n_trials)
-    return ScenarioSchedule(span_s=span_s,
-                            events=_markers(grid, n_trials, rng, sequences))
+    targets = () if target is None else (int(target),)
+    events = _markers(grid, n_trials, rng, sequences, targets)
+    return ScenarioSchedule(events, session_targets=targets, span_s=span_s)
 
 
 @functools.lru_cache(maxsize=32)

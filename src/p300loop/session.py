@@ -30,7 +30,7 @@ from .scheduler import (
     durations,
     online_grid,
 )
-from .subject import SubjectParams, simulate_subject, with_targets
+from .subject import SubjectParams, simulate_subject
 
 DEFAULT_MISMATCH_S = 0.1
 DEFAULT_TRIALS = 3
@@ -222,9 +222,8 @@ def run_online_selection(model: ModelFile, params: SubjectParams,
     The wire bytes are decoded from slices cut every `RECV_BYTES`; `rng`
     draws only the flashing orders, and nothing when `sequences` gives them.
     """
-    blind = build_online_trial_schedule(timing, n_trials, rng,
-                                        sequences=sequences)
-    schedule = with_targets(blind, target)
+    schedule = build_online_trial_schedule(timing, n_trials, rng,
+                                           sequences=sequences, target=target)
     record = simulate_subject(schedule, params)
     payload = acquisition.encode_record(record, acquisition.DEFAULT_CHUNK)
     logged = features.dataset_from_scenario(acquisition.decode_record(
@@ -236,7 +235,7 @@ def run_online_selection(model: ModelFile, params: SubjectParams,
     [(winners, selected)], _ = votes(per_image, n_trials)
 
     result = SelectionResult(trial_winners=winners, per_image_scores=per_image,
-                             selected=selected, latency_s=blind.span_s,
+                             selected=selected, latency_s=schedule.span_s,
                              message=catalog.message(selected))
     return result, logged
 

@@ -21,7 +21,6 @@ from .core import (
     TEMPORAL_LABELS,
     ChannelSet,
     EegRecord,
-    Markers,
     time_to_sample,
 )
 from .scheduler import ScenarioSchedule
@@ -135,18 +134,14 @@ def generate_background(duration: float, channels: ChannelSet,
     return EegRecord(channels, DEFAULT_RATE, samples)
 
 
-def inject_p300(record: EegRecord, schedule: ScenarioSchedule,
-                params: SubjectParams, rng: np.random.Generator) -> EegRecord:
-    """Add the target-flash response bumps; non-target events are untouched.
+def inject_p300(record: EegRecord, params: SubjectParams,
+                rng: np.random.Generator) -> EegRecord:
+    """Add the response bumps of the record's target flashes; others untouched.
 
-    Each target event contributes amp * topography[ch] * Gaussian centred at
+    Each target marker contributes amp * topography[ch] * Gaussian centred at
     onset + peak latency + constant offset (+ jitter when enabled).
     """
-    events = schedule.events
-    if len(events) and events.onset[-1] >= record.n_samples:
-        raise IndexError(
-            f"event at sample {events.onset[-1]} beyond record of "
-            f"{record.n_samples} samples")
+    events = record.markers
     if (events.target < 0).any():
         raise ValueError("is_target flags must be set before injection")
     if params.p300_amp == 0:
@@ -221,17 +216,9 @@ def simulate_subject(schedule: ScenarioSchedule,
     duration = schedule.span_s + TAIL_S
     record = generate_background(duration, ChannelSet(), params, bg_rng)
     record = record.with_markers(schedule.events)
-    record = inject_p300(record, schedule, params, p300_rng)
+    record = inject_p300(record, params, p300_rng)
     record = inject_blinks(record, params, blink_rng)
     if params.nan_fraction > 0:
         record = corrupt_nan_channel(record, params, nan_rng)
     return record
 
-
-def with_targets(schedule: ScenarioSchedule, target: int) -> ScenarioSchedule:
-    """Copy of a blind schedule with is_target set against one attended image."""
-    events = schedule.events
-    return ScenarioSchedule(
-        events=Markers(events.onset, events.image, events.run, events.session,
-                       events.image == target, events.onset_s),
-        session_targets=schedule.session_targets, span_s=schedule.span_s)

@@ -460,8 +460,10 @@ class TestReassemble:
                                     labels=("A", "A"))], "unique"),
         (lambda f: [acq.HeaderFrame(channel_count=0, rate=128.0,
                                     labels=())], "channel labels"),
+        (lambda f: [f[0], replace(f[1], image_id=200)],
+         r"image_id 200 outside \[0, 12\)"),
     ], ids=["index_gap", "no_header", "second_header", "after_end",
-            "empty_label", "repeated_label", "no_channels"])
+            "empty_label", "repeated_label", "no_channels", "image_id"])
     def test_misplaced_frame_fails_before_the_next_chunk(self, misplaced,
                                                          match):
         # a live producer that sends a misplaced frame and holds its socket

@@ -283,6 +283,14 @@ class TestEegRecord:
             core.EegRecord(samples=np.zeros((1, 8)), rate=0.0,
                            channels=core.ChannelSet(("A",)))
 
+    @pytest.mark.parametrize("rate", [np.nan, np.inf, -np.inf])
+    def test_rate_must_be_finite(self, rate):
+        with pytest.raises(ValueError, match="finite and positive"):
+            core.EegRecord(samples=np.zeros((1, 8)), rate=rate,
+                           channels=core.ChannelSet(("A",)))
+        assert core.EegRecord(core.ChannelSet(("A",)), 128,
+                              np.zeros((1, 8))).rate == 128
+
     def test_markers_must_be_increasing_and_in_range(self):
         rec = self._record(n=16)
         ev = core.StimulusEvent(image_id=0, onset_sample=5,

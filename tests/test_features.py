@@ -182,10 +182,11 @@ class TestDatasetFromScenario:
 
     def test_unlabelled_events_rejected(self):
         t = scheduler.TimingConfig(sessions_per_scenario=1, runs_per_session=1)
-        blind = scheduler.build_online_trial_schedule(
-            t, n_trials=1, rng=np.random.default_rng(0))
+        blind, attended = (scheduler.build_online_trial_schedule(
+            t, n_trials=1, rng=np.random.default_rng(0), target=target)
+            for target in (None, 0))
         params = subject.SubjectParams(seed=0, nan_fraction=0.0)
-        rec = subject.simulate_subject(subject.with_targets(blind, 0), params)
+        rec = subject.simulate_subject(attended, params)
         rec = rec.with_markers(blind.events)
         with pytest.raises(ValueError):
             features.dataset_from_scenario(rec)

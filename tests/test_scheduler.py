@@ -232,6 +232,42 @@ class TestOnlineTrialSchedule:
             scheduler.build_online_trial_schedule(scheduler.TimingConfig(),
                                                   n_trials=0)
 
+    def test_flags_set_against_target(self):
+        t = scheduler.TimingConfig()
+        for n_trials, seed, target in [(2, 0, 7), (3, 5, 0), (1, 9, 11)]:
+            blind, labelled = (scheduler.build_online_trial_schedule(
+                t, n_trials, np.random.default_rng(seed), target=attended)
+                for attended in (None, target))
+            want = reference_with_targets(blind, target).events
+            for column in ("onset", "image", "run", "session", "target",
+                           "onset_s"):
+                assert (getattr(labelled.events, column).tobytes()
+                        == getattr(want, column).tobytes())
+            assert labelled.session_targets == (target,)
+            assert labelled.n_targets == n_trials
+            # without a target every flag is unknown, as a blind consumer
+            # sees it
+            assert (blind.events.target == -1).all()
+            assert blind.session_targets == ()
+
+    @pytest.mark.parametrize("target", [12, -1, 200])
+    def test_target_outside_image_range_rejected(self, target):
+        with pytest.raises(ValueError, match="outside image id range"):
+            scheduler.build_online_trial_schedule(
+                scheduler.TimingConfig(), 2, np.random.default_rng(0),
+                target=target)
+
+
+def reference_with_targets(schedule, target):
+    """The copy of a blind schedule relabelled against one attended image
+    that online selections made before the builder took `target`."""
+    events = schedule.events
+    return scheduler.ScenarioSchedule(
+        events=core.Markers(events.onset, events.image, events.run,
+                            events.session, events.image == target,
+                            events.onset_s),
+        session_targets=schedule.session_targets, span_s=schedule.span_s)
+
 
 def reference_online_schedule(timing, n_trials, rng, sequences=None):
     """The per-call Fraction builder that the cached online grid replaced."""

@@ -403,11 +403,11 @@ class TestOnlineSelection:
 class TestScoreTable:
     def test_unknown_target_flags_score_as_labelled(self, noiseless_training):
         model, _, _ = noiseless_training
-        blind = scheduler.build_online_trial_schedule(
-            scheduler.TimingConfig(), 3, np.random.default_rng(8))
+        blind, attended = (scheduler.build_online_trial_schedule(
+            scheduler.TimingConfig(), 3, np.random.default_rng(8),
+            target=target) for target in (None, 4))
         labelled = subject.simulate_subject(
-            subject.with_targets(blind, 4),
-            subject.SubjectParams(seed=7, nan_fraction=0.0))
+            attended, subject.SubjectParams(seed=7, nan_fraction=0.0))
         unlabelled = labelled.with_markers(blind.events)
         assert all(ev.is_target is None for ev in unlabelled.markers)
         want = session.score_table(model, labelled)
@@ -448,10 +448,9 @@ def _served(record, chunk=acquisition.DEFAULT_CHUNK):
 
 def _online_record():
     """A default 3-trial online record, the subject attending image 2."""
-    blind = scheduler.build_online_trial_schedule(
-        scheduler.TimingConfig(), 3, np.random.default_rng(1))
-    return subject.simulate_subject(subject.with_targets(blind, 2),
-                                    subject.SubjectParams(seed=3))
+    schedule = scheduler.build_online_trial_schedule(
+        scheduler.TimingConfig(), 3, np.random.default_rng(1), target=2)
+    return subject.simulate_subject(schedule, subject.SubjectParams(seed=3))
 
 
 class TestInlineStreamRoundTrip:
@@ -506,10 +505,9 @@ def _replayed_selection_record(seed, index):
     params = replace(subject.SubjectParams(),
                      constant_offset=session.DEFAULT_MISMATCH_S,
                      seed=subject_seed)
-    blind = scheduler.build_online_trial_schedule(timing, 3, rng,
-                                                  sequences=sequences)
-    record = subject.simulate_subject(subject.with_targets(blind, target),
-                                      params)
+    schedule = scheduler.build_online_trial_schedule(
+        timing, 3, rng, sequences=sequences, target=target)
+    record = subject.simulate_subject(schedule, params)
     return _served(record)
 
 
@@ -535,11 +533,11 @@ class TestOnlineIcaOnDegenerateIterates:
     lambda: subject.inject_p300(
         subject.generate_background(20.0, core.ChannelSet(),
                                     subject.SubjectParams(),
-                                    np.random.default_rng(0)),
-        scheduler.build_scenario_schedule(
-            scheduler.TimingConfig(sessions_per_scenario=1,
-                                   runs_per_session=1),
-            rng=np.random.default_rng(0)),
+                                    np.random.default_rng(0)).with_markers(
+            scheduler.build_scenario_schedule(
+                scheduler.TimingConfig(sessions_per_scenario=1,
+                                       runs_per_session=1),
+                rng=np.random.default_rng(0)).events),
         subject.SubjectParams()),
 ], ids=["scenario_schedule", "online_trial_schedule", "offline_training",
         "inject_p300"])
@@ -638,11 +636,10 @@ class TestRetrainFromOnline:
             model, _noiseless_params(), catalog, 1,
             rng=np.random.default_rng(2))
         t = scheduler.TimingConfig()
-        blind = scheduler.build_online_trial_schedule(
-            t, n_trials=3, rng=np.random.default_rng(3))
+        attended = scheduler.build_online_trial_schedule(
+            t, n_trials=3, rng=np.random.default_rng(3), target=1)
         dirty = features.dataset_from_scenario(subject.simulate_subject(
-            subject.with_targets(blind, 1),
-            _noiseless_params(nan_fraction=0.2)))
+            attended, _noiseless_params(nan_fraction=0.2)))
         # FC5 is pruned from the dirty log; the model has all 14 channels
         assert len(dirty.channels) == 13
         with pytest.raises(ValueError, match="channels"):

@@ -246,9 +246,9 @@ def reference_bumps(n, rate, centres, width):
     return train
 
 
-def reference_inject_p300(record, schedule, params, rng):
+def reference_inject_p300(record, params, rng):
     """`inject_p300`'s samples with every bump summed over the whole record."""
-    onsets = schedule.events.onset[schedule.events.target == 1].tolist()
+    onsets = record.markers.onset[record.markers.target == 1].tolist()
     centres = []
     for onset in onsets:
         jitter = (rng.normal(0.0, params.latency_jitter_sd)
@@ -303,9 +303,9 @@ class TestBumpsWithinReach:
     def test_inject_p300_is_the_full_length_sum(self, seed, n_trials, width,
                                                  offset, jitter_sd):
         rng = np.random.default_rng(seed)
-        blind = scheduler.build_online_trial_schedule(
-            scheduler.TimingConfig(), n_trials, rng)
-        sched = subject.with_targets(blind, int(rng.integers(12)))
+        sched = scheduler.build_online_trial_schedule(
+            scheduler.TimingConfig(), n_trials, rng,
+            target=int(rng.integers(12)))
         n = core.time_to_sample(sched.span_s + subject.TAIL_S, 128.0)
         base = core.EegRecord(core.ChannelSet(), 128.0,
                               rng.standard_normal((14, n)), sched.events)
@@ -313,8 +313,8 @@ class TestBumpsWithinReach:
                                        constant_offset=offset,
                                        latency_jitter_sd=jitter_sd)
         got_rng, want_rng = (np.random.default_rng(seed + 1) for _ in "ab")
-        got = subject.inject_p300(base, sched, params, got_rng)
-        want = reference_inject_p300(base, sched, params, want_rng)
+        got = subject.inject_p300(base, params, got_rng)
+        want = reference_inject_p300(base, params, want_rng)
         assert got.samples.tobytes() == want.tobytes()
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
@@ -393,7 +393,7 @@ class TestInjectP300:
                                            subject.SubjectParams(seed=3),
                                            np.random.default_rng(3))
         base = base.with_markers(sched.events)
-        out = subject.inject_p300(base, sched, subject.SubjectParams(p300_amp=0.0),
+        out = subject.inject_p300(base, subject.SubjectParams(p300_amp=0.0),
                                   np.random.default_rng(4))
         np.testing.assert_array_equal(out.samples, base.samples)
 
@@ -404,17 +404,9 @@ class TestInjectP300:
         base = subject.generate_background(blind.span_s + 1.0, core.ChannelSet(),
                                            subject.SubjectParams(seed=0),
                                            np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            subject.inject_p300(base, blind, subject.SubjectParams(),
-                                np.random.default_rng(1))
-
-    def test_event_beyond_record_rejected(self):
-        sched = self._one_target_schedule()
-        short = subject.generate_background(1.0, core.ChannelSet(),
-                                            subject.SubjectParams(seed=0),
-                                            np.random.default_rng(0))
-        with pytest.raises(IndexError):
-            subject.inject_p300(short, sched, subject.SubjectParams(),
+        with pytest.raises(ValueError, match="is_target"):
+            subject.inject_p300(base.with_markers(blind.events),
+                                subject.SubjectParams(),
                                 np.random.default_rng(1))
 
     def test_jitter_requires_rng(self):
@@ -423,7 +415,7 @@ class TestInjectP300:
                                            subject.SubjectParams(seed=0),
                                            np.random.default_rng(0))
         with pytest.raises(TypeError):
-            subject.inject_p300(base, sched,
+            subject.inject_p300(base.with_markers(sched.events),
                                 subject.SubjectParams(latency_jitter_sd=0.01))
 
 
@@ -516,12 +508,3 @@ class TestSimulateSubject:
         assert per_channel[row] == int(round(0.2 * training_record.n_samples))
         assert per_channel.sum() == per_channel[row]
 
-
-class TestWithTargets:
-    def test_flags_set_against_target(self):
-        t = scheduler.TimingConfig()
-        blind = scheduler.build_online_trial_schedule(
-            t, n_trials=2, rng=np.random.default_rng(0))
-        labelled = subject.with_targets(blind, target=7)
-        assert all(ev.is_target == (ev.image_id == 7) for ev in labelled.events)
-        assert labelled.n_targets == 2
