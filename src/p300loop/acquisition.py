@@ -40,6 +40,8 @@ KIND_MARKER = 3
 KIND_END = 4
 
 _PREFIX = struct.Struct("<4sBI")
+_HEADER = struct.Struct("<BBHd")  # version major, minor, channel count, rate
+_SAMPLES = struct.Struct("<QI")  # first sample index, samples in the block
 _MARKER = struct.Struct("<QBIIB")
 _TARGET_UNKNOWN = 255
 
@@ -110,8 +112,8 @@ WireFrame = HeaderFrame | SamplesFrame | MarkerFrame | EndFrame
 def encode_frame(frame: WireFrame) -> bytes:
     """Serialize one frame to its exact byte layout."""
     if isinstance(frame, HeaderFrame):
-        payload = struct.pack("<BBHd", frame.version[0], frame.version[1],
-                              frame.channel_count, frame.rate)
+        payload = _HEADER.pack(frame.version[0], frame.version[1],
+                               frame.channel_count, frame.rate)
         if len(frame.labels) != frame.channel_count:
             raise ValueError("one label per channel required")
         for label in frame.labels:
@@ -122,7 +124,7 @@ def encode_frame(frame: WireFrame) -> bytes:
         kind = KIND_HEADER
     elif isinstance(frame, SamplesFrame):
         block = frame.samples
-        payload = struct.pack("<QI", frame.first_sample_index, block.shape[0])
+        payload = _SAMPLES.pack(frame.first_sample_index, block.shape[0])
         payload += block.astype("<f4", copy=False).tobytes(order="C")
         kind = KIND_SAMPLES
     elif isinstance(frame, MarkerFrame):
@@ -166,15 +168,15 @@ def decode_frame(buffer, offset: int = 0) -> tuple[WireFrame, int]:
     payload = bytes(buffer[offset + _PREFIX.size:offset + total])
 
     if kind == KIND_HEADER:
-        if len(payload) < 12:
+        if len(payload) < _HEADER.size:
             raise ProtocolError("header payload too short")
-        major, minor, channel_count, rate = struct.unpack_from("<BBHd", payload)
+        major, minor, channel_count, rate = _HEADER.unpack_from(payload)
         if major > VERSION[0]:
             raise VersionError(f"stream version {major}.{minor} is newer than "
                                f"{VERSION[0]}.{VERSION[1]}")
         if not 0 < rate < np.inf:  # NaN too
             raise ProtocolError(f"header rate {rate} is not finite and positive")
-        labels, pos = [], 12
+        labels, pos = [], _HEADER.size
         for _ in range(channel_count):
             end = pos + 1 + (payload[pos] if pos < len(payload) else len(payload))
             if end > len(payload):
@@ -189,10 +191,10 @@ def decode_frame(buffer, offset: int = 0) -> tuple[WireFrame, int]:
         frame = HeaderFrame(channel_count=channel_count, rate=rate,
                             labels=tuple(labels), version=(major, minor))
     elif kind == KIND_SAMPLES:
-        if len(payload) < 12:
+        if len(payload) < _SAMPLES.size:
             raise ProtocolError("samples payload too short")
-        first_index, k = struct.unpack_from("<QI", payload)
-        body = payload[12:]
+        first_index, k = _SAMPLES.unpack_from(payload)
+        body = payload[_SAMPLES.size:]
         if k == 0 or len(body) % 4 or (len(body) // 4) % k:
             raise ProtocolError("samples payload has inconsistent size")
         values = np.frombuffer(body, dtype="<f4").reshape(k, -1)
@@ -341,6 +343,7 @@ def decode_record(chunks) -> EegRecord:
     if not blocks:
         raise ProtocolError("stream carries no samples")
     samples = np.concatenate(blocks, axis=0)
+    blocks.clear()  # so the record is built beside one copy of its samples
     try:
         return EegRecord(channels, rate, samples.T, Markers(*zip(*markers)))
     except (ValueError, OverflowError) as exc:
@@ -374,11 +377,10 @@ def save_record(record: EegRecord, path) -> None:
 
 
 def load_record(path) -> EegRecord:
-    """Read a record file; raises ProtocolError on malformed content."""
-    data = Path(path).read_bytes()
-    if not data:
-        raise ProtocolError(f"empty record file: {path}")
-    return decode_record([data])
+    """Read a record file `RECV_BYTES` at a time, as the stream consumer reads
+    its socket; raises ProtocolError on malformed content."""
+    with open(path, "rb") as fh:
+        return decode_record(iter(lambda: fh.read(RECV_BYTES), b""))
 
 
 @dataclass(frozen=True)

@@ -107,8 +107,6 @@ def majority_vote(trial_winners, per_image_scores) -> int:
     scores = np.asarray(per_image_scores, dtype=np.float64)
     counts = np.bincount(winners, minlength=N_IMAGES)
     candidates = np.flatnonzero(counts == counts.max())
-    if len(candidates) == 1:
-        return int(candidates[0])
     sums = scores.sum(axis=0)
     best = max(candidates, key=lambda i: (sums[i], -i))
     return int(best)

@@ -144,24 +144,27 @@ def inject_p300(record: EegRecord, params: SubjectParams,
     events = record.markers
     if (events.target < 0).any():
         raise ValueError("is_target flags must be set before injection")
-    if params.p300_amp == 0:
-        return record.with_samples(record.samples)
-
     topo = (np.asarray(params.p300_topography, dtype=float)
             if params.p300_topography is not None
             else default_topography(record.channels))
     if topo.shape != (record.n_channels,):
         raise ValueError("topography length must match channel count")
+    sd = params.latency_jitter_sd
+    centres = [onset / record.rate + params.p300_peak_latency
+               + params.constant_offset + (rng.normal(0.0, sd) if sd > 0 else 0.0)
+               for onset in events.onset[events.target == 1].tolist()]
+    return _with_bumps(record, centres, params.p300_width, params.p300_amp, topo)
 
+
+def _with_bumps(record: EegRecord, centres, width: float, amp: float,
+                gains: np.ndarray) -> EegRecord:
+    """The record plus amp * gains[ch] * the sum of the Gaussian bumps of
+    `width` s centred at `centres` s; a zero `amp` or no centre adds zeros."""
     t = np.arange(record.n_samples) / record.rate
     train = np.zeros(record.n_samples)
-    for onset in events.onset[events.target == 1].tolist():
-        jitter = rng.normal(0.0, params.latency_jitter_sd) if params.latency_jitter_sd > 0 else 0.0
-        centre = (onset / record.rate + params.p300_peak_latency
-                  + params.constant_offset + jitter)
-        _add_bump(train, t, centre, params.p300_width)
-    samples = record.samples + params.p300_amp * np.outer(topo, train)
-    return record.with_samples(samples)
+    for centre in centres:
+        _add_bump(train, t, centre, width)
+    return record.with_samples(record.samples + amp * np.outer(gains, train))
 
 
 def _add_bump(train: np.ndarray, t: np.ndarray, centre: float,
@@ -177,19 +180,11 @@ def _add_bump(train: np.ndarray, t: np.ndarray, centre: float,
 def inject_blinks(record: EegRecord, params: SubjectParams,
                   rng: np.random.Generator) -> EegRecord:
     """Poisson-timed frontal blink deflections with small posterior leakage."""
-    duration = record.n_samples / record.rate
-    n_blinks = int(rng.poisson(params.blink_rate * duration / 60.0))
-    if n_blinks == 0 or params.blink_amp == 0:
-        return record.with_samples(record.samples)
-    times = rng.uniform(0.0, duration, size=n_blinks)
-    t = np.arange(record.n_samples) / record.rate
-    train = np.zeros(record.n_samples)
-    for tc in times:
-        _add_bump(train, t, tc, BLINK_SIGMA_S)
+    n_blinks = int(rng.poisson(params.blink_rate * record.duration_s / 60.0))
+    times = rng.uniform(0.0, record.duration_s, size=n_blinks)
     weights = np.array([1.0 if lab in FRONTAL_LABELS else BLINK_LEAKAGE
                         for lab in record.channels])
-    samples = record.samples + params.blink_amp * np.outer(weights, train)
-    return record.with_samples(samples)
+    return _with_bumps(record, times, BLINK_SIGMA_S, params.blink_amp, weights)
 
 
 def corrupt_nan_channel(record: EegRecord, params: SubjectParams,
@@ -198,9 +193,8 @@ def corrupt_nan_channel(record: EegRecord, params: SubjectParams,
     row = record.channels.index(params.nan_channel)
     n_bad = int(round(params.nan_fraction * record.n_samples))
     samples = np.array(record.samples, copy=True)
-    if n_bad > 0:
-        idx = rng.choice(record.n_samples, size=n_bad, replace=False)
-        samples[row, idx] = np.nan
+    idx = rng.choice(record.n_samples, size=n_bad, replace=False)
+    samples[row, idx] = np.nan
     return record.with_samples(samples)
 
 

@@ -3,6 +3,7 @@ import errno
 import json
 import os
 import stat
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -513,6 +514,24 @@ class TestRecordFiles:
         path.write_bytes(data[:-3])
         with pytest.raises(acq.ProtocolError):
             acq.load_record(path)
+
+    def test_load_peaks_below_twice_the_record(self, tmp_path):
+        # 1,200 s of 14 channels: the file's bytes are never held whole, and
+        # the float32 blocks go once concatenated, so the record is built
+        # beside one float32 copy of its samples
+        rec = core.EegRecord(core.ChannelSet(), 128.0,
+                             np.random.default_rng(0).normal(size=(14, 153600)))
+        path = tmp_path / "long.eegs"
+        acq.save_record(rec, path)
+        del rec
+        tracemalloc.start()
+        try:
+            loaded = acq.load_record(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.n_samples == 153600
+        assert peak <= 2 * loaded.samples.nbytes
 
     def test_trailing_garbage_rejected(self, tmp_path):
         rec = _sample_record()

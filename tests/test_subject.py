@@ -395,7 +395,7 @@ class TestInjectP300:
         base = base.with_markers(sched.events)
         out = subject.inject_p300(base, subject.SubjectParams(p300_amp=0.0),
                                   np.random.default_rng(4))
-        np.testing.assert_array_equal(out.samples, base.samples)
+        assert out.samples.tobytes() == base.samples.tobytes()
 
     def test_unknown_targets_rejected(self):
         t = scheduler.TimingConfig(sessions_per_scenario=1, runs_per_session=1)
@@ -437,14 +437,14 @@ class TestInjectBlinks:
         out = subject.inject_blinks(quiet,
                                     subject.SubjectParams(blink_amp=0.0),
                                     np.random.default_rng(0))
-        np.testing.assert_array_equal(out.samples, 0.0)
+        assert out.samples.tobytes() == quiet.samples.tobytes()
 
     def test_zero_rate_is_identity(self):
         quiet = core.EegRecord(core.ChannelSet(), 128.0, np.zeros((14, 1280)))
         out = subject.inject_blinks(quiet,
                                     subject.SubjectParams(blink_rate=0.0),
                                     np.random.default_rng(0))
-        np.testing.assert_array_equal(out.samples, 0.0)
+        assert out.samples.tobytes() == quiet.samples.tobytes()
 
     def test_count_scales_with_rate(self):
         quiet = core.EegRecord(core.ChannelSet(("AF3",)), 128.0,
@@ -466,6 +466,14 @@ class TestNanCorruption:
         assert int(np.isnan(out.samples[row]).sum()) == 256
         other = np.delete(out.samples, row, axis=0)
         assert not np.isnan(other).any()
+
+    def test_zero_fraction_is_identity(self):
+        rec = core.EegRecord(core.ChannelSet(), 128.0,
+                             np.random.default_rng(1).normal(size=(14, 1280)))
+        out = subject.corrupt_nan_channel(
+            rec, subject.SubjectParams(nan_fraction=0.0),
+            np.random.default_rng(0))
+        assert out.samples.tobytes() == rec.samples.tobytes()
 
     def test_unknown_channel_rejected(self):
         rec = core.EegRecord(core.ChannelSet(("A",)), 128.0, np.zeros((1, 10)))
