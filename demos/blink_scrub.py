@@ -1,8 +1,8 @@
 """Remove eye-blink components from a synthetic recording with ICA.
 
 Generates two minutes of background activity, injects an exaggerated blink
-train, separates the mixture into independent components, flags the spiky
-frontal one, and reconstructs the recording without it.  Prints per-channel
+train, extracts the one most non-Gaussian component, flags it when it is
+spiky and frontal, and subtracts it from the recording.  Prints per-channel
 RMS before and after so the frontal cleanup (and posterior preservation) is
 visible channel by channel.
 """
@@ -38,7 +38,7 @@ def main() -> None:
     mask = ica.classify_components(model, sources, channels,
                                    kurtosis_threshold=args.kurtosis_threshold)
     flagged = [int(i) for i in np.flatnonzero(mask)]
-    print(f"separated {model.k} components; flagged {flagged} as "
+    print(f"extracted {model.k} component; flagged {flagged} as "
           f"blink-like (spiky and frontally mixed)")
 
     scrubbed = ica.reconstruct(model, dirty.samples, mask)

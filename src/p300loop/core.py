@@ -210,6 +210,12 @@ class EegRecord:
     def with_markers(self, markers) -> "EegRecord":
         return EegRecord(self.channels, self.rate, self.samples, markers)
 
+    def with_channels(self, labels) -> "EegRecord":
+        """The rows of `labels`, in that order; KeyError names a missing one."""
+        rows = self.channels.indices(labels)
+        return EegRecord(ChannelSet(labels), self.rate, self.samples[rows],
+                         self.markers)
+
 
 def time_to_sample(t, rate) -> int:
     """Convert seconds to a sample index, rounding half away from zero.

@@ -8,7 +8,8 @@ the cascade form is required for numerical stability.  Filtering is causal
 (forward-only): the system is online, and the classifier absorbs the group
 delay through retraining.  The cascade runs as a block-state filter (Burrus
 1972, IEEE Trans. Audio Electroacoust. 20:230), a few matrix products per block
-of `_BLOCK` samples, and matches scipy.signal.sosfilt to rounding.
+of `_BLOCK` samples, and matches scipy.signal.sosfilt to rounding.  Scaling
+serves the one map every fit solves for, clip((x - mins) * factors, 0, 1).
 """
 from __future__ import annotations
 
@@ -211,10 +212,11 @@ class ScalingParams:
 
     @property
     def factors(self) -> np.ndarray:
-        """Diagonal of D in minmax_apply's map D (x - mins) before clipping:
-        1 / (max - min) per feature, 0 for constant features."""
-        span = self.maxes - self.mins
-        return np.divide(1.0, span, out=np.zeros_like(span), where=span > 0)
+        """D of the map D (x - mins) that fits solve for: 1 / (max - min), or
+        0 where that overflows (constant features, spans < 1 / finfo.max)."""
+        with np.errstate(divide="ignore", over="ignore"):
+            factors = 1.0 / (self.maxes - self.mins)
+        return np.where(np.isinf(factors), 0.0, factors)
 
 
 def minmax_fit(vectors) -> ScalingParams:
@@ -226,13 +228,11 @@ def minmax_fit(vectors) -> ScalingParams:
 
 
 def minmax_apply(params: ScalingParams, v) -> np.ndarray:
-    """Scale to [0, 1] with clamping; constant features map to 0."""
+    """clip((v - mins) * factors, 0, 1): the rows a fit was solved for."""
     arr = np.asarray(v, dtype=np.float64)
     if arr.shape[-1] != params.n_features:
         raise ValueError(
             f"vector length {arr.shape[-1]} != {params.n_features} features")
-    span = params.maxes - params.mins
     scaled = arr - params.mins  # the one full-size array
-    scaled /= np.where(span > 0, span, 1.0)
-    np.copyto(scaled, 0.0, where=~(span > 0))
+    scaled *= params.factors
     return np.clip(scaled, 0.0, 1.0, out=scaled)

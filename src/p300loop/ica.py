@@ -5,11 +5,11 @@ inverse square-root eigenvalues.  Both estimators run one routine, the
 one-unit tanh fixed point (Hyvarinen & Oja 1997), over the whole whitened
 record.  `fit` runs it once, from the whitened sample of largest norm, to
 extract the blink, the one stable direction over a Gaussian background
-(Hyvarinen 1999), and completes it to an orthonormal basis; `fastica` runs
-it once per row by deflation, each row started from a draw of `rng` and kept
+(Hyvarinen 1999), and keeps that one component; `fastica` runs it once per
+row by deflation, each row started from a draw of `rng` and kept
 orthogonal to the rows already found.  Components that are strongly
-super-Gaussian and load mostly on frontal channels are flagged as blinks and
-zeroed before reconstruction.
+super-Gaussian and load mostly on frontal channels are flagged as blinks,
+and reconstruction subtracts the flagged ones from the data.
 """
 from __future__ import annotations
 
@@ -39,18 +39,18 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class IcaModel:
-    """Whitening + unmixing estimated from one recording."""
+    """Whitening and k components estimated from one recording."""
 
     mean: np.ndarray        # [n_channels]
-    whitening: np.ndarray   # V, [k x n_channels]
-    unmixing: np.ndarray    # W, [k x k], orthonormal rows in whitened space
-    mixing: np.ndarray      # A_hat = pinv(W V), [n_channels x k]
+    whitening: np.ndarray   # V, [m x n_channels]
+    unmixing: np.ndarray    # W, [k x m], orthonormal rows in whitened space
+    mixing: np.ndarray      # A, [n_channels x k]
     k: int
 
     def __post_init__(self) -> None:
         w = np.asarray(self.unmixing)
-        if w.shape != (self.k, self.k):
-            raise ValueError("unmixing must be k x k")
+        if w.shape != (self.k, len(self.whitening)):
+            raise ValueError("unmixing must be k x the whitened dimension")
         if not np.allclose(w @ w.T, np.eye(self.k), atol=1e-6):
             raise ValueError("unmixing rows must be orthonormal within 1e-6")
 
@@ -150,7 +150,7 @@ def fit(data: np.ndarray, *, tol: float = 1e-4, max_iter: int = 200):
     """Whiten, then extract one component; returns (IcaModel, sources).
 
     Stops once 1 - |w_new . w| < tol, or warns and keeps the last iterate
-    after max_iter steps.  Unmixing row 0 is the extracted direction.
+    after max_iter steps.  The model keeps it alone: k = 1, mixing V^-1 w^T.
     """
     mean, v, z = whiten(data)
     start = z[:, np.argmax(np.einsum("ij,ij->j", z, z))]
@@ -158,9 +158,9 @@ def fit(data: np.ndarray, *, tol: float = 1e-4, max_iter: int = 200):
     if steps is None:
         warnings.warn("accepting unconverged unmixing (no convergence after "
                       f"{max_iter} iterations)", RuntimeWarning, stacklevel=2)
-    w, sources = _finalize(_complete(w[None, :]), z)
+    w, sources = _finalize(w[None, :], z)
     return IcaModel(mean=mean, whitening=v, unmixing=w,
-                    mixing=np.linalg.pinv(w @ v), k=len(w)), sources
+                    mixing=np.linalg.solve(v, w.T), k=1), sources
 
 
 def classify_components(model: IcaModel, sources: np.ndarray,
@@ -188,13 +188,13 @@ def classify_components(model: IcaModel, sources: np.ndarray,
 
 def reconstruct(model: IcaModel, data: np.ndarray,
                 mask: np.ndarray) -> np.ndarray:
-    """Rebuild the data with masked components zeroed."""
+    """The data less its masked components: the data bitwise if none."""
     data = np.asarray(data, dtype=np.float64)
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != (model.k,):
         raise ValueError("mask length must equal the component count")
     if data.shape[0] != model.mean.shape[0]:
         raise ValueError("data row count must match the fitted channel count")
-    sources = model.unmixing @ model.whitening @ (data - model.mean[:, None])
-    sources[mask] = 0.0
-    return model.mixing @ sources + model.mean[:, None]
+    centred = data - model.mean[:, None]
+    removed = model.unmixing[mask] @ model.whitening @ centred
+    return data - model.mixing[:, mask] @ removed

@@ -6,10 +6,11 @@ amplifier output is encoded to wire bytes (`acquisition.encode_record`) and
 decoded back from slices cut at `acquisition.RECV_BYTES`, the stream
 consumer's largest read (`acquisition.decode_record`).  The cut is chosen,
 not a model of live traffic; in a default selection it falls inside a
-frame, so the reader's carry-over is exercised.  The record runs once
-through the model's pipeline; its labelled epochs are scored, one row of 12
-image scores per trial, and logged, so retraining extracts nothing.  `votes`,
-the consumer's rule too, selects; the latency is the trials' flashing time.
+frame, so the reader's carry-over is exercised.  The record's model
+channels run once through the model's pipeline; its labelled epochs are
+scored, one row of 12 image scores per trial, and logged, so retraining
+extracts nothing.  `votes`, the consumer's rule too, selects; the latency
+is the trials' flashing time.
 """
 from __future__ import annotations
 
@@ -158,8 +159,8 @@ def train_on_dataset(dataset: LabeledDataset,
 def _fit(stats: lda.ClassStatistics, scaling: dsp.ScalingParams, channels,
          pipeline: PipelineConfig) -> ModelFile:
     """The model of raw training rows from their statistics and min-max
-    scaling: their scaled rows lie in [0, 1], where `minmax_apply` clips
-    nothing, so this is the discriminant of the rows it scales."""
+    scaling: the discriminant of the rows (x - mins) * factors, exactly the
+    rows `minmax_apply` makes of them, as they lie in [0, 1]."""
     model = stats.solve_scaled(scaling.mins, scaling.factors,
                                pipeline.shrinkage)
     return ModelFile(weights=model.w, bias=model.b, scaling=scaling,
@@ -180,12 +181,13 @@ def score_vectors(model: ModelFile, vectors, channels) -> np.ndarray:
 def score_table(model: ModelFile, record: EegRecord) -> np.ndarray:
     """[n_runs x 12] score table of a record under a trained model.
 
-    The record runs through the pipeline the model was trained with.
-    Scoring reads no target flag, so a live stream's unknown ones are fine.
-    Raises ValueError unless the record's surviving channels are the model's;
-    rows are as `trial_scores` builds them.
+    The record's model channels run through the model's pipeline.  Scoring
+    reads no target flag, so a live stream's unknown ones are fine.  Raises
+    KeyError for a missing model channel, ValueError for a pruned one; rows
+    are as `trial_scores` builds them.
     """
-    vectors, channels = features.epoch_features(record, model.pipeline)
+    vectors, channels = features.epoch_features(
+        record.with_channels(model.channels), model.pipeline)
     return trial_scores(record.markers.provenance,
                         score_vectors(model, vectors, channels))
 
@@ -224,10 +226,11 @@ def run_online_selection(model: ModelFile, params: SubjectParams,
                                            sequences=sequences, target=target)
     record = simulate_subject(schedule, params)
     payload = acquisition.encode_record(record, acquisition.DEFAULT_CHUNK)
-    logged = features.dataset_from_scenario(acquisition.decode_record(
+    received = acquisition.decode_record(
         payload[i:i + acquisition.RECV_BYTES]
-        for i in range(0, len(payload), acquisition.RECV_BYTES)),
-        model.pipeline)
+        for i in range(0, len(payload), acquisition.RECV_BYTES))
+    logged = features.dataset_from_scenario(
+        received.with_channels(model.channels), model.pipeline)
     per_image = trial_scores(logged.provenance, score_vectors(
         model, logged.vectors, logged.channels))
     [(winners, selected)], _ = votes(per_image, n_trials)
@@ -298,7 +301,8 @@ def _cross_validated_scores(dataset: LabeledDataset,
     training shares) serve every fold.  A fold downdates them by its session
     and solves under its min-max scaling
     (`lda.ClassStatistics.solve_without`): the fit `_fit` makes of the other
-    sessions.  The fold's min and max are those of per-session ones.
+    sessions, whose factors scale its held-out rows.  The fold's min and
+    max are those of per-session ones.
     """
     session_of = dataset.provenance[:, 1]
     sessions = np.unique(session_of)
@@ -338,15 +342,14 @@ def _average_ranks(scores: np.ndarray) -> np.ndarray:
 
 def _phase_sequences(schedule: ScenarioSchedule, target: int,
                      round_index: int, n_trials: int):
-    """Replay slice of the training session that prescribed `target`.
+    """Replay slice of training session `target`, which attended it.
 
     Round r reuses that session's runs starting at (r * n_trials) mod
     runs_per_session, wrapping cyclically, so consecutive rounds walk through
     the recorded flashing orders exactly as they were acquired.
     """
     events = schedule.events  # in onset order, a session's runs in turn
-    position = list(schedule.session_targets).index(target)
-    runs = events.image[events.session == position].reshape(-1, N_IMAGES)
+    runs = events.image[events.session == target].reshape(-1, N_IMAGES)
     first = round_index * n_trials
     return runs.take(range(first, first + n_trials), axis=0, mode="wrap").tolist()
 
@@ -392,6 +395,9 @@ def run_full_evaluation(params: SubjectParams,
     Everything derives from `seed`, so reports are identical across runs
     (wall_clock_seconds aside).
     """
+    if timing.sessions_per_scenario != N_IMAGES:  # one per object, replayed
+        raise ValueError(f"the evaluation needs sessions_per_scenario = "
+                         f"{N_IMAGES}, not {timing.sessions_per_scenario}")
     catalog = ObjectCatalog()
     started = time.perf_counter()
     train_seq, phase1_seq, phase2_seq = np.random.SeedSequence(seed).spawn(3)

@@ -313,6 +313,18 @@ class TestEegRecord:
         assert swapped.rate == rec.rate
         assert np.all(swapped.samples == 1.0)
 
+    def test_with_channels_takes_rows_by_label(self):
+        rec = self._record(n=16, labels=("A", "B", "C"))
+        ev = core.StimulusEvent(image_id=0, onset_sample=3,
+                                run_index=0, session_index=0)
+        rec = rec.with_markers([ev])
+        picked = rec.with_channels(("C", "A"))
+        assert picked.channels == core.ChannelSet(("C", "A"))
+        assert picked.samples.tobytes() == rec.samples[[2, 0]].tobytes()
+        assert picked.markers == rec.markers and picked.rate == rec.rate
+        with pytest.raises(KeyError, match="'FC5'"):
+            rec.with_channels(("A", "FC5"))
+
 
 class TestTimeToSample:
     def test_reference_values(self):

@@ -321,13 +321,15 @@ class TestFastPathsMatchReference:
 
 
 def _minmax_apply_four_arrays(params, v):
-    """Reference: `minmax_apply` as a subtract, a divide, a `where` and a
-    `clip`, each into an array of its own."""
+    """Reference: `minmax_apply` as the factors, a subtract, a multiply and
+    a `clip`, each into an array of its own.  A factor is 1 / span where
+    that is finite and 0 elsewhere, so a NaN or inf on a constant feature
+    gives NaN, as on any other feature."""
     arr = np.asarray(v, dtype=np.float64)
-    span = params.maxes - params.mins
-    safe = np.where(span > 0, span, 1.0)
-    scaled = (arr - params.mins) / safe
-    scaled = np.where(span > 0, scaled, 0.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        reciprocal = 1.0 / (params.maxes - params.mins)
+    factors = np.where(np.isfinite(reciprocal), reciprocal, 0.0)
+    scaled = (arr - params.mins) * factors
     return np.clip(scaled, 0.0, 1.0)
 
 

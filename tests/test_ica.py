@@ -130,17 +130,26 @@ class TestFastIca:
         np.testing.assert_allclose(w @ w.T, np.eye(5), rtol=0, atol=1e-9)
 
 
+def _complete_model(data, seed):
+    """(model, sources) of every component of `data`, from `fastica`'s W:
+    the complete basis that `fit`, which keeps one component, does not give."""
+    mean, v, z = ica.whiten(data)
+    w, sources = ica.fastica(z, rng=np.random.default_rng(seed))
+    return ica.IcaModel(mean=mean, whitening=v, unmixing=w,
+                        mixing=np.linalg.pinv(w @ v), k=len(w)), sources
+
+
 class TestFit:
     def test_full_pipeline_on_mixture(self):
         sources, _, mixed = three_source_mixture(3)
         model, recovered = ica.fit(mixed)
-        assert model.k == 3
-        # the extracted component (row 0) is one of the true sources
+        assert model.k == 1
+        # the extracted component is one of the true sources
         corr = np.abs(np.corrcoef(recovered[0], sources)[0, 1:])
         assert corr.max() >= 0.95
-        # mixing inverts unmixing-on-whitened for a full-rank fit
+        # the mixing column inverts the unmixing row on whitened data
         np.testing.assert_allclose(
-            model.mixing @ (model.unmixing @ model.whitening), np.eye(3),
+            (model.unmixing @ model.whitening) @ model.mixing, np.eye(1),
             atol=1e-8)
 
     def test_relaxed_mode_warns_and_returns_model(self):
@@ -149,8 +158,8 @@ class TestFit:
         with pytest.warns(RuntimeWarning):
             model, srcs = ica.fit(data, tol=1e-9, max_iter=10)
         np.testing.assert_allclose(model.unmixing @ model.unmixing.T,
-                                   np.eye(4), atol=1e-6)
-        assert srcs.shape == (4, 3000)
+                                   np.eye(1), atol=1e-6)
+        assert srcs.shape == (1, 3000)
 
 
 class TestIcaModel:
@@ -243,21 +252,21 @@ class TestClassifyComponents:
 class TestReconstruct:
     def test_empty_mask_is_identity(self):
         _, _, mixed = three_source_mixture(5)
-        model, _ = ica.fit(mixed)
+        model, _ = _complete_model(mixed, 105)
         out = ica.reconstruct(model, mixed, np.zeros(3, dtype=bool))
         np.testing.assert_allclose(out, mixed, atol=1e-8)
 
     def test_full_mask_leaves_only_the_mean(self):
         _, _, mixed = three_source_mixture(6)
         mixed = mixed + 5.0
-        model, _ = ica.fit(mixed)
+        model, _ = _complete_model(mixed, 106)
         out = ica.reconstruct(model, mixed, np.ones(3, dtype=bool))
         np.testing.assert_allclose(out, mixed.mean(axis=1, keepdims=True)
                                    * np.ones_like(mixed), atol=1e-8)
 
     def test_masking_removes_one_source(self):
         sources, mixing, mixed = three_source_mixture(7)
-        model, recovered = ica.fit(mixed)
+        model, recovered = _complete_model(mixed, 107)
         # find the recovered component matching true source 1
         corr = np.abs(np.corrcoef(recovered, sources[1:2])[:3, 3])
         target = int(np.argmax(corr))
@@ -323,6 +332,18 @@ def _blink_record(duration):
 
 
 class TestOneUnitFit:
+    def test_keeps_only_the_extracted_component(self):
+        data = _blink_record(30.0).samples
+        model, sources = ica.fit(data)
+        assert model.k == 1 and sources.shape == (1, data.shape[1])
+        assert model.unmixing.shape == (1, 14)
+        assert model.mixing.shape == (14, 1)
+        # the mixing column is V^-1 w^T
+        np.testing.assert_allclose(model.whitening @ model.mixing,
+                                   model.unmixing.T, rtol=0, atol=1e-12)
+        out = ica.reconstruct(model, data, np.zeros(1, dtype=bool))
+        assert out.tobytes() == data.tobytes()
+
     def test_two_fits_of_one_array_are_bitwise_equal(self):
         data = _blink_record(30.0).samples
         (a, sources_a), (b, sources_b) = ica.fit(data), ica.fit(data)
@@ -344,7 +365,7 @@ class TestOneUnitFit:
             w, deflated = ica._finalize(exc.last_w, z)
         deflation_model = ica.IcaModel(mean=model.mean, whitening=v,
                                        unmixing=w, mixing=np.linalg.pinv(w @ v),
-                                       k=model.k)
+                                       k=len(w))
         deflation_mask = ica.classify_components(
             deflation_model, deflated, dirty.channels, kurtosis_threshold=5.0)
         assert mask.sum() == deflation_mask.sum() == 1

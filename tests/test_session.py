@@ -265,6 +265,36 @@ class TestTrainOnDataset:
         np.testing.assert_array_equal(scores, want)
 
 
+    def test_served_rows_are_the_fitted_rows(self, training_dataset):
+        # the discriminant is solved for (x - mins) * factors: serving the
+        # training rows must give exactly those rows
+        model = session.train_on_dataset(training_dataset,
+                                         session.PipelineConfig())
+        vectors, scaling = training_dataset.vectors, model.scaling
+        fitted = (vectors - scaling.mins) * scaling.factors
+        served = dsp.minmax_apply(scaling, vectors)
+        assert training_dataset.n_epochs == 864
+        assert int((served != fitted).any(axis=1).sum()) == 0
+
+    def test_span_without_finite_reciprocal_gets_weight_zero(self):
+        rng = np.random.default_rng(5)
+        vectors = rng.normal(size=(40, 6))
+        vectors[:, 2] = np.tile([0.0, 1e-310], 20)  # span below 1/finfo.max
+        window = features.EpochWindow(length=3)
+        dataset = features.LabeledDataset(
+            vectors, np.arange(40) % 4 == 0, np.zeros((40, 3)),
+            core.ChannelSet(("Cz", "Pz")), window)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            model = session.train_on_dataset(
+                dataset, session.PipelineConfig(window=window))
+            served = dsp.minmax_apply(model.scaling, vectors)
+        assert model.scaling.factors[2] == 0.0
+        assert model.weights[2] == 0.0
+        assert not served[:, 2].any()
+        assert np.isfinite(model.weights).all()
+
+
 class TestOfflineTraining:
     def test_returns_model_record_schedule(self, noiseless_training):
         model, record, schedule = noiseless_training
@@ -413,6 +443,23 @@ class TestScoreTable:
         want = session.score_table(model, labelled)
         got = session.score_table(model, unlabelled)
         assert want.shape == (3, 12)
+        assert got.tobytes() == want.tobytes()
+
+    def test_channel_dropped_in_training_is_not_read(self, training_dataset):
+        # the model dropped FC5; a record whose FC5 is clean is served on
+        # the model's channels, exactly as one whose FC5 is all NaN
+        model = session.train_on_dataset(training_dataset,
+                                         session.PipelineConfig())
+        assert "FC5" not in model.channels and len(model.channels) == 13
+        schedule = scheduler.build_online_trial_schedule(
+            scheduler.TimingConfig(), 3, np.random.default_rng(5), target=4)
+        clean = subject.simulate_subject(
+            schedule, subject.SubjectParams(seed=5, nan_fraction=0.0))
+        samples = clean.samples.copy()
+        samples[clean.channels.index("FC5")] = np.nan
+        want = session.score_table(model, clean.with_samples(samples))
+        got = session.score_table(model, clean)
+        assert got.shape == (3, 12)
         assert got.tobytes() == want.tobytes()
 
 
@@ -926,6 +973,21 @@ class TestFullEvaluation:
         canonical = json.dumps(report, sort_keys=True).encode()
         assert hashlib.sha256(canonical).hexdigest() == (
             "9ec3a6590b014777261077e9f0689c81df10908c24193ca26af1aae0c5330716")
+
+    def test_needs_one_session_per_object_before_training(self,
+                                                          monkeypatch):
+        calls = []
+
+        def train(*args, train=session.run_offline_training, **kwargs):
+            calls.append(1)
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(session, "run_offline_training", train)
+        with pytest.raises(ValueError, match="sessions_per_scenario = 12"):
+            session.run_full_evaluation(
+                subject.SubjectParams(), seed=0, reps_per_object=1,
+                timing=scheduler.TimingConfig(sessions_per_scenario=2))
+        assert calls == []
 
     def test_one_feature_extraction_per_recording(self, monkeypatch):
         # the offline record and each selection's decoded record run through
