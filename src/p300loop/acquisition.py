@@ -6,9 +6,9 @@ enough for a header with the largest channel table the 16-bit channel count
 allows); a longer frame is never written, and a prefix declaring one is a
 ProtocolError as soon as it is read, so a corrupt length cannot make a reader
 buffer without bound.  A stream is header, then markers and sample blocks in
-sample order (each marker precedes the sample frame containing its index),
-then end.  Sample values travel as 32-bit little-endian floats; markers and
-indices are exact integers, so a round trip loses nothing but float precision.
+sample order, then end; each marker precedes the sample frame holding its
+index.  Samples travel as 32-bit little-endian floats; markers and indices are
+exact integers, so a round trip loses nothing but float precision.
 
 Model files are versioned JSON with repr-exact floats.  Format 2 adds the
 pipeline configuration the model was trained with, which is what serving
@@ -301,9 +301,9 @@ def decode_record(chunks) -> EegRecord:
     """Rebuild a record from its wire bytes, given as byte chunks of any sizes.
 
     Each frame is checked against the stream grammar as the reader completes
-    it, so a misplaced frame raises ProtocolError before the next chunk is
-    read.  Raises ProtocolError too on malformed bytes, when the chunks end
-    mid-frame or before the end frame, and on markers no EegRecord holds.
+    it, so a misplaced frame, a marker too, raises ProtocolError before the
+    next chunk is read.  Raises ProtocolError too on malformed bytes, when the
+    chunks end mid-frame or before the end frame, and on a marker past the end.
     """
     reader = FrameReader()
     channels, blocks, markers, n_samples, ended = None, [], [], 0, False
@@ -331,6 +331,14 @@ def decode_record(chunks) -> EegRecord:
                 n_samples += frame.samples.shape[0]
                 blocks.append(frame.samples)
             elif isinstance(frame, MarkerFrame):
+                if markers and frame.sample_index <= markers[-1][0]:
+                    raise ProtocolError(
+                        f"marker onsets must be strictly increasing: "
+                        f"{frame.sample_index} follows {markers[-1][0]}")
+                if frame.sample_index < n_samples:
+                    raise ProtocolError(
+                        f"marker at sample {frame.sample_index} follows the "
+                        f"sample frame holding it ({n_samples} received)")
                 markers.append((frame.sample_index, frame.image_id, frame.run,
                                 frame.session, -1 if frame.is_target is None
                                 else int(frame.is_target)))

@@ -131,7 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_stream.add_argument("--trials", type=int, default=session.DEFAULT_TRIALS)
     p_stream.add_argument("--time-scale", type=float, default=0.0,
                           help="1.0 = real time, 0 = as fast as possible")
-    p_stream.add_argument("--chunk", type=int, default=acquisition.DEFAULT_CHUNK)
 
     p_ins = sub.add_parser("inspect", help="summarize a record or model file")
     p_ins.add_argument("--record")
@@ -221,8 +220,8 @@ def cmd_stream(args: argparse.Namespace) -> int:
 
 def _stream_produce(args) -> int:
     record = load_record(args.record)
-    frames = stream_record(record, args.chunk)
-    chunk_duration = args.chunk / record.rate
+    frames = stream_record(record)  # DEFAULT_CHUNK blocks, as record files
+    chunk_duration = acquisition.DEFAULT_CHUNK / record.rate
     with socket.create_server((args.host, args.port)) as server:
         # flushed: a script waits for this line before it starts a consumer
         print(f"serving {args.record} on {args.host}:{args.port}", flush=True)

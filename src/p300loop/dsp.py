@@ -138,17 +138,14 @@ def frequency_response(coeffs: FilterCoefficients, freqs_hz,
 
 def _filter_rows(coeffs: FilterCoefficients, rows: np.ndarray) -> np.ndarray:
     """Causal cascade along each row, zero initial state, all rows in one
-    call; rows holding NaN (channels awaiting pruning) pass untouched.
+    call; a row holding NaN is refused, as `prune_channels` handles NaN.
 
     Block j's output is X_j T + S_j C, its start state S_j = S_{j-1} F +
     X_{j-1} G.  Whole blocks are views of `rows`; the tail is one zero-padded
     block, exact because the filter is causal."""
     rows = np.asarray(rows, dtype=np.float64)
-    finite = ~np.isnan(rows).any(axis=1)
-    if not finite.all():
-        out = rows.copy()
-        out[finite] = _filter_rows(coeffs, rows[finite])
-        return out
+    if np.isnan(rows).any():
+        raise ValueError("rows hold NaN samples: prune channels first")
     taps, zir, step, feed = coeffs._blocks
     n_rows, n = rows.shape
     full, tail = divmod(n, _BLOCK)
@@ -177,7 +174,7 @@ def filter_apply(coeffs: FilterCoefficients, data):
     """Apply the filter causally, per channel, zero initial state.
 
     Accepts an EegRecord (returns a new record, markers kept), a 2-D matrix, or
-    a 1-D series.  Channels containing NaN are passed through unmodified.
+    a 1-D series; a channel holding NaN is refused (prune channels first).
     """
     if isinstance(data, EegRecord):
         return data.with_samples(_filter_rows(coeffs, data.samples))

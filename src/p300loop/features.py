@@ -15,7 +15,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import dsp, ica, lda
-from .core import ChannelSet, EegRecord, set_readonly
+from .core import DEFAULT_RATE, ChannelSet, EegRecord, set_readonly
 
 DEFAULT_NAN_THRESHOLD = 0.05
 
@@ -140,13 +140,18 @@ def epoch_features(record: EegRecord,
                    pipeline: PipelineConfig = PipelineConfig()):
     """Prune, filter, optionally ICA-clean, segment, and vectorize a recording.
 
-    Returns ([n_markers x feature_size] vectors, surviving channels), one row
-    per marker of the record; no target flag is read.
+    A record not at `DEFAULT_RATE`, the one rate its band-pass and window
+    hold at, is refused with ValueError before it is pruned.  Returns
+    ([n_markers x feature_size] vectors, surviving channels), one row per
+    marker of the record; no target flag is read.
     """
+    if record.rate != DEFAULT_RATE:
+        raise ValueError(f"record at {record.rate:g} Hz: the pipeline runs "
+                         f"at {DEFAULT_RATE:g} Hz")
     if not len(record.markers):
         raise ValueError("no stimulus events to segment")
     pruned, _ = prune_channels(record, pipeline.nan_threshold)
-    coeffs = dsp.design_bandpass(dsp.FilterSpec(rate=pruned.rate))
+    coeffs = dsp.design_bandpass(dsp.FilterSpec())
     filtered = dsp.filter_apply(coeffs, pruned)
 
     if pipeline.use_ica:

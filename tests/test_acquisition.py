@@ -480,6 +480,46 @@ class TestReassemble:
         with pytest.raises(acq.ProtocolError, match=match):
             acq.decode_record(chunks())
 
+    @staticmethod
+    def _with_markers(*indices):
+        """Header, samples 0-3, markers at `indices`, samples 4-7, end."""
+        def block(start):
+            return acq.SamplesFrame(first_sample_index=start,
+                                    samples=np.zeros((4, 1), np.float32))
+        return [acq.HeaderFrame(channel_count=1, rate=128.0, labels=("Fz",)),
+                block(0),
+                *(acq.MarkerFrame(sample_index=index, image_id=0, run=0,
+                                  session=0, is_target=None)
+                  for index in indices),
+                block(4), acq.EndFrame()]
+
+    @pytest.mark.parametrize("indices, match", [
+        ((1,), r"marker at sample 1 follows the sample frame holding it "
+               r"\(4 received\)"),
+        ((6, 5), "strictly increasing: 5 follows 6"),
+        ((6, 6), "strictly increasing: 6 follows 6"),
+    ], ids=["after_its_samples", "out_of_order", "repeated"])
+    def test_misplaced_marker_fails_at_its_frame(self, indices, match):
+        # a marker after the block holding its index once decoded silently,
+        # and markers out of order were refused only at the end frame
+        frames = self._with_markers(*indices)
+        pulled = []
+
+        def chunks():
+            for frame in frames:
+                pulled.append(frame)
+                yield acq.encode_frame(frame)
+
+        with pytest.raises(acq.ProtocolError, match=match):
+            acq.decode_record(chunks())
+        assert len(pulled) == 2 + len(indices)  # the marker was the last
+
+    def test_marker_at_the_next_block_start_is_in_place(self):
+        record = acq.decode_record(
+            acq.encode_frame(f) for f in self._with_markers(4, 5))
+        assert record.n_samples == 8
+        assert record.markers.onset.tolist() == [4, 5]
+
 
 class TestRecordFiles:
     def test_save_load_round_trip(self, tmp_path):

@@ -230,6 +230,21 @@ class TestTrain:
         assert "target labels" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
 
+    def test_record_at_another_rate_is_a_data_error(self, stream_assets,
+                                                     tmp_path, capsys):
+        # the pipeline runs at 128 Hz alone; the band-pass was once designed
+        # for whatever rate a record claimed
+        record = acquisition.load_record(stream_assets["record"])
+        relabelled, model = tmp_path / "256.eegs", tmp_path / "m.json"
+        acquisition.save_record(core.EegRecord(
+            record.channels, 256.0, record.samples, record.markers),
+            relabelled)
+        assert _run(["train", "--record", str(relabelled),
+                     "--model", str(model)]) == 2
+        err = capsys.readouterr().err
+        assert "256 Hz" in err and "128 Hz" in err
+        assert not model.exists()
+
     def test_failed_cross_validation_writes_no_model(self, tmp_path,
                                                      capsys):
         # one session cannot be cross-validated, so no model is written

@@ -170,14 +170,21 @@ class TestFilterApply:
         y = dsp.filter_apply(coeffs, np.ones(128 * 80))
         assert abs(y[-1]) < 1e-6
 
-    def test_nan_rows_pass_through(self, coeffs):
-        rng = np.random.default_rng(1)
-        data = rng.normal(size=(3, 256))
-        data[1, 5] = np.nan
-        out = dsp.filter_apply(coeffs, data)
-        np.testing.assert_array_equal(out[1], data[1])
-        assert not np.array_equal(out[0], data[0])
-        assert not np.isnan(out[0]).any()
+    @pytest.mark.parametrize("nan_rows", [(1,), (3, 9)])
+    def test_nan_rows_refused(self, coeffs, nan_rows):
+        # `features.prune_channels` is the one handler of NaN samples; the
+        # filter used to pass a NaN row through untouched
+        data = np.random.default_rng(1).normal(size=(14, 256))
+        for row in nan_rows:
+            data[row, 17 * row:] = np.nan
+        kept = data.copy()
+        for arr in (data, data[nan_rows[0]]):
+            with pytest.raises(ValueError, match="prune channels first"):
+                dsp.filter_apply(coeffs, arr)
+        rec = core.EegRecord(core.ChannelSet(), 128.0, data)
+        with pytest.raises(ValueError, match="prune channels first"):
+            dsp.filter_apply(coeffs, rec)
+        np.testing.assert_array_equal(data, kept)
 
     def test_record_roundtrip_keeps_metadata(self, coeffs):
         rec = core.EegRecord(core.ChannelSet(("A", "B")), 128.0,
@@ -214,24 +221,22 @@ def reference_design(spec: dsp.FilterSpec) -> dsp.FilterCoefficients:
 
 
 def reference_filter_rows(coeffs, rows):
-    """Each finite row through scipy.signal.sosfilt, times the gain; rows
-    holding NaN, and rows of no samples, stay as they are."""
+    """Each row through scipy.signal.sosfilt, times the gain; rows of no
+    samples stay as they are."""
     out = np.array(rows, dtype=np.float64, copy=True)
     for i in range(out.shape[0]):
-        if out.shape[1] == 0 or np.isnan(out[i]).any():
+        if out.shape[1] == 0:
             continue
         out[i] = coeffs.gain * signal.sosfilt(coeffs.sos, out[i])
     return out
 
 
 def assert_matches_reference(got, want):
-    """NaN rows bitwise, the rest within 1e-12 of the reference's largest
-    magnitude: the block-state filter sums in another order than sosfilt."""
+    """Within 1e-12 of the reference's largest magnitude: the block-state
+    filter sums in another order than sosfilt."""
     assert got.shape == want.shape
-    nan = np.isnan(want).any(axis=-1)
-    assert got[nan].tobytes() == want[nan].tobytes()
-    scale = np.abs(want[~nan]).max(initial=0.0)
-    assert np.abs(got[~nan] - want[~nan]).max(initial=0.0) <= 1e-12 * scale
+    scale = np.abs(want).max(initial=0.0)
+    assert np.abs(got - want).max(initial=0.0) <= 1e-12 * scale
 
 
 DESIGN_GRID = [dsp.FilterSpec(order, low, high, rate)
@@ -267,12 +272,9 @@ class TestFastPathsMatchReference:
             assert got.sections.tobytes() == want.sections.tobytes(), spec
             assert got.gain == want.gain, spec
 
-    @pytest.mark.parametrize("nan_rows", [(), (3, 9)])
-    def test_matrix(self, coeffs, nan_rows):
+    def test_matrix(self, coeffs):
         rng = np.random.default_rng(11)
         data = rng.normal(size=(14, 1434)) * 10.0
-        for row in nan_rows:
-            data[row, 17 * row:] = np.nan
         kept = data.copy()
         got = dsp.filter_apply(coeffs, data)
         want = reference_filter_rows(coeffs, data)
@@ -294,30 +296,23 @@ class TestFastPathsMatchReference:
                st.builds(lambda k, d: k * dsp._BLOCK + d,
                          st.integers(1, 10), st.sampled_from((-1, 0, 1))),
                st.integers(0, dsp._BLOCK - 1)),
-           nan_rows=st.sets(st.integers(0, 13), max_size=4),
            onsets=st.lists(st.integers(0, 800), min_size=14, max_size=14),
            seed=st.integers(0, 2 ** 32 - 1))
-    def test_any_shape(self, coeffs, n_rows, length, nan_rows, onsets, seed):
+    def test_any_shape(self, coeffs, n_rows, length, onsets, seed):
         data = np.random.default_rng(seed).normal(size=(n_rows, length)) * 10.0
         for row in range(n_rows):
             data[row, :onsets[row]] = 0.0  # silent until its onset
-        for row in nan_rows & set(range(n_rows)):
-            data[row, onsets[row] % max(length, 1):] = np.nan
         kept = data.copy()
         got = dsp.filter_apply(coeffs, data)
         assert_matches_reference(got, reference_filter_rows(coeffs, data))
         for row in range(n_rows):
-            if row not in nan_rows:
-                assert not got[row, :onsets[row]].any()  # exactly zero
+            assert not got[row, :onsets[row]].any()  # exactly zero
         np.testing.assert_array_equal(data, kept)
         assert not np.shares_memory(got, data)
 
     def test_all_nan_matrix(self, coeffs):
-        data = np.full((3, 50), np.nan)
-        got = dsp.filter_apply(coeffs, data)
-        assert np.array_equal(got, reference_filter_rows(coeffs, data),
-                              equal_nan=True)
-        assert got is not data
+        with pytest.raises(ValueError, match="prune channels first"):
+            dsp.filter_apply(coeffs, np.full((3, 50), np.nan))
 
 
 def _minmax_apply_four_arrays(params, v):

@@ -463,6 +463,24 @@ class TestScoreTable:
         assert got.tobytes() == want.tobytes()
 
 
+    def test_record_at_another_rate_is_refused_before_pruning(
+            self, noiseless_training, monkeypatch):
+        # the band-pass was designed for the record's claimed rate while the
+        # window counts samples, so a 256 Hz label moved a winner silently
+        model, _, _ = noiseless_training
+        schedule = scheduler.build_online_trial_schedule(
+            scheduler.TimingConfig(), 3, np.random.default_rng(5), target=4)
+        record = subject.simulate_subject(
+            schedule, subject.SubjectParams(seed=5, nan_fraction=0.0))
+        assert session.score_table(model, record).shape == (3, 12)
+        relabelled = core.EegRecord(record.channels, 256.0, record.samples,
+                                    record.markers)
+        monkeypatch.setattr(features, "prune_channels", lambda *args, **kw:
+                            pytest.fail("the record was pruned"))
+        with pytest.raises(ValueError, match="256 Hz.*128 Hz"):
+            session.score_table(model, relabelled)
+
+
 def reference_threaded_roundtrip(record, chunk, rng):
     """The producer thread and queue that the inline round trip replaced."""
     chunk_queue = queue.Queue(maxsize=64)
@@ -973,6 +991,19 @@ class TestFullEvaluation:
         canonical = json.dumps(report, sort_keys=True).encode()
         assert hashlib.sha256(canonical).hexdigest() == (
             "9ec3a6590b014777261077e9f0689c81df10908c24193ca26af1aae0c5330716")
+
+    def test_mismatch_past_the_epoch_window_falls_to_chance(self):
+        # a mismatch only moves the simulated response: 5 s early it leaves
+        # every 0-0.51 s epoch, so both phases guess, and nothing fails or
+        # turns non-finite; --mismatch needs no bound
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = session.run_full_evaluation(
+                subject.SubjectParams(), seed=0, reps_per_object=1,
+                mismatch=-5.0)
+        for phase in ("phase1", "phase2"):
+            assert report[phase]["total"] == 12
+            assert report[phase]["correct"] <= 3
 
     def test_needs_one_session_per_object_before_training(self,
                                                           monkeypatch):
