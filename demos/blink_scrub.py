@@ -38,7 +38,7 @@ def main() -> None:
     mask = ica.classify_components(model, sources, channels,
                                    kurtosis_threshold=args.kurtosis_threshold)
     flagged = [int(i) for i in np.flatnonzero(mask)]
-    print(f"extracted {model.k} component; flagged {flagged} as "
+    print(f"extracted {len(model.unmixing)} component; flagged {flagged} as "
           f"blink-like (spiky and frontally mixed)")
 
     scrubbed = ica.reconstruct(model, dirty.samples, mask)

@@ -467,7 +467,7 @@ def load_model(path) -> ModelFile:
     """Read a model file; raises FormatError when structurally invalid."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bytes that are not UTF-8, or not JSON
         raise FormatError(f"model file is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise FormatError("model file must hold a JSON object")

@@ -139,10 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.command_parsers = {"simulate": p_sim, "train": p_train,
                               "evaluate": p_eval, "stream": p_stream,
                               "inspect": p_ins}
-    # accepted before or after the subcommand
-    for p_cmd in parser.command_parsers.values():
-        p_cmd.add_argument("--config", type=str, default=None,
-                           help=argparse.SUPPRESS)
     return parser
 
 
@@ -220,18 +216,16 @@ def cmd_stream(args: argparse.Namespace) -> int:
 
 def _stream_produce(args) -> int:
     record = load_record(args.record)
-    frames = stream_record(record)  # DEFAULT_CHUNK blocks, as record files
-    chunk_duration = acquisition.DEFAULT_CHUNK / record.rate
     with socket.create_server((args.host, args.port)) as server:
         # flushed: a script waits for this line before it starts a consumer
         print(f"serving {args.record} on {args.host}:{args.port}", flush=True)
         conn, peer = server.accept()
         with conn:
             print(f"consumer connected from {peer[0]}:{peer[1]}")
-            for frame in frames:
+            for frame in stream_record(record):
                 conn.sendall(encode_frame(frame))
                 if args.time_scale > 0 and isinstance(frame, acquisition.SamplesFrame):
-                    time.sleep(chunk_duration * args.time_scale)
+                    time.sleep(len(frame.samples) / record.rate * args.time_scale)
     print(f"streamed {record.n_samples} samples, {len(record.markers)} markers")
     return EXIT_OK
 
@@ -285,16 +279,20 @@ _COMMANDS = {
 }
 
 
-def _apply_config_file(parser, argv):
-    """Seed parser defaults from --config JSON; explicit flags still win.
-    Each key must be a flag's dest, its value of that flag's JSON type."""
+def _apply_config_file(parser, argv) -> list:
+    """Seed parser defaults from the --config JSON found anywhere in `argv`,
+    and return `argv` less --config; explicit flags still win.  Each key
+    must be a flag's dest, its value of that flag's JSON type."""
     probe = _Parser(add_help=False)
     probe.add_argument("--config", type=str, default=None)
-    known, _ = probe.parse_known_args(argv)
+    known, rest = probe.parse_known_args(argv)
     if not known.config:
-        return
-    with open(known.config, encoding="utf-8") as fh:
-        defaults = json.load(fh)
+        return rest
+    try:
+        with open(known.config, encoding="utf-8") as fh:
+            defaults = json.load(fh)
+    except ValueError as exc:  # bytes that are not UTF-8, or not JSON
+        raise FormatError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(defaults, dict):
         raise FormatError("config file must hold a JSON object")
     kinds = {action.dest: bool if action.nargs == 0 else action.type or str
@@ -312,14 +310,14 @@ def _apply_config_file(parser, argv):
         defaults[key] = kind(value)
     for sub in parser.command_parsers.values():
         sub.set_defaults(**defaults)
+    return rest
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        _apply_config_file(parser, argv)
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_apply_config_file(parser, argv))
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -327,7 +325,7 @@ def main(argv=None) -> int:
     except ProtocolError as exc:
         print(f"protocol error: {exc}", file=sys.stderr)
         return EXIT_PROTOCOL
-    except (ica.RankError, np.linalg.LinAlgError, FloatingPointError) as exc:
+    except (ica.RankError, np.linalg.LinAlgError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (FormatError, ValueError, OSError, KeyError, IndexError) as exc:

@@ -50,13 +50,14 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Feature matrix with target labels and per-epoch provenance."""
+    """Feature matrix with target labels, per-epoch provenance, and the
+    channels and window that its feature size is always checked against."""
 
     vectors: np.ndarray                    # [n_epochs x feature_size]
     labels: np.ndarray                     # boolean, target flag per epoch
     provenance: np.ndarray                 # [n_epochs x 3] (run, session, image_id)
-    channels: ChannelSet | None = None
-    window: EpochWindow | None = None
+    channels: ChannelSet
+    window: EpochWindow
 
     def __post_init__(self) -> None:
         vectors = set_readonly(self, "vectors", self.vectors)
@@ -69,12 +70,10 @@ class LabeledDataset:
             raise ValueError("one label per epoch required")
         if len(provenance) != vectors.shape[0]:
             raise ValueError("one provenance row per epoch required")
-        if self.channels is not None and self.window is not None:
-            expected = len(self.channels) * self.window.length
-            if vectors.shape[1] != expected:
-                raise ValueError(
-                    f"feature size {vectors.shape[1]} != "
-                    f"{len(self.channels)} channels x {self.window.length} samples")
+        if vectors.shape[1] != len(self.channels) * self.window.length:
+            raise ValueError(
+                f"feature size {vectors.shape[1]} != "
+                f"{len(self.channels)} channels x {self.window.length} samples")
 
     @functools.cached_property
     def statistics(self) -> lda.ClassStatistics:

@@ -39,19 +39,18 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class IcaModel:
-    """Whitening and k components estimated from one recording."""
+    """Whitening and components of a recording; W's rows alone count them."""
 
     mean: np.ndarray        # [n_channels]
     whitening: np.ndarray   # V, [m x n_channels]
     unmixing: np.ndarray    # W, [k x m], orthonormal rows in whitened space
     mixing: np.ndarray      # A, [n_channels x k]
-    k: int
 
     def __post_init__(self) -> None:
         w = np.asarray(self.unmixing)
-        if w.shape != (self.k, len(self.whitening)):
+        if w.ndim != 2 or w.shape[1] != len(self.whitening):
             raise ValueError("unmixing must be k x the whitened dimension")
-        if not np.allclose(w @ w.T, np.eye(self.k), atol=1e-6):
+        if not np.allclose(w @ w.T, np.eye(len(w)), atol=1e-6):
             raise ValueError("unmixing rows must be orthonormal within 1e-6")
 
 
@@ -160,7 +159,7 @@ def fit(data: np.ndarray, *, tol: float = 1e-4, max_iter: int = 200):
                       f"{max_iter} iterations)", RuntimeWarning, stacklevel=2)
     w, sources = _finalize(w[None, :], z)
     return IcaModel(mean=mean, whitening=v, unmixing=w,
-                    mixing=np.linalg.solve(v, w.T), k=1), sources
+                    mixing=np.linalg.solve(v, w.T)), sources
 
 
 def classify_components(model: IcaModel, sources: np.ndarray,
@@ -191,7 +190,7 @@ def reconstruct(model: IcaModel, data: np.ndarray,
     """The data less its masked components: the data bitwise if none."""
     data = np.asarray(data, dtype=np.float64)
     mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (model.k,):
+    if mask.shape != (len(model.unmixing),):
         raise ValueError("mask length must equal the component count")
     if data.shape[0] != model.mean.shape[0]:
         raise ValueError("data row count must match the fitted channel count")

@@ -80,16 +80,14 @@ def durations(timing: TimingConfig) -> tuple[float, float, float]:
 
 @dataclass(frozen=True)
 class ScenarioSchedule:
-    """Ordered flash table, the sessions' prescribed images, and its span."""
+    """The flash table, the one record of who was attended, and its span."""
 
     events: Markers  # or a sequence of StimulusEvent rows
-    session_targets: tuple[int, ...] = ()
     span_s: float = 0.0
 
     def __post_init__(self) -> None:
         events = Markers.of(self.events)
         object.__setattr__(self, "events", events)
-        object.__setattr__(self, "session_targets", tuple(self.session_targets))
         keys = np.stack((events.session, events.run, events.image))
         keys = keys[:, np.lexsort(keys[::-1])]  # by session, run, image
         twice = np.flatnonzero((keys[:, 1:] == keys[:, :-1]).all(axis=0))
@@ -153,8 +151,7 @@ def build_scenario_schedule(timing: TimingConfig,
     d_run_interval.  is_target marks flashes of the session's prescribed image.
     """
     if session_targets is None:
-        session_targets = list(range(timing.sessions_per_scenario))
-    session_targets = [int(t) for t in session_targets]
+        session_targets = range(timing.sessions_per_scenario)
     if len(session_targets) != timing.sessions_per_scenario:
         raise ValueError("need one target image per session")
     if rng is None:
@@ -167,7 +164,6 @@ def build_scenario_schedule(timing: TimingConfig,
         + run * run_step for sess in range(timing.sessions_per_scenario)
         for run in range(timing.runs_per_session)])
     return ScenarioSchedule(
-        session_targets=tuple(session_targets),
         events=_markers(grid, timing.runs_per_session, rng,
                         session_targets=session_targets),
         span_s=float(d_scenario))
@@ -199,8 +195,8 @@ def build_online_trial_schedule(timing: TimingConfig,
 
     grid, span_s = online_grid(timing, n_trials)
     targets = () if target is None else (int(target),)
-    events = _markers(grid, n_trials, rng, sequences, targets)
-    return ScenarioSchedule(events, session_targets=targets, span_s=span_s)
+    return ScenarioSchedule(_markers(grid, n_trials, rng, sequences, targets),
+                            span_s=span_s)
 
 
 @functools.lru_cache(maxsize=32)

@@ -260,7 +260,7 @@ def retrain_from_online(model: ModelFile, logs) -> ModelFile:
         n = 0
 
     for log in logs:
-        if tuple(log.channels or ()) != model.channels:
+        if tuple(log.channels) != model.channels:
             raise ValueError(f"a log is not of the channels {model.channels}")
         end = n + log.n_epochs
         if end > len(rows):  # room for a whole block more; keeps rows[:n]

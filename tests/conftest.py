@@ -14,6 +14,20 @@ from p300loop import features, scheduler, subject
 ACCEPTANCE_LINES = []
 
 
+def attended_images(markers):
+    """Each flagged session's attended image, in session order, read from
+    the flash table's target column; () when no flash is flagged.  Fails
+    unless a flagged session flags flashes of exactly one image."""
+    flagged = markers.target == 1
+    sessions, images = markers.session[flagged], markers.image[flagged]
+    attended = []
+    for sess in np.unique(sessions).tolist():
+        shown = np.unique(images[sessions == sess]).tolist()
+        assert len(shown) == 1, f"session {sess} attends images {shown}"
+        attended.append(shown[0])
+    return tuple(attended)
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if ACCEPTANCE_LINES:
         terminalreporter.section("acceptance criteria")

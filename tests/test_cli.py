@@ -401,13 +401,16 @@ class TestConfigFile:
         assert _run(["simulate", "--config", str(cfg), "--out", str(a)]) == 0
         assert _run(["simulate", "--config", str(cfg), "--seed", "2",
                      "--out", str(b)]) == 0
+        before = tmp_path / "before.eegs"  # --config ahead of the subcommand
+        assert _run(["--config", str(cfg), "simulate", "--out",
+                     str(before)]) == 0
         assert _run(["simulate", "--sessions-per-scenario", "1",
                      "--background-rms", "0", "--alpha-amp", "0",
                      "--blink-rate", "0", "--nan-fraction", "0",
                      "--seed", "5", "--out", str(direct)]) == 0
         stdout = capsys.readouterr().out
         assert "seed 5" in stdout and "seed 2" in stdout
-        assert a.read_bytes() == direct.read_bytes()
+        assert a.read_bytes() == direct.read_bytes() == before.read_bytes()
         assert a.read_bytes() != b.read_bytes()
 
     def test_non_object_config_rejected(self, tmp_path):
@@ -427,6 +430,10 @@ class TestConfigFile:
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         self._rejected(tmp_path, capsys, {"p300_ampp": 99}, "p300_ampp")
+
+    def test_config_key_rejected(self, tmp_path, capsys):
+        # --config is read before the flags it seeds, so it seeds none
+        self._rejected(tmp_path, capsys, {"config": "other.json"}, "config")
 
     def test_float_for_an_int_flag_rejected(self, tmp_path, capsys):
         self._rejected(tmp_path, capsys, {"seed": 1.5}, "seed")
@@ -555,6 +562,35 @@ class TestStreamLoopback:
         paced = [l for l in capsys.readouterr().out.splitlines()
                  if l.startswith("selection")]
         assert paced == instant
+
+    def test_producer_paces_each_block_by_its_length(self, tmp_path,
+                                                     monkeypatch):
+        # 300 samples: two 128-sample blocks, then a last block of 44
+        record = core.EegRecord(core.ChannelSet(("Cz", "Pz")),
+                                core.DEFAULT_RATE, np.ones((2, 300)))
+        path = tmp_path / "short.eegs"
+        acquisition.save_record(record, path)
+        slept = []
+        monkeypatch.setattr(cli.time, "sleep", slept.append)
+        port = _free_port()
+        producer = threading.Thread(
+            target=_run, args=(["stream", "producer", "--port", str(port),
+                                "--record", str(path), "--time-scale", "2"],),
+            daemon=True)
+        producer.start()
+        deadline = time.monotonic() + 10.0
+        while True:
+            try:
+                conn = socket.create_connection(("127.0.0.1", port))
+                break
+            except ConnectionRefusedError:  # the producer had not bound yet
+                assert time.monotonic() < deadline
+                threading.Event().wait(0.05)  # time.sleep is patched
+        with conn:
+            got = acquisition.decode_record(iter(lambda: conn.recv(4096), b""))
+        producer.join(timeout=10.0)
+        assert got.samples.tobytes() == record.samples.tobytes()
+        assert slept == [2 * 128 / 128.0, 2 * 128 / 128.0, 2 * 44 / 128.0]
 
     def test_trailing_trials_reported(self, stream_assets, capsys):
         # 12 runs grouped in fives: two votes, two leftover runs

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from conftest import attended_images
 from p300loop import core, dsp, features, scheduler, subject
 
 
@@ -167,9 +168,10 @@ class TestDatasetFromScenario:
         assert training_dataset.feature_size == 13 * 65
 
     def test_labels_follow_schedule(self, training_dataset, training_schedule):
+        attended = attended_images(training_schedule.events)
         for (run, sess, img), label in zip(training_dataset.provenance,
                                            training_dataset.labels):
-            assert label == (img == training_schedule.session_targets[sess])
+            assert label == (img == attended[sess])
 
     def test_events_can_come_from_markers(self, training_record,
                                           training_dataset):
@@ -207,7 +209,9 @@ class TestDatasetFromScenario:
         with pytest.raises(ValueError):
             features.LabeledDataset(vectors=np.zeros((2, 4)),
                                     labels=np.array([True]),
-                                    provenance=((0, 0, 0), (0, 0, 1)))
+                                    provenance=((0, 0, 0), (0, 0, 1)),
+                                    channels=core.ChannelSet(("A", "B")),
+                                    window=features.EpochWindow(length=2))
         with pytest.raises(ValueError):
             features.LabeledDataset(vectors=np.zeros((1, 4)),
                                     labels=np.array([True]),

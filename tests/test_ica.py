@@ -136,14 +136,14 @@ def _complete_model(data, seed):
     mean, v, z = ica.whiten(data)
     w, sources = ica.fastica(z, rng=np.random.default_rng(seed))
     return ica.IcaModel(mean=mean, whitening=v, unmixing=w,
-                        mixing=np.linalg.pinv(w @ v), k=len(w)), sources
+                        mixing=np.linalg.pinv(w @ v)), sources
 
 
 class TestFit:
     def test_full_pipeline_on_mixture(self):
         sources, _, mixed = three_source_mixture(3)
         model, recovered = ica.fit(mixed)
-        assert model.k == 1
+        assert len(model.unmixing) == 1
         # the extracted component is one of the true sources
         corr = np.abs(np.corrcoef(recovered[0], sources)[0, 1:])
         assert corr.max() >= 0.95
@@ -167,10 +167,10 @@ class TestIcaModel:
         with pytest.raises(ValueError):
             ica.IcaModel(mean=np.zeros(2), whitening=np.eye(2),
                          unmixing=np.array([[1.0, 0.0], [1.0, 0.0]]),
-                         mixing=np.eye(2), k=2)
+                         mixing=np.eye(2))
         with pytest.raises(ValueError):
             ica.IcaModel(mean=np.zeros(2), whitening=np.eye(2),
-                         unmixing=np.eye(3), mixing=np.eye(2), k=2)
+                         unmixing=np.eye(3), mixing=np.eye(2))
 
 
 def _toy_model():
@@ -181,7 +181,7 @@ def _toy_model():
                        [0.1, 1.0],
                        [0.1, 0.9]])
     model = ica.IcaModel(mean=np.zeros(4), whitening=np.eye(2, 4),
-                         unmixing=np.eye(2), mixing=mixing, k=2)
+                         unmixing=np.eye(2), mixing=mixing)
     return model, channels
 
 
@@ -202,7 +202,7 @@ class TestClassifyComponents:
                              rng.uniform(-1.0, 1.0, 3000),
                              np.where(rng.random(3000) < 0.01, 40.0, 0.0)])
         model = ica.IcaModel(mean=np.zeros(4), whitening=np.eye(4),
-                             unmixing=np.eye(4), mixing=np.eye(4), k=4)
+                             unmixing=np.eye(4), mixing=np.eye(4))
         channels = core.ChannelSet(("AF3", "AF4", "F7", "F8"))
         expected = [_per_row_excess_kurtosis(row) for row in sources]
         # every column is frontal, so each flag is the kurtosis test alone;
@@ -335,7 +335,7 @@ class TestOneUnitFit:
     def test_keeps_only_the_extracted_component(self):
         data = _blink_record(30.0).samples
         model, sources = ica.fit(data)
-        assert model.k == 1 and sources.shape == (1, data.shape[1])
+        assert len(model.unmixing) == 1 and sources.shape == (1, data.shape[1])
         assert model.unmixing.shape == (1, 14)
         assert model.mixing.shape == (14, 1)
         # the mixing column is V^-1 w^T
@@ -364,8 +364,7 @@ class TestOneUnitFit:
         except ica.ConvergenceError as exc:  # the Gaussian background wanders
             w, deflated = ica._finalize(exc.last_w, z)
         deflation_model = ica.IcaModel(mean=model.mean, whitening=v,
-                                       unmixing=w, mixing=np.linalg.pinv(w @ v),
-                                       k=len(w))
+                                       unmixing=w, mixing=np.linalg.pinv(w @ v))
         deflation_mask = ica.classify_components(
             deflation_model, deflated, dirty.channels, kurtosis_threshold=5.0)
         assert mask.sum() == deflation_mask.sum() == 1

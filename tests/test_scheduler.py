@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import attended_images
 from p300loop import core, scheduler
 
 
@@ -105,7 +106,7 @@ class TestScenarioSchedule:
         assert training_schedule.n_targets == 72
 
     def test_default_session_targets(self, training_schedule):
-        assert training_schedule.session_targets == tuple(range(12))
+        assert attended_images(training_schedule.events) == tuple(range(12))
 
     def test_each_run_is_a_permutation(self, training_schedule):
         by_run = {}
@@ -130,8 +131,8 @@ class TestScenarioSchedule:
 
     def test_target_flags_follow_session_prescription(self, training_schedule):
         for ev in training_schedule.events:
-            target = training_schedule.session_targets[ev.session_index]
-            assert ev.is_target == (ev.image_id == target)
+            # the default prescription: session s attends image s
+            assert ev.is_target == (ev.image_id == ev.session_index)
 
     def test_first_onset_after_adaptation_and_instruction(self, training_schedule):
         first = training_schedule.events[0]
@@ -161,7 +162,7 @@ class TestScenarioSchedule:
         rng = np.random.default_rng(0)
         sched = scheduler.build_scenario_schedule(t, session_targets=[5, 5],
                                                   rng=rng)
-        assert sched.session_targets == (5, 5)
+        assert attended_images(sched.events) == (5, 5)
         with pytest.raises(ValueError):
             scheduler.build_scenario_schedule(t, session_targets=[5], rng=rng)
         with pytest.raises(ValueError):
@@ -243,12 +244,12 @@ class TestOnlineTrialSchedule:
                            "onset_s"):
                 assert (getattr(labelled.events, column).tobytes()
                         == getattr(want, column).tobytes())
-            assert labelled.session_targets == (target,)
+            assert attended_images(labelled.events) == (target,)
             assert labelled.n_targets == n_trials
             # without a target every flag is unknown, as a blind consumer
             # sees it
             assert (blind.events.target == -1).all()
-            assert blind.session_targets == ()
+            assert attended_images(blind.events) == ()
 
     @pytest.mark.parametrize("target", [12, -1, 200])
     def test_target_outside_image_range_rejected(self, target):
@@ -266,7 +267,7 @@ def reference_with_targets(schedule, target):
         events=core.Markers(events.onset, events.image, events.run,
                             events.session, events.image == target,
                             events.onset_s),
-        session_targets=schedule.session_targets, span_s=schedule.span_s)
+        span_s=schedule.span_s)
 
 
 def reference_online_schedule(timing, n_trials, rng, sequences=None):
@@ -292,7 +293,7 @@ def reference_online_schedule(timing, n_trials, rng, sequences=None):
                 onset_s=float(onset)))
     span = n_trials * d_run + (n_trials - 1) * fr(timing.d_run_interval)
     return scheduler.ScenarioSchedule(events=tuple(events),
-                                      session_targets=(), span_s=float(span))
+                                      span_s=float(span))
 
 
 _CENTI_SECONDS = st.integers(min_value=1, max_value=250).map(lambda k: k / 100)

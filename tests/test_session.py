@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import rankdata
 
+from conftest import attended_images
 from p300loop import (acquisition, core, dsp, features, ica, lda, scheduler,
                       session, subject)
 
@@ -316,7 +317,7 @@ class TestOfflineTraining:
             by_run.setdefault((sess, run), []).append((img, value))
         for (sess, _run), pairs in by_run.items():
             best = max(pairs, key=lambda p: p[1])[0]
-            correct += best == schedule.session_targets[sess]
+            correct += best == attended_images(schedule.events)[sess]
         assert correct == 72
 
 
@@ -801,7 +802,8 @@ class TestAuc:
         one = features.LabeledDataset(
             vectors=training_dataset.vectors[held][:24],
             labels=training_dataset.labels[held][:24],
-            provenance=training_dataset.provenance[:24])
+            provenance=training_dataset.provenance[:24],
+            channels=training_dataset.channels, window=training_dataset.window)
         with pytest.raises(ValueError):
             session.cross_validated_auc(one)
 
@@ -843,7 +845,8 @@ def _per_fold_refit_scores(dataset, shrinkage=lda.DEFAULT_SHRINKAGE):
 def _relabelled(dataset, labels, vectors=None):
     return features.LabeledDataset(
         vectors=dataset.vectors if vectors is None else vectors,
-        labels=labels, provenance=dataset.provenance)
+        labels=labels, provenance=dataset.provenance,
+        channels=dataset.channels, window=dataset.window)
 
 
 def _session_of(dataset):
@@ -903,7 +906,10 @@ def _fold_datasets(draw):
     provenance = [(0, int(sess), 0) for sess in session_of]
     shrinkage = draw(st.floats(1e-3, 1.0))
     return (features.LabeledDataset(vectors=vectors, labels=labels,
-                                    provenance=provenance), shrinkage)
+                                    provenance=provenance,
+                                    channels=core.ChannelSet(("Cz",)),
+                                    window=features.EpochWindow(length=d)),
+            shrinkage)
 
 
 class TestCrossValidationDowndate:
@@ -930,7 +936,8 @@ class TestCrossValidationDowndate:
                            for run, sess, img in training_dataset.provenance)
         shuffled = features.LabeledDataset(
             vectors=training_dataset.vectors, labels=training_dataset.labels,
-            provenance=provenance)
+            provenance=provenance, channels=training_dataset.channels,
+            window=training_dataset.window)
         want = session._cross_validated_scores(training_dataset, 0.01)
         got = session._cross_validated_scores(shuffled, 0.01)
         assert got.tobytes() == want.tobytes()
@@ -960,7 +967,7 @@ class TestPhaseSequences:
     def test_cyclic_replay_walks_training_runs(self, noiseless_training):
         _, _, schedule = noiseless_training
         target = 4
-        position = list(schedule.session_targets).index(target)
+        position = attended_images(schedule.events).index(target)
         by_run = {}
         for ev in schedule.events:
             if ev.session_index == position:
