@@ -61,10 +61,6 @@ class VersionError(ProtocolError):
     """Stream or file written by an incompatible (newer) major version."""
 
 
-class IncompleteFrame(Exception):
-    """Not an error: more bytes are needed to finish the current frame."""
-
-
 class FormatError(ValueError):
     """Structurally invalid model file."""
 
@@ -144,18 +140,18 @@ def encode_frame(frame: WireFrame) -> bytes:
     return _PREFIX.pack(MAGIC, kind, len(payload)) + payload
 
 
-def decode_frame(buffer, offset: int = 0) -> tuple[WireFrame, int]:
+def decode_frame(buffer, offset: int = 0) -> tuple[WireFrame, int] | None:
     """Decode the frame at buffer[offset:]; returns (frame, bytes used).
 
     The prefix is read in place and only the frame's payload is copied, so
     decoding the frames of a buffer one after another, at increasing offsets,
-    costs time linear in its length.  Raises IncompleteFrame when the buffer
-    holds only part of a frame (nothing is consumed); raises ProtocolError on
-    bad magic, a declared payload over MAX_PAYLOAD (as soon as the prefix is
-    complete), unknown kind, or a malformed payload.
+    costs time linear in its length.  Returns None when the buffer holds only
+    part of a frame (nothing is consumed); raises ProtocolError on bad magic,
+    a declared payload over MAX_PAYLOAD (as soon as the prefix is complete),
+    unknown kind, or a malformed payload.
     """
     if len(buffer) - offset < _PREFIX.size:
-        raise IncompleteFrame("frame prefix incomplete")
+        return None
     magic, kind, length = _PREFIX.unpack_from(buffer, offset)
     if magic != MAGIC:
         raise ProtocolError(f"bad magic {magic!r}")
@@ -164,7 +160,7 @@ def decode_frame(buffer, offset: int = 0) -> tuple[WireFrame, int]:
                             f"MAX_PAYLOAD ({MAX_PAYLOAD})")
     total = _PREFIX.size + length
     if len(buffer) - offset < total:
-        raise IncompleteFrame("payload incomplete")
+        return None
     payload = bytes(buffer[offset + _PREFIX.size:offset + total])
 
     if kind == KIND_HEADER:
@@ -226,14 +222,14 @@ class FrameReader:
     """Incremental decoder tolerant of arbitrary chunk boundaries.
 
     Each feed decodes the pending bytes in place, frame after frame at
-    increasing offsets, and drops the consumed prefix once at the end, so a
-    feed costs time linear in the bytes it holds however many frames they
-    carry.  What stays pending is at most one incomplete frame; once its
-    prefix is complete it has passed the magic and MAX_PAYLOAD checks, so the
-    pending bytes stay below MAX_PAYLOAD plus one prefix.  A ProtocolError
-    propagates from feed: the frames decoded before it in that call are
-    dropped with their bytes, and pending_bytes then counts from the
-    offending frame.
+    increasing offsets until `decode_frame` finds only part of one, and drops
+    the consumed prefix once at the end, so a feed costs time linear in the
+    bytes it holds however many frames they carry.  What stays pending is at
+    most one incomplete frame; once its prefix is complete it has passed the
+    magic and MAX_PAYLOAD checks, so the pending bytes stay below MAX_PAYLOAD
+    plus one prefix.  A ProtocolError propagates from feed: the frames
+    decoded before it in that call are dropped with their bytes, and
+    pending_bytes then counts from the offending frame.
     """
 
     def __init__(self) -> None:
@@ -245,12 +241,10 @@ class FrameReader:
         frames = []
         pos = 0
         try:
-            while True:
-                frame, used = decode_frame(self._buffer, pos)
+            while (decoded := decode_frame(self._buffer, pos)) is not None:
+                frame, used = decoded
                 frames.append(frame)
                 pos += used
-        except IncompleteFrame:
-            pass
         finally:
             del self._buffer[:pos]
         return frames
@@ -352,8 +346,9 @@ def decode_record(chunks) -> EegRecord:
         raise ProtocolError("stream carries no samples")
     samples = np.concatenate(blocks, axis=0)
     blocks.clear()  # so the record is built beside one copy of its samples
-    try:
-        return EegRecord(channels, rate, samples.T, Markers(*zip(*markers)))
+    try:  # a signaling NaN widens to float64 as the dropped sample it is
+        with np.errstate(invalid="ignore"):
+            return EegRecord(channels, rate, samples.T, Markers(*zip(*markers)))
     except (ValueError, OverflowError) as exc:
         raise ProtocolError(f"stream breaks the record contract: {exc}") from None
 

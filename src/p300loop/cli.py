@@ -45,7 +45,12 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems as exceptions, not exit(2)."""
+    """argparse that reports usage problems as exceptions, not exit(2), and
+    matches a flag by its whole name only.  Every parser is one, the
+    `--config` probe too, so no two of them can disagree about a prefix."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise UsageError(message)
@@ -325,7 +330,7 @@ def main(argv=None) -> int:
     except ProtocolError as exc:
         print(f"protocol error: {exc}", file=sys.stderr)
         return EXIT_PROTOCOL
-    except (ica.RankError, np.linalg.LinAlgError) as exc:
+    except (ica.RankError, np.linalg.LinAlgError, RuntimeWarning) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (FormatError, ValueError, OSError, KeyError, IndexError) as exc:

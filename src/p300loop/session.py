@@ -354,29 +354,6 @@ def _phase_sequences(schedule: ScenarioSchedule, target: int,
     return runs.take(range(first, first + n_trials), axis=0, mode="wrap").tolist()
 
 
-def _run_phase(model: ModelFile, base_params: SubjectParams,
-               catalog: ObjectCatalog, timing: TimingConfig,
-               n_trials: int, reps: int,
-               mismatch: float, seed_seq: np.random.SeedSequence,
-               training_schedule: ScenarioSchedule | None,
-               per_correct: list[int]):
-    """reps rounds over all 12 objects in turn: yields each selection's
-    log as soon as it ends, and counts its hit in `per_correct`."""
-    for i, child in enumerate(seed_seq.spawn(reps * N_IMAGES)):
-        round_index, target = divmod(i, N_IMAGES)
-        subject_seed, stream_seed = child.spawn(2)
-        params = replace(base_params, constant_offset=mismatch,
-                         seed=subject_seed)
-        sequences = None if training_schedule is None else _phase_sequences(
-            training_schedule, target, round_index, n_trials)
-        result, logged = run_online_selection(
-            model, params, catalog, target, n_trials=n_trials,
-            rng=np.random.default_rng(stream_seed), timing=timing,
-            sequences=sequences)
-        per_correct[target] += int(result.selected == target)
-        yield logged
-
-
 def run_full_evaluation(params: SubjectParams,
                         seed: int = 0,
                         timing: TimingConfig = TimingConfig(),
@@ -389,11 +366,11 @@ def run_full_evaluation(params: SubjectParams,
     Phase 1 trains offline, then runs reps_per_object selections per object
     under the timing mismatch while replaying the training flashing orders.
     Phase 2 retrains on those logs and repeats the selections with fresh
-    random orders.  Phase 1 is a generator that `retrain_from_online`
-    consumes once: each selection's scored epochs are folded as it ends,
-    and none is kept, so memory does not grow with the number of selections.
-    Everything derives from `seed`, so reports are identical across runs
-    (wall_clock_seconds aside).
+    random orders.  Both phases run through one local generator, which
+    `retrain_from_online` consumes once in phase 1: each selection's scored
+    epochs are folded as it ends, and none is kept, so memory does not grow
+    with the number of selections.  Everything derives from `seed`, so
+    reports are identical across runs (wall_clock_seconds aside).
     """
     if timing.sessions_per_scenario != N_IMAGES:  # one per object, replayed
         raise ValueError(f"the evaluation needs sessions_per_scenario = "
@@ -409,12 +386,28 @@ def run_full_evaluation(params: SubjectParams,
         pipeline=pipeline)
     del record  # the offline record is not needed past training
 
+    def phase(model, seed_seq, replayed, hits):
+        """reps_per_object rounds over the 12 objects in turn, replaying the
+        flashing orders of `replayed` unless it is None: yields each
+        selection's log as soon as it ends, and counts its hit in `hits`."""
+        for i, child in enumerate(seed_seq.spawn(reps_per_object * N_IMAGES)):
+            round_index, target = divmod(i, N_IMAGES)
+            subject_seed, stream_seed = child.spawn(2)
+            sequences = None if replayed is None else _phase_sequences(
+                replayed, target, round_index, n_trials)
+            result, logged = run_online_selection(
+                model, replace(params, constant_offset=mismatch,
+                               seed=subject_seed),
+                catalog, target, n_trials=n_trials,
+                rng=np.random.default_rng(stream_seed), timing=timing,
+                sequences=sequences)
+            hits[target] += int(result.selected == target)
+            yield logged
+
     hits1, hits2 = [0] * N_IMAGES, [0] * N_IMAGES
-    model2 = retrain_from_online(model1, _run_phase(
-        model1, params, catalog, timing, n_trials, reps_per_object,
-        mismatch, phase1_seq, training_schedule, hits1))
-    for _ in _run_phase(model2, params, catalog, timing, n_trials,
-                        reps_per_object, mismatch, phase2_seq, None, hits2):
+    model2 = retrain_from_online(
+        model1, phase(model1, phase1_seq, training_schedule, hits1))
+    for _ in phase(model2, phase2_seq, None, hits2):
         pass
 
     return {

@@ -4,6 +4,7 @@ import json
 import os
 import stat
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -99,13 +100,11 @@ class TestFrameRoundTrip:
 
 class TestDecodeErrors:
     def test_incomplete_prefix(self):
-        with pytest.raises(acq.IncompleteFrame):
-            acq.decode_frame(b"EEG")
+        assert acq.decode_frame(b"EEG") is None
 
     def test_incomplete_payload(self):
         wire = acq.encode_frame(_all_frame_kinds()[0])
-        with pytest.raises(acq.IncompleteFrame):
-            acq.decode_frame(wire[:-1])
+        assert acq.decode_frame(wire[:-1]) is None
 
     def test_bad_magic(self):
         wire = bytearray(acq.encode_frame(acq.EndFrame()))
@@ -201,6 +200,19 @@ class TestHostileBytes:
         wire = _with_sample_bytes(rec, 2, 100, value)
         with pytest.raises(acq.ProtocolError, match="infinite"):
             acq.decode_record([wire])
+
+    def test_signaling_nan_decodes_quietly(self):
+        # a NaN is a dropped sample, a signaling one too: widening its block
+        # to the record's float64 warns of nothing
+        rec = core.EegRecord(core.ChannelSet(("Fz",)), 128.0,
+                             np.arange(4.0)[None])
+        snan = np.array(0x7F800001, "<u4").view("<f4")
+        wire = _with_sample_bytes(rec, 0, 0, snan)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            decoded = acq.decode_record([wire])
+        np.testing.assert_array_equal(decoded.samples,
+                                      [[np.nan, 1.0, 2.0, 3.0]])
 
     def test_reader_refuses_the_infinite_frame_as_it_arrives(self):
         # a live producer that sends +inf and keeps its socket open: the
@@ -350,8 +362,7 @@ class TestFrameReader:
             got.append(frame)
             pos += used
         assert got == frames
-        with pytest.raises(acq.IncompleteFrame):
-            acq.decode_frame(wire, pos - 1)
+        assert acq.decode_frame(wire, pos - 1) is None
 
 
 class TestStreamRecord:
@@ -850,7 +861,7 @@ class TestModelFile:
 
 class TestStreamPrefixRobustness:
     def test_every_prefix_decodes_cleanly(self):
-        # a truncated stream yields frames then IncompleteFrame, never a crash
+        # a truncated stream yields frames then pending bytes, never a crash
         rec = _sample_record()
         wire = b"".join(acq.encode_frame(f)
                         for f in acq.stream_record(rec, chunk=16))

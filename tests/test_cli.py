@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, config files, loopback."""
 import contextlib
 import dataclasses
+import functools
 import io
 import json
 import socket
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from p300loop import acquisition, cli, core, features, lda, session
+from p300loop import acquisition, cli, core, features, ica, lda, session
 
 
 def _free_port():
@@ -441,6 +442,20 @@ class TestConfigFile:
     def test_bool_for_an_int_flag_rejected(self, tmp_path, capsys):
         self._rejected(tmp_path, capsys, {"trials": True}, "trials")
 
+    @pytest.mark.parametrize("argv, named", [
+        (["simulate", "--co", "0.3"], "--co"),  # --constant-offset meant
+        (["--conf", "c.json", "simulate"], "c.json"),
+        (["simulate", "--conf", "c.json"], "--conf"),
+    ])
+    def test_flag_prefix_is_a_usage_error(self, tmp_path, capsys, argv,
+                                          named):
+        # no parser takes a prefix, the --config probe neither: a prefix of
+        # --config is an unknown flag, not a config file to open
+        out = tmp_path / "x.eegs"
+        assert _run(argv + ["--out", str(out)]) == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_int_for_a_float_flag_is_a_float(self, monkeypatch, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"d_inf": 2}))
@@ -533,6 +548,19 @@ class TestExitCodes:
                      "--shrinkage", "0"]) == 3
         assert "numeric error" in capsys.readouterr().err
 
+
+    def test_unconverged_ica_as_an_error_is_a_numeric_error(
+            self, tmp_path, monkeypatch, capsys):
+        # `-W error::RuntimeWarning` turns the unconverged-unmixing warning
+        # into an exception, which must end in exit 3 and write no report
+        monkeypatch.setattr(ica, "fit", functools.partial(ica.fit, max_iter=1))
+        report = tmp_path / "r.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert _run(["evaluate", "--ica", "--reps-per-object", "1",
+                         "--report", str(report)]) == 3
+        assert "unconverged" in capsys.readouterr().err
+        assert not report.exists()
 
 class TestStreamLoopback:
     def test_consumer_recovers_selections(self, stream_assets, capsys):
