@@ -21,13 +21,13 @@ import json
 import os
 import stat
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .core import (N_IMAGES, ChannelSet, EegRecord, Markers, fields_equal,
-                   set_readonly)
+                   scalar_fields, set_readonly)
 from .dsp import ScalingParams
 from .features import EpochWindow, PipelineConfig
 
@@ -49,6 +49,7 @@ MAX_PAYLOAD = 1 << 24
 
 MODEL_FORMAT_VERSION = 2
 _NUMBER = (int, float)  # the JSON number types of a model file's scalars
+_JSON_TYPES = {bool: (bool,), int: (int,), float: _NUMBER}  # by default's type
 DEFAULT_CHUNK = 128
 RECV_BYTES = 1 << 16  # the largest read the stream consumer asks `recv` for
 
@@ -430,6 +431,12 @@ def _require(mapping: dict, key: str, kinds: tuple = ()):
     return mapping[key]
 
 
+def _field(mapping: dict, f):
+    """Config field `f` read from its key, of its default's JSON type."""
+    kind = type(f.default)
+    return kind(_require(mapping, f.name, _JSON_TYPES[kind]))
+
+
 def _numbers(doc: dict, key: str) -> list:
     values = _require(doc, key, (list,))
     if not all(type(value) in _NUMBER for value in values):
@@ -447,11 +454,9 @@ def save_model(model: ModelFile, path) -> None:
         "mins": [float(v) for v in model.scaling.mins],
         "maxes": [float(v) for v in model.scaling.maxes],
         "channels": list(model.channels),
-        "epoch_window": {"start_offset": model.window.start_offset,
-                         "length": model.window.length},
-        "nan_threshold": float(model.pipeline.nan_threshold),
-        "shrinkage": float(model.pipeline.shrinkage),
-        "use_ica": bool(model.pipeline.use_ica),
+        "epoch_window": asdict(model.window),
+        **{f.name: type(f.default)(getattr(model.pipeline, f.name))
+           for f in scalar_fields(PipelineConfig)},
         "ica": None,
     }
     write_whole(path, (json.dumps(doc, allow_nan=False, indent=1)
@@ -470,14 +475,11 @@ def load_model(path) -> ModelFile:
     if type(version) is not int or not 1 <= version <= MODEL_FORMAT_VERSION:
         raise FormatError(f"unsupported model format version {version!r}")
     try:
-        window = {key: _require(_require(doc, "epoch_window"), key, (int,))
-                  for key in ("start_offset", "length")}
-        pipeline = PipelineConfig(window=EpochWindow(**window))
-        if version >= 2:
-            pipeline = replace(
-                pipeline, use_ica=_require(doc, "use_ica", (bool,)),
-                nan_threshold=float(_require(doc, "nan_threshold", _NUMBER)),
-                shrinkage=float(_require(doc, "shrinkage", _NUMBER)))
+        window = {f.name: _field(_require(doc, "epoch_window"), f)
+                  for f in fields(EpochWindow)}
+        pipeline = PipelineConfig(window=EpochWindow(**window), **{
+            f.name: _field(doc, f) for f in scalar_fields(PipelineConfig)
+            if version >= 2})
         if _require(doc, "ica") is not None:
             raise FormatError("model ica must be null: no format stores a "
                               "fitted ICA")

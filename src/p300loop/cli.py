@@ -10,7 +10,6 @@ import json
 import socket
 import sys
 import time
-from dataclasses import fields
 
 import numpy as np
 
@@ -28,6 +27,7 @@ from .acquisition import (
     stream_record,
     write_whole,
 )
+from .core import scalar_fields
 from .features import EpochWindow, PipelineConfig, dataset_from_scenario
 from .scheduler import TimingConfig, build_scenario_schedule, durations
 from .session import ObjectCatalog, run_full_evaluation, score_table, votes
@@ -56,44 +56,35 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _flag_fields(cls) -> list:
-    """The fields of a config dataclass that have a flag of their own: all
-    but `seed` and those whose default is None."""
-    return [f for f in fields(cls)
-            if f.name != "seed" and f.default is not None]
+def _flag_fields(*classes) -> dict:
+    """The flag fields of config dataclasses, by dest (a field's "flag"
+    metadata, or else its name): those with a scalar default, but `seed`."""
+    return {f.metadata.get("flag", f.name): f for cls in classes
+            for f in scalar_fields(cls) if f.name != "seed"}
 
 
-def _add_field_flags(parser, cls, title: str) -> None:
-    """One `--field-name` flag per flag field of `cls`, unset by default."""
+def _add_field_flags(parser, title: str, *classes) -> None:
+    """One flag per flag field of `classes`, unset by default; a bool field's
+    is a switch."""
     group = parser.add_argument_group(title)
-    for f in _flag_fields(cls):
-        group.add_argument("--" + f.name.replace("_", "-"),
-                           type=type(f.default), default=None)
-
-
-def _add_pipeline_flags(parser) -> None:
-    group = parser.add_argument_group("pipeline flags")
-    group.add_argument("--ica", action="store_true", default=None,
-                       help="enable ICA artifact cleaning")
-    group.add_argument("--shrinkage", type=float, default=None)
-    group.add_argument("--nan-threshold", type=float, default=None)
-    group.add_argument("--window-start", type=int, default=None)
-    group.add_argument("--window-length", type=int, default=None)
+    for dest, f in _flag_fields(*classes).items():
+        kind = ({"action": "store_true"} if type(f.default) is bool
+                else {"type": type(f.default)})
+        group.add_argument("--" + dest.replace("_", "-"), default=None,
+                           help=f.metadata.get("help"), **kind)
 
 
 def _overridden(cls, values: dict, **fixed):
     """Build a config dataclass from its defaults, the flag fields set in
     `values`, then `fixed`."""
-    overrides = {f.name: values[f.name] for f in _flag_fields(cls)
-                 if values.get(f.name) is not None}
+    overrides = {f.name: values[dest] for dest, f in _flag_fields(cls).items()
+                 if values.get(dest) is not None}
     return cls(**{**overrides, **fixed})
 
 
 def _pipeline_from(args) -> PipelineConfig:
-    window = _overridden(EpochWindow, {"start_offset": args.window_start,
-                                       "length": args.window_length})
-    return _overridden(PipelineConfig, vars(args), window=window,
-                       use_ica=bool(args.ica))
+    return _overridden(PipelineConfig, vars(args),
+                       window=_overridden(EpochWindow, vars(args)))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -107,15 +98,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="synthesize a training scenario recording")
     p_sim.add_argument("--out", required=True, help="record file to write")
     p_sim.add_argument("--seed", type=int, default=0)
-    _add_field_flags(p_sim, TimingConfig, "timing overrides")
-    _add_field_flags(p_sim, SubjectParams, "subject overrides")
+    _add_field_flags(p_sim, "timing overrides", TimingConfig)
+    _add_field_flags(p_sim, "subject overrides", SubjectParams)
 
     p_train = sub.add_parser("train", help="fit a model from a recorded scenario")
     p_train.add_argument("--record", required=True)
     p_train.add_argument("--model", required=True, help="model file to write")
     p_train.add_argument("--seed", type=int, default=0,
                          help="no effect: training draws nothing at random")
-    _add_pipeline_flags(p_train)
+    _add_field_flags(p_train, "pipeline flags", PipelineConfig, EpochWindow)
 
     p_eval = sub.add_parser("evaluate", help="run the two-phase closed-loop evaluation")
     p_eval.add_argument("--report", required=True, help="report file to write")
@@ -123,9 +114,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--reps-per-object", type=int, default=session.DEFAULT_REPS_PER_OBJECT)
     p_eval.add_argument("--trials", type=int, default=session.DEFAULT_TRIALS)
     p_eval.add_argument("--mismatch", type=float, default=session.DEFAULT_MISMATCH_S)
-    _add_field_flags(p_eval, TimingConfig, "timing overrides")
-    _add_field_flags(p_eval, SubjectParams, "subject overrides")
-    _add_pipeline_flags(p_eval)
+    _add_field_flags(p_eval, "timing overrides", TimingConfig)
+    _add_field_flags(p_eval, "subject overrides", SubjectParams)
+    _add_field_flags(p_eval, "pipeline flags", PipelineConfig, EpochWindow)
 
     p_stream = sub.add_parser("stream", help="serve or consume a live record stream")
     p_stream.add_argument("role", choices=["producer", "consumer"])
@@ -333,7 +324,8 @@ def main(argv=None) -> int:
     except (ica.RankError, np.linalg.LinAlgError, RuntimeWarning) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (FormatError, ValueError, OSError, KeyError, IndexError) as exc:
+    except (FormatError, ValueError, OSError, KeyError, IndexError,
+            OverflowError, UserWarning) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

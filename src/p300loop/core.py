@@ -71,6 +71,11 @@ def fields_equal(a, b) -> bool:
                                  for f in fields(a) if f.compare))
 
 
+def scalar_fields(cls) -> list:
+    """A dataclass's fields whose default is a bool, int, float or str."""
+    return [f for f in fields(cls) if isinstance(f.default, (int, float, str))]
+
+
 @dataclass(frozen=True)
 class StimulusEvent:
     """One image flash, a row of `Markers`, checked as a one-row table.

@@ -9,7 +9,7 @@ feature vector.  With the default 14-channel montage and a 20% corrupted FC5,
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -24,8 +24,8 @@ DEFAULT_NAN_THRESHOLD = 0.05
 class EpochWindow:
     """Epoch extent relative to stimulus onset, in samples (endpoint included)."""
 
-    start_offset: int = 0
-    length: int = 65
+    start_offset: int = field(default=0, metadata={"flag": "window_start"})
+    length: int = field(default=65, metadata={"flag": "window_length"})
 
     def __post_init__(self) -> None:
         if self.length < 1:
@@ -35,12 +35,13 @@ class EpochWindow:
 @dataclass(frozen=True)
 class PipelineConfig:
     """Feature-pipeline knobs shared by training and online use, and the one
-    check of their values, for flags and model files alike."""
+    check of their values; each field is one flag and one model-file key."""
 
     window: EpochWindow = EpochWindow()
     nan_threshold: float = DEFAULT_NAN_THRESHOLD
     shrinkage: float = lda.DEFAULT_SHRINKAGE
-    use_ica: bool = False
+    use_ica: bool = field(default=False, metadata={
+        "flag": "ica", "help": "enable ICA artifact cleaning"})
 
     def __post_init__(self) -> None:
         for name in ("nan_threshold", "shrinkage"):

@@ -562,6 +562,26 @@ class TestExitCodes:
         assert "unconverged" in capsys.readouterr().err
         assert not report.exists()
 
+    def test_timing_overflowing_int64_onsets_is_a_data_error(self, tmp_path,
+                                                             capsys):
+        # the flash onsets of a 1e300 s pause do not fit the int64 table
+        out = tmp_path / "o.eeg"
+        assert _run(["simulate", "--d-inf", "1e300", "--out", str(out)]) == 2
+        assert "too large" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_subject_warning_as_an_error_is_a_data_error(self, tmp_path,
+                                                         capsys):
+        # `-W error::UserWarning` turns the atypical-latency warning into an
+        # exception, which must end in exit 2 and write no record
+        out = tmp_path / "w.eeg"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            assert _run(["simulate", "--p300-peak-latency", "0.6",
+                         "--out", str(out)]) == 2
+        assert "p300_peak_latency" in capsys.readouterr().err
+        assert not out.exists()
+
 class TestStreamLoopback:
     def test_consumer_recovers_selections(self, stream_assets, capsys):
         rc = _consume_with_producer(stream_assets["record"],
@@ -713,6 +733,18 @@ _FIELD_VALUES = {
 }
 _TIMING_FIELDS = {f.name for f in dataclasses.fields(cli.TimingConfig)}
 
+# Each pipeline field: its flag's dest (the config key) and a value off its
+# default.  The window's fields sit in the model file under "epoch_window".
+_PIPELINE_VALUES = {
+    "nan_threshold": ("nan_threshold", 0.3), "shrinkage": ("shrinkage", 0.02),
+    "use_ica": ("ica", True), "start_offset": ("window_start", 2),
+    "length": ("window_length", 60),
+}
+_WINDOW_FIELDS = [f.name for f in dataclasses.fields(features.EpochWindow)]
+_PIPELINE_FIELDS = [
+    f.name for f in dataclasses.fields(features.PipelineConfig)
+    if f.name != "window"] + _WINDOW_FIELDS
+
 
 class _Simulated(Exception):
     """Raised in place of simulating, past the point the configs are built."""
@@ -820,3 +852,33 @@ class TestFieldFlags:
         assert seen["pipeline"] == features.PipelineConfig(
             window=features.EpochWindow(start_offset=2, length=60),
             nan_threshold=0.3, shrinkage=0.01, use_ica=True)
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("name", _PIPELINE_FIELDS)
+    def test_each_pipeline_flag_lands_in_its_model_key(self, name, source,
+                                                       ica_assets, tmp_path):
+        dest, value = _PIPELINE_VALUES[name]
+        flag = "--" + dest.replace("_", "-")
+        if source == "flag":
+            argv = [flag] if value is True else [flag, str(value)]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({dest: value}))
+            argv = ["--config", str(cfg)]
+        model = tmp_path / "m.json"
+        assert _run(["train", "--record", str(ica_assets["record"]),
+                     "--model", str(model)] + argv) == 0
+        doc = json.loads(model.read_text())
+        section = doc["epoch_window"] if name in _WINDOW_FIELDS else doc
+        assert section[name] == value and type(section[name]) is type(value)
+        if name in _WINDOW_FIELDS:
+            want = features.PipelineConfig(window=dataclasses.replace(
+                features.EpochWindow(), **{name: value}))
+        else:
+            want = features.PipelineConfig(**{name: value})
+        loaded = acquisition.load_model(model)
+        assert loaded.pipeline == want
+        resaved = tmp_path / "again.json"
+        acquisition.save_model(loaded, resaved)
+        assert loaded == acquisition.load_model(resaved)
+        assert resaved.read_bytes() == model.read_bytes()
