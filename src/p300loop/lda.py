@@ -97,24 +97,35 @@ class ClassStatistics:
         centred on their mean and the row sqrt(n k / t) g, the dual of the
         downdate in `solve_without`.  The products add into this scatter in
         place, with no d x d copy: the returned statistics own it, and
-        these are spent.
+        these are spent.  A class's rows are gathered straight into its
+        update, freed before the other class's is made.  From empty
+        statistics the larger class goes first and writes its product over
+        the zero scatter, with no d x d temporary; the sum is the same either
+        way round, while a later merge in another order would move bits.
         """
         if not np.isfinite(rows).all():
             raise ValueError("training features must be finite")
-        counts, means, scatter = [], [], self.scatter
-        for n, mean, mask in zip(self.counts, self.means, (labels, ~labels)):
-            k = int(np.count_nonzero(mask))
-            if k:
-                update = np.empty((k + (n > 0), rows.shape[1]))
-                part = np.compress(mask, rows, axis=0, out=update[:k])
-                part_mean = part.mean(axis=0)
-                part -= part_mean
-                gap = part_mean - mean
-                update[k:] = math.sqrt(n * k / (n + k)) * gap  # none if n = 0
+        masks = (labels, ~labels)
+        ks = [int(np.count_nonzero(mask)) for mask in masks]
+        counts, means, scatter = [*self.counts], [*self.means], self.scatter
+        for c in (1, 0) if ks[1] > ks[0] and not any(counts) else (0, 1):
+            n, k = counts[c], ks[c]
+            if not k:
+                continue
+            update = np.empty((k + (n > 0), rows.shape[1]))
+            part = np.take(rows, np.flatnonzero(masks[c]), axis=0,
+                           out=update[:k], mode="clip")  # "raise" would buffer
+            part_mean = part.mean(axis=0)
+            part -= part_mean
+            gap = part_mean - means[c]
+            update[k:] = math.sqrt(n * k / (n + k)) * gap  # none if n = 0
+            if any(counts):
                 scatter += update.T @ update  # a syrk, mirrored by numpy
-                mean = mean + (k / (n + k)) * gap if n else part_mean
-            counts.append(n + k)
-            means.append(mean)
+            else:  # the first product, written over the zero scatter
+                np.matmul(update.T, update, out=scatter)
+            means[c] = means[c] + (k / (n + k)) * gap if n else part_mean
+            counts[c] = n + k
+            del update, part  # before the other class allocates its own
         return ClassStatistics(counts=tuple(counts), means=np.array(means),
                                scatter=scatter)
 
@@ -139,8 +150,8 @@ class ClassStatistics:
         - (r k / n) g g^T, g the leaving rows' mean minus the staying ones':
         V^T V for V the leaving rows centred on their class means and
         sqrt(r k / n) g for each class that loses rows and keeps some.  V is
-        written into the first rows of a new buffer, above the d rows where
-        `_shrinkage_solve` factors and subtracts it.
+        gathered straight into the first rows of a new buffer, above the d
+        rows where `_shrinkage_solve` factors and subtracts it.
         """
         masks = (labels, ~labels)
         ks = [int(np.count_nonzero(mask)) for mask in masks]
@@ -149,7 +160,8 @@ class ClassStatistics:
         counts, means, at = [], [], 0
         for n, mean, mask, k in zip(self.counts, self.means, masks, ks):
             if k:
-                part = np.compress(mask, rows, axis=0, out=out[at:at + k])
+                part = np.take(rows, np.flatnonzero(mask), axis=0,
+                               out=out[at:at + k], mode="clip")
                 part_mean = part.mean(axis=0)
                 part -= part_mean
                 at += k

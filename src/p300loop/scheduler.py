@@ -15,6 +15,11 @@ import numpy as np
 
 from .core import DEFAULT_RATE, N_IMAGES, Markers, time_to_sample
 
+# The longest scenario simulated: 2 h, 921,600 samples at 128 Hz, six times
+# the 1,200 s records the tests load.  A longer one is refused before its
+# samples are allocated.
+MAX_SCENARIO_S = 7200
+
 
 def _fr(x) -> Fraction:
     """Exact rational view of a config duration (decimal string round trip)."""
@@ -40,6 +45,13 @@ class TimingConfig:
         for name in ("runs_per_session", "sessions_per_scenario"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
+        span = _exact_durations(self)[3]
+        if span > MAX_SCENARIO_S:
+            shown = f"{float(span):g} s" if span < 1e308 else "over 1e308 s"
+            raise ValueError(
+                f"a scenario of {shown} is too large: the cap is "
+                f"{MAX_SCENARIO_S} s, {MAX_SCENARIO_S * DEFAULT_RATE:,.0f} "
+                f"samples")
 
 
 def _exact_durations(timing: TimingConfig) -> tuple[Fraction, ...]:

@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from p300loop import acquisition, cli, core, features, ica, lda, session
+from p300loop import (acquisition, cli, core, features, ica, lda, scheduler,
+                      session, subject)
 
 
 def _free_port():
@@ -564,10 +565,27 @@ class TestExitCodes:
 
     def test_timing_overflowing_int64_onsets_is_a_data_error(self, tmp_path,
                                                              capsys):
-        # the flash onsets of a 1e300 s pause do not fit the int64 table
+        # a 1e300 s pause, whose flash onsets would not fit the int64 table,
+        # makes a scenario past the cap: refused before anything is printed
         out = tmp_path / "o.eeg"
         assert _run(["simulate", "--d-inf", "1e300", "--out", str(out)]) == 2
-        assert "too large" in capsys.readouterr().err
+        printed = capsys.readouterr()
+        assert "scenario of 1.2e+301 s is too large" in printed.err
+        assert printed.out == ""
+        assert not out.exists()
+
+    def test_scenario_past_the_cap_is_refused_before_it_is_simulated(
+            self, tmp_path, capsys, monkeypatch):
+        # a 1e6 s pause would ask for 14 x 1.5e9 samples of background
+        def allocate(*args, **kwargs):
+            raise AssertionError("the background was generated")
+
+        monkeypatch.setattr(subject, "generate_background", allocate)
+        out = tmp_path / "big.eeg"
+        assert _run(["simulate", "--d-inf", "1e6", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "scenario of 1.20003e+07 s is too large" in err
+        assert f"cap is {scheduler.MAX_SCENARIO_S} s" in err
         assert not out.exists()
 
     def test_subject_warning_as_an_error_is_a_data_error(self, tmp_path,

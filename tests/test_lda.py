@@ -1,5 +1,6 @@
 """Shrinkage discriminant: closed-form directions, scores, Fisher criterion."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -290,6 +291,60 @@ class TestClassStatistics:
         merged = stats.merged(vectors[20:], labels[20:])
         assert merged.scatter is scatter
         assert merged.counts == (labels.sum(), (~labels).sum())
+
+    @staticmethod
+    def _target_first_merge(counts, means, scatter, rows, labels):
+        """The merge as first written: target class first, rows gathered by
+        boolean indexing, each product added to the scatter with `+=`."""
+        counts, means, scatter = list(counts), means.copy(), scatter.copy()
+        for c, mask in enumerate((labels, ~labels)):
+            n, part = counts[c], rows[mask]
+            k = len(part)
+            part_mean = part.mean(axis=0)
+            gap = part_mean - means[c]
+            update = part - part_mean
+            if n:
+                update = np.vstack([update, math.sqrt(n * k / (n + k)) * gap])
+            scatter += update.T @ update
+            means[c] = means[c] + (k / (n + k)) * gap if n else part_mean
+            counts[c] = n + k
+        return counts, means, scatter
+
+    @pytest.mark.parametrize("target_share", [0.8, 0.2])
+    def test_merge_is_bitwise_the_target_first_merge(self, target_share):
+        # from empty statistics the larger class is merged first; the sum
+        # must not move a bit, and a later merge keeps the class order
+        rng = np.random.default_rng(11)
+        vectors = rng.normal(size=(200, 60)) + 3.0
+        labels = rng.random(200) < target_share
+        d = vectors.shape[1]
+        stats = lda.ClassStatistics.of(vectors[:120], labels[:120])
+        want = self._target_first_merge((0, 0), np.zeros((2, d)),
+                                        np.zeros((d, d)), vectors[:120],
+                                        labels[:120])
+        for _ in range(2):
+            assert stats.counts == tuple(want[0])
+            assert stats.means.tobytes() == want[1].tobytes()
+            assert stats.scatter.tobytes() == want[2].tobytes()
+            stats = stats.merged(vectors[120:], labels[120:])
+            want = self._target_first_merge(*want, vectors[120:],
+                                            labels[120:])
+
+    def test_statistics_hold_one_class_of_rows_at_a_time(self):
+        # the scatter and the larger class's centred rows, and no hidden
+        # copy of the rows or d x d temporary beside them
+        rng = np.random.default_rng(12)
+        n, d = 1728, 845
+        vectors = rng.normal(size=(n, d))
+        labels = np.zeros(n, dtype=bool)
+        labels[rng.choice(n, 144, replace=False)] = True
+        tracemalloc.start()
+        try:
+            lda.ClassStatistics.of(vectors, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * (d * d + (n - 144) * d) * 8
 
     def test_downdate_writes_only_its_buffer(self):
         # the leaving rows are centred in a buffer of its own, not in place

@@ -40,6 +40,13 @@ class TestTimingConfig:
         with pytest.raises(ValueError, match=name):
             scheduler.TimingConfig(**{name: value})
 
+    def test_scenario_span_is_capped(self):
+        # 6892.8 + 12 * 25.6 s is exactly the cap, in exact arithmetic
+        span = scheduler.durations(scheduler.TimingConfig(d_adapt=6892.8))[2]
+        assert span == scheduler.MAX_SCENARIO_S
+        with pytest.raises(ValueError, match="7200.1 s is too large"):
+            scheduler.TimingConfig(d_adapt=6892.9)
+
     def test_image_count_is_not_configurable(self):
         # every run flashes each of the core.N_IMAGES images once
         with pytest.raises(TypeError):
