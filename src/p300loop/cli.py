@@ -96,12 +96,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", help="synthesize a training scenario recording")
+    p_sim.set_defaults(handler=cmd_simulate)
     p_sim.add_argument("--out", required=True, help="record file to write")
     p_sim.add_argument("--seed", type=int, default=0)
     _add_field_flags(p_sim, "timing overrides", TimingConfig)
     _add_field_flags(p_sim, "subject overrides", SubjectParams)
 
     p_train = sub.add_parser("train", help="fit a model from a recorded scenario")
+    p_train.set_defaults(handler=cmd_train)
     p_train.add_argument("--record", required=True)
     p_train.add_argument("--model", required=True, help="model file to write")
     p_train.add_argument("--seed", type=int, default=0,
@@ -109,6 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field_flags(p_train, "pipeline flags", PipelineConfig, EpochWindow)
 
     p_eval = sub.add_parser("evaluate", help="run the two-phase closed-loop evaluation")
+    p_eval.set_defaults(handler=cmd_evaluate)
     p_eval.add_argument("--report", required=True, help="report file to write")
     p_eval.add_argument("--seed", type=int, default=0)
     p_eval.add_argument("--reps-per-object", type=int, default=session.DEFAULT_REPS_PER_OBJECT)
@@ -118,23 +121,26 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field_flags(p_eval, "subject overrides", SubjectParams)
     _add_field_flags(p_eval, "pipeline flags", PipelineConfig, EpochWindow)
 
-    p_stream = sub.add_parser("stream", help="serve or consume a live record stream")
-    p_stream.add_argument("role", choices=["producer", "consumer"])
-    p_stream.add_argument("--host", default="127.0.0.1")
-    p_stream.add_argument("--port", type=int, required=True)
-    p_stream.add_argument("--record", help="record file (producer)")
-    p_stream.add_argument("--model", help="model file (consumer)")
-    p_stream.add_argument("--trials", type=int, default=session.DEFAULT_TRIALS)
-    p_stream.add_argument("--time-scale", type=float, default=0.0,
-                          help="1.0 = real time, 0 = as fast as possible")
+    roles = sub.add_parser("stream", help="serve or consume a live record stream"
+                           ).add_subparsers(dest="role", required=True)
+    p_prod = roles.add_parser("producer", help="serve a record file")
+    p_cons = roles.add_parser("consumer", help="score a served record")
+    for role, handler in ((p_prod, _stream_produce), (p_cons, _stream_consume)):
+        role.set_defaults(handler=handler)
+        role.add_argument("--host", default="127.0.0.1")
+        role.add_argument("--port", type=int, required=True)
+    p_prod.add_argument("--record", required=True, help="record file to serve")
+    p_prod.add_argument("--time-scale", type=float, default=0.0,
+                        help="1.0 = real time, 0 = as fast as possible")
+    p_cons.add_argument("--model", required=True, help="model file to serve")
+    p_cons.add_argument("--trials", type=int, default=session.DEFAULT_TRIALS)
 
     p_ins = sub.add_parser("inspect", help="summarize a record or model file")
+    p_ins.set_defaults(handler=cmd_inspect)
     p_ins.add_argument("--record")
     p_ins.add_argument("--model")
 
-    parser.command_parsers = {"simulate": p_sim, "train": p_train,
-                              "evaluate": p_eval, "stream": p_stream,
-                              "inspect": p_ins}
+    parser.command_parsers = [p_sim, p_train, p_eval, p_prod, p_cons, p_ins]
     return parser
 
 
@@ -198,18 +204,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_stream(args: argparse.Namespace) -> int:
-    if args.role == "producer":
-        if not args.record:
-            raise UsageError("producer needs --record")
-        return _stream_produce(args)
-    if not args.model:
-        raise UsageError("consumer needs --model")
-    if args.trials < 1:
-        raise UsageError("consumer needs --trials of at least 1")
-    return _stream_consume(args)
-
-
 def _stream_produce(args) -> int:
     record = load_record(args.record)
     with socket.create_server((args.host, args.port)) as server:
@@ -227,6 +221,8 @@ def _stream_produce(args) -> int:
 
 
 def _stream_consume(args) -> int:
+    if args.trials < 1:
+        raise UsageError("consumer needs --trials of at least 1")
     model = load_model(args.model)
     catalog = ObjectCatalog()
     with socket.create_connection((args.host, args.port)) as conn:
@@ -266,15 +262,6 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "simulate": cmd_simulate,
-    "train": cmd_train,
-    "evaluate": cmd_evaluate,
-    "stream": cmd_stream,
-    "inspect": cmd_inspect,
-}
-
-
 def _apply_config_file(parser, argv) -> list:
     """Seed parser defaults from the --config JSON found anywhere in `argv`,
     and return `argv` less --config; explicit flags still win.  Each key
@@ -292,7 +279,7 @@ def _apply_config_file(parser, argv) -> list:
     if not isinstance(defaults, dict):
         raise FormatError("config file must hold a JSON object")
     kinds = {action.dest: bool if action.nargs == 0 else action.type or str
-             for sub in parser.command_parsers.values()
+             for sub in parser.command_parsers
              for action in sub._actions
              if action.option_strings and action.dest != "help"}
     for key, value in defaults.items():
@@ -304,7 +291,7 @@ def _apply_config_file(parser, argv) -> list:
             raise FormatError(f"config key {key!r} needs a JSON "
                               f"{kind.__name__}, not {value!r}")
         defaults[key] = kind(value)
-    for sub in parser.command_parsers.values():
+    for sub in parser.command_parsers:
         sub.set_defaults(**defaults)
     return rest
 
@@ -314,7 +301,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(_apply_config_file(parser, argv))
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -45,13 +45,16 @@ class TimingConfig:
         for name in ("runs_per_session", "sessions_per_scenario"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
-        span = _exact_durations(self)[3]
-        if span > MAX_SCENARIO_S:
-            shown = f"{float(span):g} s" if span < 1e308 else "over 1e308 s"
-            raise ValueError(
-                f"a scenario of {shown} is too large: the cap is "
-                f"{MAX_SCENARIO_S} s, {MAX_SCENARIO_S * DEFAULT_RATE:,.0f} "
-                f"samples")
+        _check_span(_exact_durations(self)[3])
+
+
+def _check_span(span: Fraction) -> None:
+    """Refuse a record span of exact seconds past MAX_SCENARIO_S."""
+    if span > MAX_SCENARIO_S:
+        shown = f"{float(span):g} s" if span < 1e308 else "over 1e308 s"
+        raise ValueError(
+            f"a scenario of {shown} is too large: the cap is "
+            f"{MAX_SCENARIO_S} s, {MAX_SCENARIO_S * DEFAULT_RATE:,.0f} samples")
 
 
 def _exact_durations(timing: TimingConfig) -> tuple[Fraction, ...]:
@@ -217,12 +220,14 @@ def online_grid(timing: TimingConfig, n_trials: int):
 
     grid is the trials' `_run_grid` (onset samples, onset seconds).  span_s
     is n_trials * d_run + (n_trials - 1) * d_run_interval: the simulated
-    latency of one selection.
+    latency of one selection, refused past MAX_SCENARIO_S before any onset
+    is laid out.
     """
-    d_run = _exact_durations(timing)[1]
-    step = d_run + _fr(timing.d_run_interval)
+    step = _exact_durations(timing)[1] + _fr(timing.d_run_interval)
+    span = n_trials * step - _fr(timing.d_run_interval)
+    _check_span(span)
     grid = _run_grid(timing, [trial * step for trial in range(n_trials)])
-    return grid, float(n_trials * step - _fr(timing.d_run_interval))
+    return grid, float(span)
 
 
 def event_table(schedule: ScenarioSchedule) -> str:

@@ -375,6 +375,7 @@ def run_full_evaluation(params: SubjectParams,
     if timing.sessions_per_scenario != N_IMAGES:  # one per object, replayed
         raise ValueError(f"the evaluation needs sessions_per_scenario = "
                          f"{N_IMAGES}, not {timing.sessions_per_scenario}")
+    per_selection_s = online_grid(timing, n_trials)[1]  # refused before training
     catalog = ObjectCatalog()
     started = time.perf_counter()
     train_seq, phase1_seq, phase2_seq = np.random.SeedSequence(seed).spawn(3)
@@ -414,7 +415,7 @@ def run_full_evaluation(params: SubjectParams,
         "phase1": _phase_dict(hits1, reps_per_object, catalog),
         "phase2": _phase_dict(hits2, reps_per_object, catalog),
         "latency": {
-            "per_selection_s": online_grid(timing, n_trials)[1],
+            "per_selection_s": per_selection_s,
             "n_trials": n_trials,
         },
         "timing": dict(zip(("d_run_s", "d_session_s", "d_scenario_s"),

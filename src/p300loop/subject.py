@@ -31,6 +31,8 @@ TAIL_S = 0.8
 
 # Blink deflection shape: Gaussian with +/- 2 sigma spanning 0.3 s.
 BLINK_SIGMA_S = 0.075
+# The highest blink rate: one blink per +/- 2 sigma width, 200 per minute.
+MAX_BLINK_RATE = 60 / (4 * BLINK_SIGMA_S)
 BLINK_LEAKAGE = 0.05
 
 # Reach of a Gaussian bump, in widths: past z = 38.6 the float64
@@ -66,6 +68,9 @@ class SubjectParams:
                      "blink_rate", "latency_jitter_sd"):
             if not 0 <= getattr(self, name) < np.inf:  # NaN fails too
                 raise ValueError(f"{name} must be finite and non-negative")
+        if self.blink_rate > MAX_BLINK_RATE:
+            raise ValueError(f"blink_rate must be at most {MAX_BLINK_RATE:g} "
+                             "per minute")
         if not 0 < self.p300_width < np.inf:
             raise ValueError("p300_width must be finite and positive")
         if not 0 <= self.nan_fraction <= 1:

@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import io
 import json
+import re
 import socket
 import sys
 import threading
@@ -588,6 +589,35 @@ class TestExitCodes:
         assert f"cap is {scheduler.MAX_SCENARIO_S} s" in err
         assert not out.exists()
 
+    def test_online_span_past_the_cap_is_refused_before_training(
+            self, tmp_path, capsys, monkeypatch):
+        # 1895 trials would simulate a 7,200.8 s record per selection
+        def train(*args, **kwargs):
+            raise AssertionError("the evaluation trained")
+
+        monkeypatch.setattr(session, "run_offline_training", train)
+        report = tmp_path / "r3.json"
+        assert _run(["evaluate", "--trials", "1895", "--reps-per-object", "1",
+                     "--report", str(report)]) == 2
+        err = capsys.readouterr().err
+        assert "scenario of 7200.8 s is too large" in err
+        assert f"cap is {scheduler.MAX_SCENARIO_S} s" in err
+        assert not report.exists()
+
+    def test_blink_rate_past_its_bound_is_refused_before_it_is_simulated(
+            self, tmp_path, capsys, monkeypatch):
+        # 1e9 blinks a minute would draw 6e8 blink times
+        def allocate(*args, **kwargs):
+            raise AssertionError("the background was generated")
+
+        monkeypatch.setattr(subject, "generate_background", allocate)
+        out = tmp_path / "b.eeg"
+        assert _run(["simulate", "--blink-rate", "1e9", "--out", str(out)]) == 2
+        printed = capsys.readouterr()
+        assert "blink_rate" in printed.err
+        assert printed.out == ""
+        assert not out.exists()
+
     def test_subject_warning_as_an_error_is_a_data_error(self, tmp_path,
                                                          capsys):
         # `-W error::UserWarning` turns the atypical-latency warning into an
@@ -599,6 +629,53 @@ class TestExitCodes:
                          "--out", str(out)]) == 2
         assert "p300_peak_latency" in capsys.readouterr().err
         assert not out.exists()
+
+# Each stream role's own flags, and the argv of its required ones.
+_ROLE_FLAGS = {"producer": ["--host", "--port", "--record", "--time-scale"],
+               "consumer": ["--host", "--port", "--model", "--trials"]}
+_ROLE_ARGV = {"producer": ["--port", "7", "--record", "r.eeg"],
+              "consumer": ["--port", "7", "--model", "m.json"]}
+
+
+class TestStreamRoles:
+    """Each stream role parses the flags it reads and no other."""
+
+    @pytest.mark.parametrize("role,flag", [
+        ("producer", "--model"), ("producer", "--trials"),
+        ("consumer", "--record"), ("consumer", "--time-scale")])
+    def test_role_foreign_flag_is_a_usage_error(self, role, flag, capsys):
+        # refused by the parser, before a file is read or a socket opened
+        assert _run(["stream", role] + _ROLE_ARGV[role] + [flag, "1"]) == 1
+        assert (f"unrecognized arguments: {flag} 1"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("role", sorted(_ROLE_FLAGS))
+    def test_help_lists_the_role_flags(self, role, capsys):
+        with pytest.raises(SystemExit):
+            _run(["stream", role, "--help"])
+        listed = re.findall(r"^ +(?:-h, )?(--[\w-]+)",
+                            capsys.readouterr().out, re.M)
+        assert listed == ["--help"] + _ROLE_FLAGS[role]
+
+    @pytest.mark.parametrize("role,key,value", [
+        ("producer", "host", "::1"), ("producer", "port", 9),
+        ("producer", "record", "c.eeg"), ("producer", "time_scale", 0.5),
+        ("consumer", "host", "::1"), ("consumer", "port", 9),
+        ("consumer", "model", "c.json"), ("consumer", "trials", 5)])
+    def test_config_key_of_a_role_loads(self, role, key, value, tmp_path):
+        # a required flag must still be given, and then wins
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        argv = ["stream", role, "--config", str(cfg)] + _ROLE_ARGV[role]
+        parser = cli.build_parser()
+        args = parser.parse_args(cli._apply_config_file(parser, argv))
+        flag = "--" + key.replace("_", "-")
+        if flag in argv:
+            value = type(value)(argv[argv.index(flag) + 1])
+        assert getattr(args, key) == value
+        assert args.handler is {"producer": cli._stream_produce,
+                                "consumer": cli._stream_consume}[role]
+
 
 class TestStreamLoopback:
     def test_consumer_recovers_selections(self, stream_assets, capsys):

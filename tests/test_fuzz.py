@@ -3,13 +3,17 @@
 A mutated online stream is refused with ProtocolError or decodes to a record
 with no infinite sample; a mutated model file or `--config` file loads or is
 refused with FormatError, and never with another exception.  No checksum
-guards the wire, so a mutated sample value may still decode silently.
+guards the wire, so a mutated sample value may still decode silently.  A
+command line of edge values ends in a documented exit code, and one that
+fails writes no file.
 """
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from p300loop import acquisition, cli, dsp, features, scheduler, subject
 
@@ -166,3 +170,72 @@ class TestConfigFuzz:
             return
         assert rest == ["simulate", "--out", "x"]
         parser.parse_args(rest)  # an accepted default parses
+
+
+# Typed edge values of a drawn flag: a str flag gets a missing path or "".
+_EDGE_VALUES = {
+    float: ["0", "-1", "1e9", "1e300", "nan", "inf", "-inf"],
+    int: ["0", "-1", str(10**9), str(2**63)],
+}
+
+# Every leaf parser but the stream roles, which open sockets, by its argv
+# prefix (its prog less the program name).
+_LEAVES = {tuple(leaf.prog.split()[1:]): leaf
+           for leaf in cli.build_parser().command_parsers
+           if "stream" not in leaf.prog}
+
+
+@st.composite
+def _command_lines(draw):
+    """(argv prefix, up to 4 of its leaf's flags with edge values); "{out}"
+    in a value stands for the example's output directory."""
+    prefix = draw(st.sampled_from(sorted(_LEAVES)))
+    actions = [action for action in _LEAVES[prefix]._actions
+               if action.option_strings and action.dest != "help"]
+    flags = []
+    for action in draw(st.lists(st.sampled_from(actions), max_size=4,
+                                unique_by=lambda action: action.dest)):
+        flags.append(action.option_strings[0])
+        if action.nargs != 0:
+            flags.append(draw(st.sampled_from(_EDGE_VALUES.get(
+                action.type, ["{out}/missing", ""]))))
+    return prefix, flags
+
+
+@pytest.fixture(scope="module")
+def fuzz_record(tmp_path_factory):
+    """A 2-session record for `train` and `inspect` to read."""
+    path = tmp_path_factory.mktemp("fuzz-cli") / "two.eeg"
+    assert cli.main(["simulate", "--sessions-per-scenario", "2",
+                     "--out", str(path)]) == 0
+    return str(path)
+
+
+def _fixed_argv(prefix, record, out):
+    """(flags before the drawn ones, which a drawn flag may override; flags
+    after them, which keep each run cheap)."""
+    return {("simulate",): (["--out", f"{out}/r.eeg"], []),
+            ("train",): (["--record", record, "--model", f"{out}/m.json"], []),
+            ("evaluate",): (["--report", f"{out}/r.json"],
+                            ["--reps-per-object", "1"]),
+            ("inspect",): (["--record", record], [])}[prefix]
+
+
+class TestCliFuzz:
+    # each example below once asked for gigabytes or ended in a traceback
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::UserWarning")
+    @settings(max_examples=100, deadline=None)
+    @example(command=(("simulate",), ["--blink-rate", "1e9"]))
+    @example(command=(("evaluate",), ["--trials", str(10**9)]))
+    @example(command=(("simulate",), ["--d-inf", "1e300"]))
+    @given(command=_command_lines())
+    def test_exits_with_a_documented_code(self, fuzz_record, command):
+        prefix, flags = command
+        with tempfile.TemporaryDirectory() as out:
+            head, tail = _fixed_argv(prefix, fuzz_record, out)
+            argv = [*prefix, *head, *(f.format(out=out) for f in flags),
+                    *tail]
+            code = cli.main(argv)
+            assert code in {0, 1, 2, 3, 4}, argv
+            assert code == 0 or not os.listdir(out), argv

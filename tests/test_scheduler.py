@@ -337,6 +337,16 @@ class TestCachedOnlineGrid:
         assert (got_rng.bit_generator.state
                 == want_rng.bit_generator.state)
 
+    def test_online_span_is_capped(self):
+        # 1894 trials of 3.6 s with 0.2 s gaps span 7,197.0 s; one more
+        # would span 7,200.8 s, past the cap: refused from the exact span,
+        # before any onset is laid out
+        assert scheduler.online_grid(scheduler.TimingConfig(), 1894)[1] == 7197.0
+        with pytest.raises(ValueError, match=(
+                "scenario of 7200.8 s is too large: the cap is "
+                f"{scheduler.MAX_SCENARIO_S} s")):
+            scheduler.online_grid(scheduler.TimingConfig(), 1895)
+
     def test_grid_is_computed_once_per_key(self):
         timing = scheduler.TimingConfig(d_flash=0.15)
         first = scheduler.online_grid(timing, 3)

@@ -46,6 +46,13 @@ class TestSubjectParams:
         with pytest.raises(ValueError, match=name):
             subject.SubjectParams(**{name: value})
 
+    def test_blink_rate_is_bounded(self):
+        # one blink per +/- 2 sigma width, 0.3 s, is 200 per minute
+        assert subject.MAX_BLINK_RATE == 200
+        subject.SubjectParams(blink_rate=200.0)
+        with pytest.raises(ValueError, match="blink_rate must be at most 200"):
+            subject.SubjectParams(blink_rate=200.1)
+
     def test_implausible_latency_warns(self):
         with pytest.warns(UserWarning):
             subject.SubjectParams(p300_peak_latency=0.9)
