@@ -7,10 +7,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import socket
 import sys
 import time
 
+if "numpy" not in sys.modules:  # BLAS reads these once, as numpy loads
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, "1")  # one thread: the same bits anywhere
 import numpy as np
 
 from . import acquisition, ica, session

@@ -140,23 +140,25 @@ class ClassStatistics:
                                 factor, shrinkage, np.empty(self.scatter.shape))
 
     def solve_without(self, rows: np.ndarray, labels: np.ndarray,
-                      shift: np.ndarray, factor: np.ndarray,
-                      shrinkage: float) -> LdaModel:
+                      shift: np.ndarray, factor: np.ndarray, shrinkage: float,
+                      out: np.ndarray) -> LdaModel:
         """`solve_scaled` of the rows that stay once `rows` leave.
 
-        Nothing it is given is written.  Per class, with n rows in all, k
-        leaving and r = n - k staying, the exact downdate of Chan, Golub &
-        LeVeque (1979) is scatter_rest = scatter_all - scatter_part
+        Nothing it is given is written but `out`.  Per class, with n rows in
+        all, k leaving and r = n - k staying, the exact downdate of Chan,
+        Golub & LeVeque (1979) is scatter_rest = scatter_all - scatter_part
         - (r k / n) g g^T, g the leaving rows' mean minus the staying ones':
         V^T V for V the leaving rows centred on their class means and
         sqrt(r k / n) g for each class that loses rows and keeps some.  V is
-        gathered straight into the first rows of a new buffer, above the d
-        rows where `_shrinkage_solve` factors and subtracts it.
+        gathered straight into the first rows of `out`, a work buffer of at
+        least len(rows) + 2 + d rows of d whose old values are never read,
+        above the d rows where `_shrinkage_solve` factors and subtracts it.
         """
         masks = (labels, ~labels)
         ks = [int(np.count_nonzero(mask)) for mask in masks]
         n_leaving = len(rows) + sum(0 < k < n for n, k in zip(self.counts, ks))
-        out = np.empty((n_leaving + len(self.scatter), len(self.scatter)))
+        d = len(self.scatter)  # a short buffer fails this reshape
+        out = out[:n_leaving + d].reshape(n_leaving + d, d)
         counts, means, at = [], [], 0
         for n, mean, mask, k in zip(self.counts, self.means, masks, ks):
             if k:

@@ -14,8 +14,11 @@ is the trials' flashing time.
 """
 from __future__ import annotations
 
+import ctypes
+import os
 import time
 from dataclasses import asdict, dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -302,7 +305,9 @@ def _cross_validated_scores(dataset: LabeledDataset,
     and solves under its min-max scaling
     (`lda.ClassStatistics.solve_without`): the fit `_fit` makes of the other
     sessions, whose factors scale its held-out rows.  The fold's min and
-    max are those of per-session ones.
+    max are those of per-session ones.  The folds run on `_fold_workers`
+    threads; each solves in a buffer made here (not in a thread's heap),
+    given back raise or not, and writes its rows as a serial loop would.
     """
     session_of = dataset.provenance[:, 1]
     sessions = np.unique(session_of)
@@ -313,14 +318,39 @@ def _cross_validated_scores(dataset: LabeledDataset,
     extremes = np.array([(vectors[held].min(axis=0), vectors[held].max(axis=0))
                          for held in held_rows])
     scores = np.empty(dataset.n_epochs)
-    for i, held in enumerate(held_rows):
-        others = np.arange(len(sessions)) != i
-        scaling = dsp.minmax_fit(extremes[others].reshape(-1, vectors.shape[1]))
-        rows = vectors[held]
-        model = whole.solve_without(rows, labels[held], scaling.mins,
-                                    scaling.factors, shrinkage)
+    d, most = vectors.shape[1], max(map(np.count_nonzero, held_rows))
+    buffers = [np.empty((most + 2 + d, d)) for _ in range(_fold_workers())]
+    def fold(i, held):
+        scaling = dsp.minmax_fit(np.delete(extremes, i, 0).reshape(-1, d))
+        rows, out = vectors[held], buffers.pop()  # pop and append are atomic
+        try:
+            model = whole.solve_without(rows, labels[held], scaling.mins,
+                                        scaling.factors, shrinkage, out)
+        finally:
+            buffers.append(out)
         scores[held] = dsp.minmax_apply(scaling, rows) @ model.w + model.b
+    from concurrent.futures import ThreadPoolExecutor  # 7 ms: not at import
+    with ThreadPoolExecutor(len(buffers)) as pool:
+        list(pool.map(fold, range(len(held_rows)), held_rows))
     return scores
+
+
+def _fold_workers() -> int:
+    """Two if two cores are usable and numpy's OpenBLAS runs on one thread,
+    else one, as more BLAS threads fill the cores.  Each worker holds a
+    fold's buffer; larger pools were not timed on as many cores."""
+    cores = getattr(os, "sched_getaffinity", None)
+    n_cores = len(cores(0)) if cores else os.cpu_count() or 1
+    return 2 if n_cores > 1 and _blas_threads() == 1 else 1
+
+
+def _blas_threads() -> int | None:
+    """Threads of the OpenBLAS in numpy's wheel (None without one), asked of
+    the library, which read its environment once, as numpy loaded."""
+    libs = (Path(np.__file__).parents[1] / "numpy.libs").glob("*openblas*")
+    gets = [getattr(ctypes.CDLL(str(lib)), prefix + "_get_num_threads64_", None)
+            for lib in libs for prefix in ("scipy_openblas", "openblas")]
+    return next((get() for get in gets if get), None)
 
 
 def _auc(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -391,9 +421,9 @@ def run_full_evaluation(params: SubjectParams,
         """reps_per_object rounds over the 12 objects in turn, replaying the
         flashing orders of `replayed` unless it is None: yields each
         selection's log as soon as it ends, and counts its hit in `hits`."""
-        for i, child in enumerate(seed_seq.spawn(reps_per_object * N_IMAGES)):
+        for i in range(reps_per_object * N_IMAGES):  # a child at a time
             round_index, target = divmod(i, N_IMAGES)
-            subject_seed, stream_seed = child.spawn(2)
+            subject_seed, stream_seed = seed_seq.spawn(1)[0].spawn(2)
             sequences = None if replayed is None else _phase_sequences(
                 replayed, target, round_index, n_trials)
             result, logged = run_online_selection(

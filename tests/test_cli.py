@@ -4,8 +4,10 @@ import dataclasses
 import functools
 import io
 import json
+import os
 import re
 import socket
+import subprocess
 import sys
 import threading
 import time
@@ -274,6 +276,27 @@ class TestTrain:
                      *flags]) == 2
         assert flags[0][2:].replace("-", "_") in capsys.readouterr().err
         assert not model.exists()
+
+    def test_model_bits_do_not_depend_on_the_blas_setting(self, tmp_path):
+        # the CLI pins BLAS to one thread unless the caller sets it, so a
+        # train with no setting writes the bytes of one at one thread, on a
+        # host of any core count
+        record = tmp_path / "two.eegs"
+        assert _run(["simulate", "--seed", "3", "--sessions-per-scenario",
+                     "2", "--out", str(record)]) == 0
+        blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        unset = {k: v for k, v in os.environ.items() if k not in blas}
+        unset["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+        models = []
+        for env in (unset, {**unset, **dict.fromkeys(blas[:2], "1")}):
+            models.append(tmp_path / f"model-{len(models)}.json")
+            subprocess.run([sys.executable, "-m", "p300loop.cli", "train",
+                            "--record", str(record), "--model",
+                            str(models[-1])],
+                           env=env, check=True, capture_output=True,
+                           timeout=300)
+        assert models[0].read_bytes() == models[1].read_bytes()
 
 
 class TestEvaluate:

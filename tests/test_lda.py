@@ -10,6 +10,11 @@ from scipy.linalg import cho_factor, cho_solve
 from p300loop import lda
 
 
+def _work_buffer(rows):
+    """A new work buffer of `solve_without` for `rows` leaving."""
+    return np.empty((len(rows) + 2 + rows.shape[1], rows.shape[1]))
+
+
 def _paired_cloud(mean, deltas):
     """Points mean +/- each delta: class scatter is sum of 2 d d^T terms."""
     mean = np.asarray(mean, dtype=float)
@@ -227,7 +232,8 @@ class TestClassStatistics:
 
         def fold():
             return whole.solve_without(vectors[leaving], labels[leaving],
-                                       np.zeros(d), np.ones(d), 0.01)
+                                       np.zeros(d), np.ones(d), 0.01,
+                                       _work_buffer(vectors[leaving]))
 
         if leave == "all targets":
             assert rest.counts[0] == 0
@@ -242,7 +248,8 @@ class TestClassStatistics:
         shift = vectors.min(axis=0)
         factor = np.linspace(0.0, 2.0, d)
         got = lda.ClassStatistics.of(vectors, labels).solve_without(
-            vectors[:0], labels[:0], shift, factor, 0.01)
+            vectors[:0], labels[:0], shift, factor, 0.01,
+            _work_buffer(vectors[:0]))
         want = lda.ClassStatistics.of((vectors - shift) * factor,
                                       labels).solve(0.01)
         self._assert_same_model(got, want)
@@ -354,7 +361,8 @@ class TestClassStatistics:
         before = (whole.scatter.copy(), whole.means.copy(), vectors.copy())
         rows = vectors[10:30]  # a view into `vectors`
         shift, factor = vectors.min(axis=0), np.full(d, 0.5)
-        got = whole.solve_without(rows, labels[10:30], shift, factor, 0.01)
+        got = whole.solve_without(rows, labels[10:30], shift, factor, 0.01,
+                                  _work_buffer(rows))
         for was, now in zip(before, (whole.scatter, whole.means, vectors)):
             assert was.tobytes() == now.tobytes()
         stay = np.ones(len(labels), dtype=bool)
@@ -362,6 +370,24 @@ class TestClassStatistics:
         rest = lda.ClassStatistics.of((vectors[stay] - shift) * factor,
                                       labels[stay])
         self._assert_same_model(got, rest.solve(0.01))
+
+    def test_downdate_in_a_reused_buffer(self):
+        # a buffer of more rows than needed, full of NaN, gives the bits of
+        # a new one of just enough rows, twice; a buffer too short is refused
+        vectors, labels = self._data()
+        d = vectors.shape[1]
+        whole = lda.ClassStatistics.of(vectors, labels)
+        rows, flags = vectors[10:30], labels[10:30]
+        shift, factor = vectors.min(axis=0), np.full(d, 0.5)
+        want = whole.solve_without(rows, flags, shift, factor, 0.01,
+                                   _work_buffer(rows))
+        out = np.full((len(rows) + 5 + d, d), np.nan)
+        for _ in range(2):
+            got = whole.solve_without(rows, flags, shift, factor, 0.01, out)
+            assert got.w.tobytes() == want.w.tobytes() and got.b == want.b
+        with pytest.raises(ValueError):  # no row for a class's mean gap
+            whole.solve_without(rows, flags, shift, factor, 0.01,
+                                out[:len(rows) + d])
 
 
 class TestPanelFactorization:
@@ -377,7 +403,8 @@ class TestPanelFactorization:
         vectors[labels] += 0.5
         shift, factor = vectors.min(axis=0), rng.uniform(0.5, 2.0, size=d)
         model = lda.ClassStatistics.of(vectors, labels).solve_without(
-            vectors[:k], labels[:k], shift, factor, 0.1)
+            vectors[:k], labels[:k], shift, factor, 0.1,
+            _work_buffer(vectors[:k]))
         # the fold's matrix formed whole from the rows that stay
         rest = lda.ClassStatistics.of((vectors[k:] - shift) * factor,
                                       labels[k:])
@@ -427,7 +454,8 @@ class TestPanelFactorization:
         rows[2, 7] = np.nan
         with pytest.raises(ValueError, match="not finite"):
             stats.solve_without(rows, np.array([True, False, True, False]),
-                                np.zeros(d), np.ones(d), 0.01)
+                                np.zeros(d), np.ones(d), 0.01,
+                                _work_buffer(rows))
 
     def test_non_positive_definite_raises(self):
         # 20 rows span at most 19 of 100 dimensions: unshrunk, singular

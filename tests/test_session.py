@@ -3,13 +3,17 @@ import cProfile
 import dataclasses
 import hashlib
 import json
+import os
 import pstats
 import queue
+import subprocess
+import sys
 import threading
 import tracemalloc
 import warnings
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -963,6 +967,123 @@ class TestCrossValidationDowndate:
         assert whole.scatter.tobytes() == fresh.scatter.tobytes()
 
 
+def _serial_fold_scores(dataset, shrinkage):
+    """Reference: the folds of `_cross_validated_scores` one after another
+    in this thread, each solving in a new buffer of just enough rows."""
+    session_of = dataset.provenance[:, 1]
+    held_rows = [session_of == sess for sess in np.unique(session_of)]
+    vectors, d = dataset.vectors, dataset.vectors.shape[1]
+    extremes = np.array([(vectors[held].min(axis=0), vectors[held].max(axis=0))
+                         for held in held_rows])
+    scores = np.empty(dataset.n_epochs)
+    for i, held in enumerate(held_rows):
+        others = np.arange(len(held_rows)) != i
+        scaling = dsp.minmax_fit(extremes[others].reshape(-1, d))
+        model = dataset.statistics.solve_without(
+            vectors[held], dataset.labels[held], scaling.mins,
+            scaling.factors, shrinkage,
+            np.empty((np.count_nonzero(held) + 2 + d, d)))
+        scores[held] = (dsp.minmax_apply(scaling, vectors[held])
+                        @ model.w + model.b)
+    return scores
+
+
+class TestCrossValidationPool:
+    @pytest.fixture
+    def pinned(self, monkeypatch):
+        """BLAS on one thread, on eight usable cores: the largest pool."""
+        monkeypatch.setattr(session, "_blas_threads", lambda: 1)
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(8)), raising=False)
+        assert session._fold_workers() == 2
+
+    def test_pool_gives_the_serial_loop_bits(self, training_dataset, pinned):
+        # threads switched every microsecond: a fold that wrote another's
+        # rows, or solved in a buffer in use, would move bits
+        want = _serial_fold_scores(training_dataset, 0.01)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = session._cross_validated_scores(training_dataset, 0.01)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got.tobytes() == want.tobytes()
+
+    def test_a_raising_fold_ends_the_cross_validation(
+            self, training_dataset, pinned, monkeypatch):
+        # the first fold to solve raises: its error ends the run, within
+        # seconds, while the folds under way finish or are cancelled
+        solve, lock, calls = (lda.ClassStatistics.solve_without,
+                              threading.Lock(), [])
+
+        def solve_or_fail(*args, **kwargs):
+            with lock:
+                calls.append(1)
+                first = len(calls) == 1
+            if first:
+                raise RuntimeError("fold failed")
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(lda.ClassStatistics, "solve_without",
+                            solve_or_fail)
+        errors = []
+
+        def run():
+            try:
+                session._cross_validated_scores(training_dataset, 0.01)
+            except Exception as error:
+                errors.append(error)
+
+        runner = threading.Thread(target=run, daemon=True)
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive(), "the cross-validation hangs"
+        assert [str(error) for error in errors] == ["fold failed"]
+
+    @pytest.mark.parametrize("blas, cores, want", [
+        (1, {0, 2, 5}, 2), (1, set(range(64)), 2), (1, {3}, 1),
+        (2, {0, 2, 5}, 1), (None, {0, 2, 5}, 1),
+    ])
+    def test_two_workers_only_at_one_blas_thread(self, monkeypatch, blas,
+                                                 cores, want):
+        monkeypatch.setattr(session, "_blas_threads", lambda: blas)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores,
+                            raising=False)
+        assert session._fold_workers() == want
+
+    @pytest.mark.parametrize("count, want", [(16, 2), (1, 1), (None, 1)])
+    def test_cpu_count_without_an_affinity_call(self, monkeypatch, count,
+                                                want):
+        monkeypatch.setattr(session, "_blas_threads", lambda: 1)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert session._fold_workers() == want
+
+    @pytest.mark.parametrize("pin_first", [True, False])
+    def test_the_rule_asks_the_blas_not_the_environment(self, pin_first):
+        # OpenBLAS reads OPENBLAS_NUM_THREADS once, as numpy loads: set only
+        # later, the variable leaves it a thread per core, and the folds must
+        # then keep to one worker
+        pin = "os.environ['OPENBLAS_NUM_THREADS'] = '1'"
+        code = "\n".join(["import os", pin if pin_first else "",
+                          "import numpy", pin, "from p300loop import session",
+                          "print(session._blas_threads(), "
+                          "session._fold_workers())"])
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            str(Path(session.__file__).parents[1]), env.get("PYTHONPATH")]))
+        blas, workers = subprocess.run(
+            [sys.executable, "-c", code], env=env, check=True,
+            capture_output=True, text=True, timeout=120).stdout.split()
+        cores = len(os.sched_getaffinity(0))
+        if pin_first:
+            assert blas in ("1", "None")
+            assert int(workers) == (min(cores, 2) if blas == "1" else 1)
+        else:
+            assert int(workers) == 1
+
+
 class TestPhaseSequences:
     def test_cyclic_replay_walks_training_runs(self, noiseless_training):
         _, _, schedule = noiseless_training
@@ -998,6 +1119,37 @@ class TestFullEvaluation:
         canonical = json.dumps(report, sort_keys=True).encode()
         assert hashlib.sha256(canonical).hexdigest() == (
             "9ec3a6590b014777261077e9f0689c81df10908c24193ca26af1aae0c5330716")
+
+    def test_seeds_are_spawned_one_selection_at_a_time(self, monkeypatch):
+        # phase 1 allocates next to nothing before its first selection,
+        # whatever reps_per_object: spawning the 1.2e8 seeds of 10**7
+        # repetitions at once would ask for tens of GB
+        class FirstSelection(Exception):
+            pass
+
+        started = []
+
+        def start_phase1(model, logs):  # and go no further than its start
+            tracemalloc.reset_peak()
+            started.append(tracemalloc.get_traced_memory()[0])
+            next(iter(logs))
+
+        def select(*args, **kwargs):
+            raise FirstSelection
+
+        monkeypatch.setattr(session, "retrain_from_online", start_phase1)
+        monkeypatch.setattr(session, "run_online_selection", select)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FirstSelection):
+                session.run_full_evaluation(
+                    subject.SubjectParams(), seed=0,
+                    timing=scheduler.TimingConfig(runs_per_session=1),
+                    reps_per_object=10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - started[0] < 2**20
 
     def test_mismatch_past_the_epoch_window_falls_to_chance(self):
         # a mismatch only moves the simulated response: 5 s early it leaves
