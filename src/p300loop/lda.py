@@ -68,7 +68,7 @@ class ClassStatistics:
     `solve` fits the discriminant of the sample, `solve_scaled` the one of
     its rows rescaled, and `solve_without` the one of the rows that stay once
     some leave, rescaled, by downdating instead of refitting from the rows
-    that stay.  `merged` adds rows in place.
+    that stay.  `merged` adds blocks of rows in place.
     """
 
     counts: tuple[int, int]
@@ -81,15 +81,15 @@ class ClassStatistics:
         d = vectors.shape[1]
         empty = cls(counts=(0, 0), means=np.zeros((2, d)),
                     scatter=np.zeros((d, d)))
-        return empty.merged(vectors, labels)
+        return empty.merged([(vectors, labels)])
 
     def solve(self, shrinkage: float = DEFAULT_SHRINKAGE) -> LdaModel:
         """The shrinkage discriminant of these statistics."""
         d = self.scatter.shape[0]
         return self.solve_scaled(np.zeros(d), np.ones(d), shrinkage)
 
-    def merged(self, rows: np.ndarray, labels: np.ndarray) -> ClassStatistics:
-        """The statistics of this sample with finite `rows` added.
+    def merged(self, blocks) -> ClassStatistics:
+        """The statistics with `blocks`, (finite rows, labels) pairs, added.
 
         Per class, with n rows before, k added and t = n + k, the exact merge
         of Chan, Golub & LeVeque (1979) adds the added rows' own scatter plus
@@ -97,24 +97,29 @@ class ClassStatistics:
         centred on their mean and the row sqrt(n k / t) g, the dual of the
         downdate in `solve_without`.  The products add into this scatter in
         place, with no d x d copy: the returned statistics own it, and
-        these are spent.  A class's rows are gathered straight into its
-        update, freed before the other class's is made.  From empty
-        statistics the larger class goes first and writes its product over
-        the zero scatter, with no d x d temporary; the sum is the same either
-        way round, while a later merge in another order would move bits.
+        these are spent.  A class's rows are gathered from each block of the
+        list in turn straight into its update, freed before the other
+        class's is made.  From empty statistics the larger class goes first
+        and writes its product over the zero scatter, with no d x d
+        temporary; the sum is the same either way round, while a later merge
+        in another order would move bits.
         """
-        if not np.isfinite(rows).all():
+        if not all(np.isfinite(rows).all() for rows, _ in blocks):
             raise ValueError("training features must be finite")
-        masks = (labels, ~labels)
-        ks = [int(np.count_nonzero(mask)) for mask in masks]
+        picks = [(rows, (np.flatnonzero(labels), np.flatnonzero(~labels)))
+                 for rows, labels in blocks]
+        ks = [sum(len(index[c]) for _, index in picks) for c in (0, 1)]
         counts, means, scatter = [*self.counts], [*self.means], self.scatter
         for c in (1, 0) if ks[1] > ks[0] and not any(counts) else (0, 1):
             n, k = counts[c], ks[c]
             if not k:
                 continue
-            update = np.empty((k + (n > 0), rows.shape[1]))
-            part = np.take(rows, np.flatnonzero(masks[c]), axis=0,
-                           out=update[:k], mode="clip")  # "raise" would buffer
+            update, at = np.empty((k + (n > 0), len(scatter))), 0
+            for rows, index in picks:
+                np.take(rows, index[c], axis=0, mode="clip",  # "raise" buffers
+                        out=update[at:at + len(index[c])])
+                at += len(index[c])
+            part = update[:k]
             part_mean = part.mean(axis=0)
             part -= part_mean
             gap = part_mean - means[c]

@@ -197,8 +197,7 @@ def build_online_trial_schedule(timing: TimingConfig,
     which lets an online phase replay the exact flashing orders of a recorded
     training scenario; otherwise `rng` draws them and is required.
     """
-    if n_trials < 1:
-        raise ValueError("n_trials must be at least 1")
+    grid, span_s = online_grid(timing, n_trials)
     if sequences is not None:
         sequences = [list(map(int, s)) for s in sequences]
         if len(sequences) != n_trials:
@@ -207,8 +206,6 @@ def build_online_trial_schedule(timing: TimingConfig,
             raise ValueError("each trial sequence must permute all image ids")
     if rng is None and sequences is None:
         raise TypeError("an online schedule without sequences needs rng")
-
-    grid, span_s = online_grid(timing, n_trials)
     targets = () if target is None else (int(target),)
     return ScenarioSchedule(_markers(grid, n_trials, rng, sequences, targets),
                             span_s=span_s)
@@ -220,9 +217,11 @@ def online_grid(timing: TimingConfig, n_trials: int):
 
     grid is the trials' `_run_grid` (onset samples, onset seconds).  span_s
     is n_trials * d_run + (n_trials - 1) * d_run_interval: the simulated
-    latency of one selection, refused past MAX_SCENARIO_S before any onset
-    is laid out.
+    latency of one selection.  Fewer than one trial, or a span past
+    MAX_SCENARIO_S, is refused before any onset is laid out.
     """
+    if n_trials < 1:
+        raise ValueError("n_trials must be at least 1")
     step = _exact_durations(timing)[1] + _fr(timing.d_run_interval)
     span = n_trials * step - _fr(timing.d_run_interval)
     _check_span(span)

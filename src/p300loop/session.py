@@ -145,7 +145,10 @@ def vote(table) -> tuple[tuple[int, ...], int]:
 def votes(table, n_trials: int):
     """([(trial winners, selected image)], trailing rows left over): one
     `vote` per `n_trials` consecutive rows of a score table, in its
-    (session, run) order; the last rows too few to vote are only counted."""
+    (session, run) order; the last rows too few to vote are only counted.
+    Fewer than one trial per vote raises ValueError."""
+    if n_trials < 1:
+        raise ValueError("n_trials must be at least 1")
     n_votes, n_left = divmod(len(table), n_trials)
     return [vote(table[i:i + n_trials])
             for i in range(0, n_votes * n_trials, n_trials)], n_left
@@ -248,36 +251,27 @@ def retrain_from_online(model: ModelFile, logs) -> ModelFile:
     """Second training phase: refit `model` on the logs of its selections.
 
     `logs`, the `run_online_selection` datasets, is any iterable, consumed
-    once and lazily, and no log is kept: its rows are copied into one reused
-    buffer, whose blocks of at least `_RETRAIN_BLOCK` rows fold into
-    per-feature extremes and class statistics (`lda.ClassStatistics.merged`).
+    once and lazily; no log is copied.  Each log's per-feature extremes fold
+    into two running vectors, and its rows wait where they lie until at
+    least `_RETRAIN_BLOCK` wait, then join one `lda.ClassStatistics.merged`.
     The model is, up to rounding, `train_on_dataset`'s on the stacked logs,
     with `model`'s channels and pipeline; other channels raise ValueError."""
-    rows, flags = np.empty((0, len(model.weights))), np.empty(0, bool)
-    stats, extremes, n = lda.ClassStatistics.of(rows, flags), [], 0
-
-    def fold():
-        nonlocal stats, n
-        stats = stats.merged(rows[:n], flags[:n])
-        extremes.extend((rows[:n].min(axis=0), rows[:n].max(axis=0)))
-        n = 0
-
+    d = len(model.weights)
+    stats = lda.ClassStatistics.of(np.empty((0, d)), np.empty(0, bool))
+    mins, maxes, waiting = np.full(d, np.inf), np.full(d, -np.inf), []
     for log in logs:
         if tuple(log.channels) != model.channels:
             raise ValueError(f"a log is not of the channels {model.channels}")
-        end = n + log.n_epochs
-        if end > len(rows):  # room for a whole block more; keeps rows[:n]
-            rows = np.resize(rows, (end + _RETRAIN_BLOCK, rows.shape[1]))
-            flags = np.resize(flags, end + _RETRAIN_BLOCK)
-        rows[n:end], flags[n:end] = log.vectors, log.labels
-        n = end
-        if n >= _RETRAIN_BLOCK:
-            fold()
-    if n:
-        fold()
+        np.minimum(mins, log.vectors.min(axis=0, initial=np.inf), out=mins)
+        np.maximum(maxes, log.vectors.max(axis=0, initial=-np.inf), out=maxes)
+        waiting.append((log.vectors, log.labels))
+        if sum(len(labels) for _, labels in waiting) >= _RETRAIN_BLOCK:
+            stats, waiting = stats.merged(waiting), []
+    stats = stats.merged(waiting)
     if min(stats.counts) < 2:
         raise ValueError("need at least two examples of each class to retrain")
-    return _fit(stats, dsp.minmax_fit(extremes), model.channels, model.pipeline)
+    return _fit(stats, dsp.ScalingParams(mins=mins, maxes=maxes),
+                model.channels, model.pipeline)
 
 
 def cross_validated_auc(dataset: LabeledDataset,

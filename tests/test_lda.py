@@ -260,10 +260,15 @@ class TestClassStatistics:
         vectors, labels, cuts, shift, factor, shrinkage = drawn
         merged = lda.ClassStatistics.of(vectors[:0], labels[:0])
         assert merged.counts == (0, 0)
-        for rows, block_labels in zip(np.split(vectors, cuts),
-                                      np.split(labels, cuts)):
-            merged = merged.merged(rows, block_labels)
+        blocks = list(zip(np.split(vectors, cuts), np.split(labels, cuts)))
+        for block in blocks:
+            merged = merged.merged([block])
         whole = lda.ClassStatistics.of(vectors, labels)
+        # all the blocks in one merge gather the rows `of` gathers, in order
+        at_once = lda.ClassStatistics.of(vectors[:0], labels[:0]).merged(blocks)
+        assert at_once.counts == whole.counts
+        assert at_once.means.tobytes() == whole.means.tobytes()
+        assert at_once.scatter.tobytes() == whole.scatter.tobytes()
         # `of` is the merge of all rows at once: check it against numpy too
         centred = [rows - rows.mean(axis=0)
                    for rows in (vectors[labels], vectors[~labels])]
@@ -288,14 +293,14 @@ class TestClassStatistics:
         stats = lda.ClassStatistics.of(vectors, labels)
         vectors[3, 2] = np.inf
         with pytest.raises(ValueError, match="finite"):
-            stats.merged(vectors[:5], labels[:5])
+            stats.merged([(vectors[:5], labels[:5])])
 
     def test_merge_adds_into_the_scatter_in_place(self):
         # no d x d copy per merge: the merged statistics own the old buffer
         vectors, labels = self._data()
         stats = lda.ClassStatistics.of(vectors[:20], labels[:20])
         scatter = stats.scatter
-        merged = stats.merged(vectors[20:], labels[20:])
+        merged = stats.merged([(vectors[20:], labels[20:])])
         assert merged.scatter is scatter
         assert merged.counts == (labels.sum(), (~labels).sum())
 
@@ -333,7 +338,7 @@ class TestClassStatistics:
             assert stats.counts == tuple(want[0])
             assert stats.means.tobytes() == want[1].tobytes()
             assert stats.scatter.tobytes() == want[2].tobytes()
-            stats = stats.merged(vectors[120:], labels[120:])
+            stats = stats.merged([(vectors[120:], labels[120:])])
             want = self._target_first_merge(*want, vectors[120:],
                                             labels[120:])
 

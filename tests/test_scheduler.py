@@ -236,9 +236,14 @@ class TestOnlineTrialSchedule:
                                                   sequences=[[0] * 12])
 
     def test_needs_at_least_one_trial(self):
-        with pytest.raises(ValueError):
-            scheduler.build_online_trial_schedule(scheduler.TimingConfig(),
-                                                  n_trials=0)
+        # refused by the grid, before the missing rng, and never returned or
+        # cached as an empty grid of span -0.2 s
+        for n_trials in (0, -1, 0):
+            with pytest.raises(ValueError, match="at least 1"):
+                scheduler.build_online_trial_schedule(scheduler.TimingConfig(),
+                                                      n_trials=n_trials)
+            with pytest.raises(ValueError, match="at least 1"):
+                scheduler.online_grid(scheduler.TimingConfig(), n_trials)
 
     def test_flags_set_against_target(self):
         t = scheduler.TimingConfig()

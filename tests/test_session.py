@@ -230,6 +230,12 @@ class TestTrialScoresAndVote:
         with pytest.raises(ValueError):
             reference_stream_votes(provenance, scores, 1)
 
+    @pytest.mark.parametrize("n_trials", [0, -2])
+    def test_votes_need_a_trial_per_vote(self, n_trials):
+        # 0 divided by zero, and -2 gave no vote and -1 rows left over
+        with pytest.raises(ValueError, match="n_trials must be at least 1"):
+            session.votes(np.eye(3, 12), n_trials)
+
     def test_run_flashing_an_image_twice_raises(self):
         provenance, scores = _shuffled_flashes(1, 2, 0, False)
         provenance.append((1, 0, 4))  # run 1 of session 0 shows image 4 again
@@ -666,6 +672,23 @@ class TestRetrainFromOnline:
         finally:
             tracemalloc.stop()
         assert peak <= 60e6
+
+    def test_peak_memory_does_not_grow_with_the_logs(self, seed0_phase1_logs):
+        # 1,200 logs, each a fresh copy as a live phase 1 yields it, peak
+        # where 120 do: each log's extremes kept in a list (13.5 kB a log)
+        # would add about 15 MB
+        model, logs = seed0_phase1_logs
+        peaks = []
+        for n_logs in (120, 1200):
+            tracemalloc.start()
+            try:
+                session.retrain_from_online(
+                    model, (replace(logs[i % len(logs)])
+                            for i in range(n_logs)))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 2**20
 
     def test_empty_log_list_rejected(self, noiseless_training):
         model, _, _ = noiseless_training
@@ -1178,6 +1201,17 @@ class TestFullEvaluation:
                 subject.SubjectParams(), seed=0, reps_per_object=1,
                 timing=scheduler.TimingConfig(sessions_per_scenario=2))
         assert calls == []
+
+    @pytest.mark.parametrize("n_trials", [0, -1])
+    def test_needs_a_trial_per_selection_before_training(self, monkeypatch,
+                                                          n_trials):
+        def train(*args, **kwargs):
+            raise AssertionError("trained before refusing n_trials")
+
+        monkeypatch.setattr(session, "run_offline_training", train)
+        with pytest.raises(ValueError, match="n_trials must be at least 1"):
+            session.run_full_evaluation(subject.SubjectParams(), seed=0,
+                                        n_trials=n_trials)
 
     def test_one_feature_extraction_per_recording(self, monkeypatch):
         # the offline record and each selection's decoded record run through
