@@ -81,8 +81,8 @@ class SamplesFrame:
 
     def __post_init__(self) -> None:
         samples = set_readonly(self, "samples", self.samples, np.float32)
-        if samples.ndim != 2:
-            raise ValueError("samples block must be [k x channels]")
+        if samples.ndim != 2 or not len(samples):  # as the decoder refuses
+            raise ValueError("samples block must be [k x channels], k >= 1")
         if np.isinf(samples).any():  # NaN is a dropped sample, inf corruption
             raise ValueError("samples block holds a value infinite as float32")
 
@@ -259,11 +259,11 @@ def stream_record(record: EegRecord, chunk: int = DEFAULT_CHUNK) -> list[WireFra
     """Header, then markers and sample blocks in order, then end.
 
     Each marker is emitted before the sample frame that contains its index.
-    A sample past float32's range is infinite in its frame, which refuses
-    it with ValueError; numpy's warning of the overflow is silenced.
+    ValueError refuses a record without samples and a sample past float32's
+    range, infinite in its frame; numpy's warning of the overflow is silenced.
     """
-    if chunk < 1:
-        raise ValueError("chunk must be at least 1")
+    if chunk < 1 or not record.n_samples:
+        raise ValueError("chunk and record must hold at least 1 sample each")
     frames: list[WireFrame] = [HeaderFrame(
         channel_count=record.n_channels, rate=record.rate,
         labels=tuple(record.channels))]

@@ -6,7 +6,7 @@ units. Missing samples are represented as NaN entries directly in the matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -63,12 +63,11 @@ def set_readonly(obj, name: str, value, dtype=np.float64) -> np.ndarray:
 
 
 def fields_equal(a, b) -> bool:
-    """Dataclass equality with array fields compared by value, NaN equal to
-    NaN; fields declared with compare=False are skipped."""
+    """Dataclass equality, array fields by value with NaN equal to NaN."""
     return type(a) is type(b) and all(
         np.array_equal(x, y, equal_nan=True) if isinstance(x, np.ndarray)
         else x == y for x, y in ((getattr(a, f.name), getattr(b, f.name))
-                                 for f in fields(a) if f.compare))
+                                 for f in fields(a)))
 
 
 def scalar_fields(cls) -> list:
@@ -80,9 +79,7 @@ def scalar_fields(cls) -> list:
 class StimulusEvent:
     """One image flash, a row of `Markers`, checked as a one-row table.
 
-    is_target is None when unknown (blind online use).  onset_s is carried for
-    human-readable exports and excluded from equality; onset_sample is the
-    canonical time reference.
+    is_target is None when unknown (blind online use).
     """
 
     image_id: int
@@ -90,7 +87,6 @@ class StimulusEvent:
     run_index: int
     session_index: int
     is_target: bool | None = None
-    onset_s: float = field(default=math.nan, compare=False)
 
     def __post_init__(self) -> None:
         Markers.of((self,))
@@ -101,10 +97,10 @@ class Markers:
     """Immutable columnar flash table, one row per flash in onset order.
 
     Read-only int64 columns `onset` (sample index), `image`, `run`, `session`
-    and `target` (1, 0, or -1 for unknown), and the exact `onset_s` (NaN where
-    unknown), which equality ignores.  The constructor is the one check of
-    the flash invariants.  Indexing, slicing and iteration read rows back as
-    `StimulusEvent`s; a table equals a sequence of equal rows.
+    and `target` (1, 0, or -1 for unknown): what the wire carries of a
+    flash.  The constructor is the one check of the flash invariants.
+    Indexing, slicing and iteration read rows back as `StimulusEvent`s; a
+    table equals a sequence of equal rows.
     """
 
     onset: np.ndarray = ()
@@ -112,7 +108,6 @@ class Markers:
     run: np.ndarray = ()
     session: np.ndarray = ()
     target: np.ndarray | None = None
-    onset_s: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.onset)
@@ -121,9 +116,7 @@ class Markers:
             set_readonly(self, name, value, np.int64) for name, value in zip(
                 ("onset", "image", "run", "session", "target"),
                 (self.onset, self.image, self.run, self.session, target)))
-        onset_s = set_readonly(self, "onset_s", np.full(n, math.nan)
-                               if self.onset_s is None else self.onset_s)
-        if any(c.shape != (n,) for c in (image, run, session, target, onset_s)):
+        if any(c.shape != (n,) for c in (image, run, session, target)):
             raise ValueError("marker columns must be vectors of one length")
         if n and onset[0] < 0:
             raise ValueError("onset_sample must be non-negative")
@@ -144,7 +137,7 @@ class Markers:
             return events
         return cls(*zip(*((ev.onset_sample, ev.image_id, ev.run_index,
                            ev.session_index, -1 if ev.is_target is None
-                           else int(bool(ev.is_target)), ev.onset_s)
+                           else int(bool(ev.is_target)))
                           for ev in events)))
 
     @property
@@ -162,8 +155,7 @@ class Markers:
         row.__dict__.update(
             image_id=int(self.image[i]), onset_sample=int(self.onset[i]),
             run_index=int(self.run[i]), session_index=int(self.session[i]),
-            is_target=None if self.target[i] < 0 else bool(self.target[i]),
-            onset_s=float(self.onset_s[i]))
+            is_target=None if self.target[i] < 0 else bool(self.target[i]))
         return row
 
     def __eq__(self, other) -> bool:
@@ -174,7 +166,7 @@ class Markers:
 
 @dataclass(frozen=True)
 class EegRecord:
-    """Multichannel sample matrix plus rate and time-aligned stimulus markers."""
+    """Multichannel sample matrix, rate and flash table, equal by value."""
 
     channels: ChannelSet
     rate: float
@@ -195,6 +187,8 @@ class EegRecord:
         if len(markers) and markers.onset[-1] >= samples.shape[1]:
             raise ValueError("marker onset beyond end of record")
         object.__setattr__(self, "markers", markers)
+
+    __eq__ = fields_equal
 
     @property
     def n_channels(self) -> int:

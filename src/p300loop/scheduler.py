@@ -70,16 +70,13 @@ def _exact_durations(timing: TimingConfig) -> tuple[Fraction, ...]:
     return isi, d_run, d_session, d_scenario
 
 
-def _run_grid(timing: TimingConfig, run_starts):
-    """(onset samples, onset seconds) of the flashes of runs that start at
-    the exact seconds `run_starts`, a run's j-th flash j * isi after its
-    start: flash 12 r + j is run r's j-th.
-    """
+def _run_grid(timing: TimingConfig, run_starts) -> tuple[int, ...]:
+    """Onset samples of runs that start at the exact seconds `run_starts`:
+    flash 12 r + j, run r's j-th, is j * isi after run r's start."""
     isi = _exact_durations(timing)[0]
-    onsets = [start + j * isi for start in run_starts for j in range(N_IMAGES)]
     rate = _fr(DEFAULT_RATE)
-    return (tuple(time_to_sample(t, rate) for t in onsets),
-            tuple(map(float, onsets)))
+    return tuple(time_to_sample(start + j * isi, rate)
+                 for start in run_starts for j in range(N_IMAGES))
 
 
 def durations(timing: TimingConfig) -> tuple[float, float, float]:
@@ -120,9 +117,9 @@ class ScenarioSchedule:
         return int((self.events.target == 1).sum())
 
 
-def _markers(grid, runs_per_session: int, rng, sequences=None,
+def _markers(onsets, runs_per_session: int, rng, sequences=None,
              session_targets=()) -> Markers:
-    """The flash table of consecutive runs at `_run_grid` slots: run k is
+    """The flash table of consecutive runs at `_run_grid` onsets: run k is
     run k % runs_per_session of session k // runs_per_session and shows
     `sequences[k]`, or else a `generate_run_sequence` draw from `rng` that
     does not open with the image that closed run k - 1.  Flashes of their
@@ -132,7 +129,7 @@ def _markers(grid, runs_per_session: int, rng, sequences=None,
     targets = np.asarray(session_targets, dtype=np.int64)
     if ((targets < 0) | (targets >= N_IMAGES)).any():
         raise ValueError("session target outside image id range")
-    n_runs = len(grid[0]) // N_IMAGES
+    n_runs = len(onsets) // N_IMAGES
     if sequences is None:
         sequences = []
         for _ in range(n_runs):
@@ -142,8 +139,8 @@ def _markers(grid, runs_per_session: int, rng, sequences=None,
     image = np.concatenate(sequences)
     session = k // runs_per_session
     target = image == targets[session] if len(targets) else None
-    return Markers(onset=grid[0], image=image, run=k % runs_per_session,
-                   session=session, target=target, onset_s=grid[1])
+    return Markers(onset=onsets, image=image, run=k % runs_per_session,
+                   session=session, target=target)
 
 
 def generate_run_sequence(rng: np.random.Generator,
@@ -174,12 +171,12 @@ def build_scenario_schedule(timing: TimingConfig,
 
     _, d_run, d_session, d_scenario = _exact_durations(timing)
     run_step = d_run + _fr(timing.d_run_interval)
-    grid = _run_grid(timing, [
+    onsets = _run_grid(timing, [
         _fr(timing.d_adapt) + sess * d_session + _fr(timing.d_inf)
         + run * run_step for sess in range(timing.sessions_per_scenario)
         for run in range(timing.runs_per_session)])
     return ScenarioSchedule(
-        events=_markers(grid, timing.runs_per_session, rng,
+        events=_markers(onsets, timing.runs_per_session, rng,
                         session_targets=session_targets),
         span_s=float(d_scenario))
 
@@ -197,7 +194,7 @@ def build_online_trial_schedule(timing: TimingConfig,
     which lets an online phase replay the exact flashing orders of a recorded
     training scenario; otherwise `rng` draws them and is required.
     """
-    grid, span_s = online_grid(timing, n_trials)
+    onsets, span_s = online_grid(timing, n_trials)
     if sequences is not None:
         sequences = [list(map(int, s)) for s in sequences]
         if len(sequences) != n_trials:
@@ -207,36 +204,36 @@ def build_online_trial_schedule(timing: TimingConfig,
     if rng is None and sequences is None:
         raise TypeError("an online schedule without sequences needs rng")
     targets = () if target is None else (int(target),)
-    return ScenarioSchedule(_markers(grid, n_trials, rng, sequences, targets),
+    return ScenarioSchedule(_markers(onsets, n_trials, rng, sequences, targets),
                             span_s=span_s)
 
 
 @functools.lru_cache(maxsize=32)
 def online_grid(timing: TimingConfig, n_trials: int):
-    """(grid, span_s) of `n_trials` back-to-back online runs, computed exactly.
+    """(onsets, span_s) of `n_trials` back-to-back online runs, exactly.
 
-    grid is the trials' `_run_grid` (onset samples, onset seconds).  span_s
-    is n_trials * d_run + (n_trials - 1) * d_run_interval: the simulated
-    latency of one selection.  Fewer than one trial, or a span past
-    MAX_SCENARIO_S, is refused before any onset is laid out.
+    onsets are the trials' `_run_grid` onset samples; span_s is n_trials *
+    d_run + (n_trials - 1) * d_run_interval: the simulated latency of one
+    selection.  Fewer than one trial, or a span past MAX_SCENARIO_S, is
+    refused before any onset is laid out.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
     step = _exact_durations(timing)[1] + _fr(timing.d_run_interval)
     span = n_trials * step - _fr(timing.d_run_interval)
     _check_span(span)
-    grid = _run_grid(timing, [trial * step for trial in range(n_trials)])
-    return grid, float(span)
+    onsets = _run_grid(timing, [trial * step for trial in range(n_trials)])
+    return onsets, float(span)
 
 
 def event_table(schedule: ScenarioSchedule) -> str:
-    """Human-readable event table, one line per event."""
-    lines = ["onset_s\tonset_sample\timage_id\trun\tsession\tis_target"]
+    """One tab-separated line per flash; time_s is its onset sample's time."""
+    lines = ["time_s\tonset_sample\timage_id\trun\tsession\tis_target"]
     events = schedule.events
-    for onset_s, onset, image, run, sess, target in zip(*(
-            column.tolist() for column in (events.onset_s, events.onset,
-                                           events.image, events.run,
-                                           events.session, events.target))):
-        flag = "?" if target < 0 else str(target)
-        lines.append(f"{onset_s:.6f}\t{onset}\t{image}\t{run}\t{sess}\t{flag}")
+    for onset, image, run, sess, target in zip(*(
+            column.tolist() for column in (events.onset, events.image,
+                                           events.run, events.session,
+                                           events.target))):
+        lines.append(f"{onset / DEFAULT_RATE:.6f}\t{onset}\t{image}\t{run}\t"
+                     f"{sess}\t{'?' if target < 0 else target}")
     return "\n".join(lines) + "\n"

@@ -400,6 +400,9 @@ def run_full_evaluation(params: SubjectParams,
         raise ValueError(f"the evaluation needs sessions_per_scenario = "
                          f"{N_IMAGES}, not {timing.sessions_per_scenario}")
     per_selection_s = online_grid(timing, n_trials)[1]  # refused before training
+    online_params = replace(params, constant_offset=mismatch)  # a bad one too
+    if reps_per_object < 1:
+        raise ValueError("reps_per_object must be at least 1")
     catalog = ObjectCatalog()
     started = time.perf_counter()
     train_seq, phase1_seq, phase2_seq = np.random.SeedSequence(seed).spawn(3)
@@ -421,8 +424,7 @@ def run_full_evaluation(params: SubjectParams,
             sequences = None if replayed is None else _phase_sequences(
                 replayed, target, round_index, n_trials)
             result, logged = run_online_selection(
-                model, replace(params, constant_offset=mismatch,
-                               seed=subject_seed),
+                model, replace(online_params, seed=subject_seed),
                 catalog, target, n_trials=n_trials,
                 rng=np.random.default_rng(stream_seed), timing=timing,
                 sequences=sequences)

@@ -241,6 +241,24 @@ class TestHostileBytes:
                 acq.save_record(rec, tmp_path / "rec.eegs")
         assert not (tmp_path / "rec.eegs").exists()
 
+    def test_empty_samples_block_refused_as_the_decoder_refuses_it(self):
+        # decode_frame refuses a samples frame of no samples, so no such
+        # frame is built to encode
+        with pytest.raises(ValueError, match="k >= 1"):
+            acq.SamplesFrame(first_sample_index=0,
+                             samples=np.empty((0, 3), np.float32))
+
+    def test_record_without_samples_refused_before_a_file(self, tmp_path):
+        # load_record refuses a stream without samples, so none is written
+        rec = core.EegRecord(core.ChannelSet(("A", "B")), 128.0,
+                             np.empty((2, 0)))
+        for write in (lambda: acq.stream_record(rec),
+                      lambda: acq.encode_record(rec, 64),
+                      lambda: acq.save_record(rec, tmp_path / "rec.eegs")):
+            with pytest.raises(ValueError, match="at least 1 sample"):
+                write()
+        assert not (tmp_path / "rec.eegs").exists()
+
     def test_undecodable_label_rejected(self):
         wire = bytearray(acq.encode_record(_sample_record(), 64))
         # prefix, the fixed header fields, the first label's length byte

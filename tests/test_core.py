@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from p300loop import acquisition, core, features, scheduler, subject
 
@@ -71,13 +72,6 @@ class TestStimulusEvent:
             core.StimulusEvent(image_id=0, onset_sample=0,
                                run_index=-1, session_index=0)
 
-    def test_onset_seconds_excluded_from_equality(self):
-        a = core.StimulusEvent(image_id=0, onset_sample=10, run_index=0,
-                               session_index=0, is_target=False, onset_s=0.5)
-        b = core.StimulusEvent(image_id=0, onset_sample=10, run_index=0,
-                               session_index=0, is_target=False, onset_s=0.7)
-        assert a == b
-
 
 def _old_event_check(onset, image, run, session):
     """The checks `StimulusEvent.__post_init__` made of each event."""
@@ -130,8 +124,8 @@ _BREAKS = ("none", "duplicate", "decreasing onset", "image out of range",
 
 
 @st.composite
-def _flash_lists(draw):
-    """(rows, n_samples): increasing flashes, then at most one break."""
+def _flash_lists(draw, breaks=_BREAKS):
+    """(rows, n_samples): increasing flashes, then at most one of `breaks`."""
     n = draw(st.integers(0, 14))
     onsets = np.cumsum(draw(st.lists(st.integers(1, 6), min_size=n,
                                      max_size=n))) - 1
@@ -140,7 +134,7 @@ def _flash_lists(draw):
             for onset in onsets]
     n_samples = int(onsets[-1]) + draw(st.integers(1, 3)) if n else 1
     where = draw(st.integers(0, max(n - 1, 0)))
-    broken = draw(st.sampled_from(_BREAKS)) if n else "none"
+    broken = draw(st.sampled_from(breaks)) if n else "none"
     if broken == "duplicate":
         rows.insert(where, list(rows[where]))
     elif broken == "decreasing onset" and n > 1:
@@ -238,10 +232,9 @@ class TestMarkerRows:
 
     def test_saved_and_loaded_rows_are_equal(self, saved_and_loaded):
         saved, loaded = saved_and_loaded
-        assert not np.isnan(saved.markers.onset_s).any()
-        assert np.isnan(loaded.markers.onset_s).all()  # not on the wire
         assert tuple(loaded.markers) == tuple(saved.markers)
         assert loaded.markers == saved.markers
+        assert loaded == saved.with_samples(saved.samples.astype(np.float32))
 
     def test_unknown_target_reads_back_as_none(self, saved_and_loaded):
         markers = saved_and_loaded[1].markers
@@ -249,6 +242,37 @@ class TestMarkerRows:
                              markers.session)
         assert {ev.is_target for ev in blind} == {None}
         assert {ev.is_target for ev in markers} == {False, True}
+
+
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
+
+
+@st.composite
+def _records(draw):
+    """Records of 1-4 channels, 1-300 samples in float32's range with some
+    NaNs, at a finite positive rate, with a valid flash table."""
+    labels = draw(st.lists(st.text(min_size=1, max_size=8), min_size=1,
+                           max_size=4, unique=True))
+    rows, least = draw(_flash_lists(breaks=("none",)))
+    n_samples = draw(st.integers(least, 300))
+    samples = draw(hnp.arrays(np.float64, (len(labels), n_samples), elements=(
+        st.floats(-_FLOAT32_MAX, _FLOAT32_MAX) | st.just(math.nan))))
+    rate = draw(st.floats(min_value=0.0, exclude_min=True,
+                          allow_infinity=False))
+    return core.EegRecord(core.ChannelSet(labels), rate, samples,
+                          _markers_of(rows))
+
+
+class TestRecordRoundTrip:
+    """A loaded record equals the one saved, its samples cast to float32."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_records())
+    def test_load_equals_save_at_float32(self, tmp_path_factory, record):
+        path = tmp_path_factory.mktemp("round-trip") / "record.eegs"
+        acquisition.save_record(record, path)
+        assert acquisition.load_record(path) == record.with_samples(
+            record.samples.astype(np.float32))
 
 
 class TestEegRecord:
@@ -302,6 +326,17 @@ class TestEegRecord:
             rec.with_markers([ev, ev])
         with pytest.raises(ValueError):
             rec.with_markers([late])
+
+    def test_compared_by_value(self):
+        rec = self._record(n=16)
+        samples = rec.samples.copy()
+        samples[1, 3] = np.nan
+        holed = rec.with_samples(samples)
+        assert holed == holed.with_samples(samples.copy())  # NaN equals NaN
+        assert holed != rec
+        assert rec.with_channels(("B", "A")) != rec
+        assert core.EegRecord(rec.channels, 256.0, rec.samples) != rec
+        assert rec.with_markers([core.StimulusEvent(0, 3, 0, 0)]) != rec
 
     def test_with_samples_keeps_metadata(self):
         rec = self._record(n=16)

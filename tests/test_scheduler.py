@@ -10,6 +10,20 @@ from conftest import attended_images
 from p300loop import core, scheduler
 
 
+def _on_grid(t: Fraction) -> int:
+    """The sample of exact time `t` on the 128 Hz grid."""
+    return core.time_to_sample(t, Fraction(128))
+
+
+def _exact_onsets() -> list[Fraction]:
+    """The exact onset of each flash of the default scenario, in order: 10 s
+    of adaptation, sessions 25.6 s apart that open with 3 s of instruction,
+    runs 3.8 s apart and flashes 0.3 s apart."""
+    return [13 + Fraction(128, 5) * session + Fraction(19, 5) * run
+            + Fraction(3, 10) * j for session in range(12)
+            for run in range(6) for j in range(core.N_IMAGES)]
+
+
 class TestTimingConfig:
     def test_defaults(self):
         t = scheduler.TimingConfig()
@@ -142,27 +156,28 @@ class TestScenarioSchedule:
             assert ev.is_target == (ev.image_id == ev.session_index)
 
     def test_first_onset_after_adaptation_and_instruction(self, training_schedule):
+        # 10 s of adaptation and 3 s of instruction: 13 s, sample 1,664
         first = training_schedule.events[0]
-        assert first.onset_s == pytest.approx(13.0, abs=1e-12)
-        assert first.onset_sample == core.time_to_sample(13.0, 128.0)
+        assert first.onset_sample == _on_grid(Fraction(13)) == 1664
 
     def test_intra_run_onsets_step_by_isi(self, training_schedule):
-        by_run = {}
-        for ev in training_schedule.events:
-            by_run.setdefault((ev.session_index, ev.run_index), []).append(ev)
-        for events in by_run.values():
-            onsets = [e.onset_s for e in events]
-            gaps = np.diff(onsets)
-            np.testing.assert_allclose(gaps, 0.3, atol=1e-12)
+        # 0.3 s is 38.4 samples: each gap in a run is 38 or 39, and the 11
+        # gaps of a run span 422.4 samples, rounded at both ends
+        runs = training_schedule.events.onset.reshape(-1, core.N_IMAGES)
+        assert set(np.diff(runs).ravel().tolist()) == {38, 39}
+        assert set((runs[:, -1] - runs[:, 0]).tolist()) <= {422, 423}
 
     def test_last_flash_clears_itself_before_span_end(self, training_schedule):
+        # the last flash is at 316.9 s, and 0.3 s later the span ends
         last = training_schedule.events[-1]
-        assert last.onset_s + 0.3 <= training_schedule.span_s + 1e-12
-        assert training_schedule.span_s == pytest.approx(317.2, abs=1e-9)
+        assert last.onset_sample == _on_grid(Fraction(3169, 10))
+        assert (Fraction(last.onset_sample, 128) + Fraction(3, 10)
+                <= Fraction(str(training_schedule.span_s)) == Fraction(1586, 5))
 
     def test_onset_samples_on_128hz_grid(self, training_schedule):
-        for ev in training_schedule.events[:100]:
-            assert ev.onset_sample == core.time_to_sample(ev.onset_s, 128.0)
+        # every onset is its exact time rounded once: none drifts
+        assert training_schedule.events.onset.tolist() == [
+            _on_grid(t) for t in _exact_onsets()]
 
     def test_custom_targets_validated(self):
         t = scheduler.TimingConfig(sessions_per_scenario=2)
@@ -212,8 +227,8 @@ class TestOnlineTrialSchedule:
         t = scheduler.TimingConfig()
         sched = scheduler.build_online_trial_schedule(
             t, n_trials=1, rng=np.random.default_rng(0))
-        assert sched.events[0].onset_s == 0.0
-        assert sched.events[0].onset_sample == 0
+        assert sched.events.onset[:2].tolist() == [
+            0, _on_grid(Fraction(3, 10))]
 
     def test_sequences_replayed_verbatim(self):
         t = scheduler.TimingConfig()
@@ -252,8 +267,7 @@ class TestOnlineTrialSchedule:
                 t, n_trials, np.random.default_rng(seed), target=attended)
                 for attended in (None, target))
             want = reference_with_targets(blind, target).events
-            for column in ("onset", "image", "run", "session", "target",
-                           "onset_s"):
+            for column in ("onset", "image", "run", "session", "target"):
                 assert (getattr(labelled.events, column).tobytes()
                         == getattr(want, column).tobytes())
             assert attended_images(labelled.events) == (target,)
@@ -277,8 +291,7 @@ def reference_with_targets(schedule, target):
     events = schedule.events
     return scheduler.ScenarioSchedule(
         events=core.Markers(events.onset, events.image, events.run,
-                            events.session, events.image == target,
-                            events.onset_s),
+                            events.session, events.image == target),
         span_s=schedule.span_s)
 
 
@@ -301,8 +314,7 @@ def reference_online_schedule(timing, n_trials, rng, sequences=None):
             onset = run_base + j * isi
             events.append(core.StimulusEvent(
                 image_id=img, onset_sample=core.time_to_sample(onset, rate_fr),
-                run_index=trial, session_index=0, is_target=None,
-                onset_s=float(onset)))
+                run_index=trial, session_index=0, is_target=None))
     span = n_trials * d_run + (n_trials - 1) * fr(timing.d_run_interval)
     return scheduler.ScenarioSchedule(events=tuple(events),
                                       span_s=float(span))
@@ -335,10 +347,9 @@ class TestCachedOnlineGrid:
             timing, n_trials, got_rng, sequences=sequences)
         want = reference_online_schedule(timing, n_trials, want_rng, sequences)
         assert got.events == want.events
-        assert ([ev.onset_s for ev in got.events]
-                == [ev.onset_s for ev in want.events])
         assert got.span_s == want.span_s
-        assert scheduler.online_grid(timing, n_trials)[1] == want.span_s
+        assert scheduler.online_grid(timing, n_trials) == (
+            tuple(want.events.onset.tolist()), want.span_s)
         assert (got_rng.bit_generator.state
                 == want_rng.bit_generator.state)
 
@@ -365,11 +376,13 @@ class TestEventTable:
     def test_header_and_rows(self, training_schedule):
         table = scheduler.event_table(training_schedule)
         lines = table.splitlines()
-        assert lines[0].split("\t") == ["onset_s", "onset_sample", "image_id",
+        assert lines[0].split("\t") == ["time_s", "onset_sample", "image_id",
                                         "run", "session", "is_target"]
         assert len(lines) == 1 + 864
-        first = lines[1].split("\t")
-        assert first[1] == str(training_schedule.events[0].onset_sample)
+        # each flash's time on the sample grid: 1,702 samples, not 13.3 s
+        first, second = (line.split("\t")[:2] for line in lines[1:3])
+        assert first == ["13.000000", "1664"]
+        assert second == ["13.296875", "1702"]
 
     def test_unknown_targets_marked(self):
         sched = scheduler.build_online_trial_schedule(

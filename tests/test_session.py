@@ -3,6 +3,7 @@ import cProfile
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import pstats
 import queue
@@ -1212,6 +1213,26 @@ class TestFullEvaluation:
         with pytest.raises(ValueError, match="n_trials must be at least 1"):
             session.run_full_evaluation(subject.SubjectParams(), seed=0,
                                         n_trials=n_trials)
+
+    @pytest.mark.parametrize("bad, match", [
+        ({"reps_per_object": 0}, "reps_per_object must be at least 1"),
+        ({"reps_per_object": -1}, "reps_per_object must be at least 1"),
+        ({"mismatch": math.nan}, "constant_offset must be finite"),
+        ({"mismatch": math.inf}, "constant_offset must be finite"),
+        ({"mismatch": -math.inf}, "constant_offset must be finite"),
+    ], ids=["reps_0", "reps_-1", "mismatch_nan", "mismatch_inf",
+            "mismatch_-inf"])
+    def test_bad_repetitions_and_mismatch_refused_before_training(
+            self, monkeypatch, bad, match):
+        # refused before the offline model is trained, not in the
+        # retraining or at the first selection
+        def train(*args, **kwargs):
+            raise AssertionError(f"trained before refusing {bad}")
+
+        monkeypatch.setattr(session, "run_offline_training", train)
+        with pytest.raises(ValueError, match=match):
+            session.run_full_evaluation(subject.SubjectParams(), seed=0,
+                                        **bad)
 
     def test_one_feature_extraction_per_recording(self, monkeypatch):
         # the offline record and each selection's decoded record run through
